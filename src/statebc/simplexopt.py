@@ -7,8 +7,8 @@ and a geometric step grid picks the most promising move, and a golden-section
 line search polishes its size, so simplex feasibility is preserved exactly.
 
 Everything is deterministic. Lattice points are generated in ascending
-lexicographic order and ties break toward the earliest point; candidate
-comparisons use first-maximum semantics throughout.
+lexicographic order (see _scan_lattice for how its ties break); candidate
+comparisons elsewhere use first-maximum semantics.
 
 Objectives must be vectorized: they take an array whose trailing axis (for
 maximize_simplex) or trailing two axes (for maximize_joint) hold the
@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_CHUNK = 1_500_000
+_BLOCK_BYTES = 256 * 1024
 _MEMO_POINT_LIMIT = 200_000
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 24
@@ -93,36 +93,50 @@ def lattice_size(denominator: int, dim: int) -> int:
     return math.comb(denominator + dim - 1, dim - 1)
 
 
-def _build_block(total: int, parts: int, memo: dict) -> np.ndarray:
-    if parts == 1:
-        return np.array([[total]], dtype=np.int32)
-    key = (total, parts)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    blocks = []
-    for k in range(total + 1):
-        sub = _build_block(total - k, parts - 1, memo)
-        lead = np.full((sub.shape[0], 1), k, dtype=np.int32)
-        blocks.append(np.hstack((lead, sub)))
-    out = np.vstack(blocks) if len(blocks) > 1 else blocks[0]
-    if out.shape[0] <= _MEMO_POINT_LIMIT and parts <= 8:
-        memo[key] = out
-    return out
+def _lattice_blocks(mass: int, dim: int, cap_rows: float, prefix: tuple = ()):
+    """The rows of the lattice {k in N^dim : sum k = mass + sum(prefix)} that
+    start with `prefix`, in ascending lexicographic order, as int32 blocks of
+    at most cap_rows rows. A block is a run of consecutive slices on the next
+    coordinate; a slice larger than cap_rows is split on the one after."""
+    rest = dim - len(prefix)
+    if rest == 1:
+        yield np.array([prefix + (mass,)], dtype=np.int32)
+        return
+    sizes = np.array([lattice_size(mass - k, rest - 1) for k in range(mass + 1)])
+    ends = np.cumsum(sizes)
+    k = 0
+    while k <= mass:
+        if sizes[k] > cap_rows:
+            yield from _lattice_blocks(mass - k, dim, cap_rows, prefix + (k,))
+            k += 1
+            continue
+        stop = int(np.searchsorted(ends, ends[k] - sizes[k] + cap_rows, side="right"))
+        # One pass per coordinate: a partial row with remaining mass r
+        # expands into its r + 1 children, in order.
+        rows, rem = np.arange(k, stop)[:, None], mass - np.arange(k, stop)
+        for _ in range(rest - 2):
+            width = rem + 1
+            step = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+            rows = np.column_stack((np.repeat(rows, width, axis=0), step))
+            rem = np.repeat(rem, width) - step
+        lead = np.broadcast_to(np.array(prefix, dtype=np.int64), (rows.shape[0], len(prefix)))
+        yield np.hstack((lead, rows, rem[:, None]), dtype=np.int32)
+        k = stop
 
 
 @lru_cache(maxsize=48)
 def _cached_lattice(denominator: int, dim: int) -> np.ndarray:
-    block = _build_block(denominator, dim, {})
+    (block,) = _lattice_blocks(denominator, dim, math.inf)
     block.setflags(write=False)
     return block
 
 
-def iter_lattice(denominator: int, dim: int, chunk_limit: int = DEFAULT_CHUNK):
-    """Yield integer blocks jointly covering every composition of
-    `denominator` into `dim` parts exactly once, in ascending lexicographic
-    order. Large lattices are split on leading coordinates so no block
-    exceeds chunk_limit rows; small ones are cached across calls."""
+def iter_lattice(denominator: int, dim: int):
+    """Yield int32 blocks jointly covering every composition of `denominator`
+    into `dim` parts exactly once, in ascending lexicographic order. A lattice
+    of at most _MEMO_POINT_LIMIT points is one read-only block, cached across
+    calls; a larger one is built as it is consumed, in blocks of at most
+    _BLOCK_BYTES (or one row), so its memory is bounded per block."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if denominator < 0:
@@ -130,22 +144,8 @@ def iter_lattice(denominator: int, dim: int, chunk_limit: int = DEFAULT_CHUNK):
     if lattice_size(denominator, dim) <= _MEMO_POINT_LIMIT:
         yield _cached_lattice(denominator, dim)
         return
-    memo: dict = {}
-
-    def emit(total, parts, prefix):
-        if lattice_size(total, parts) <= chunk_limit or parts == 1:
-            block = _build_block(total, parts, memo)
-            if prefix:
-                lead = np.broadcast_to(
-                    np.array(prefix, dtype=np.int32), (block.shape[0], len(prefix))
-                )
-                block = np.hstack((lead, block))
-            yield block
-        else:
-            for k in range(total + 1):
-                yield from emit(total - k, parts - 1, prefix + (k,))
-
-    yield from emit(denominator, dim, ())
+    row_bytes = dim * np.dtype(np.int32).itemsize
+    yield from _lattice_blocks(denominator, dim, max(1, _BLOCK_BYTES // row_bytes))
 
 
 def _check_values(vals: np.ndarray, pts: np.ndarray) -> None:
@@ -158,7 +158,9 @@ def _check_values(vals: np.ndarray, pts: np.ndarray) -> None:
 
 def _scan_lattice(objective, dim: int, m: int, top_k: int):
     """Evaluate the objective on the full lattice, tracking the top_k points.
-    Ties break toward the earlier generation index."""
+    np.argpartition picks among a block's points tied at the k-th value
+    repeatably but not by generation index; the kept points are ranked by
+    value, ties toward the earlier generation index."""
     top_vals = np.empty(0)
     top_pts = np.empty((0, dim))
     top_ord = np.empty(0, dtype=np.int64)
@@ -208,10 +210,10 @@ def _golden_polish(objective, base: np.ndarray, delta: np.ndarray, hi: np.ndarra
     evals = 0
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1 = probe(x1)
-    f2 = probe(x2)
-    evals += 2 * n
-    for _ in range(iters):
+    for _ in range(iters + 1):
+        f1 = probe(x1)
+        f2 = probe(x2)
+        evals += 2 * n
         better = np.where(f1 >= f2, x1, x2)
         better_v = np.maximum(f1, f2)
         upd = better_v > best_v
@@ -222,14 +224,6 @@ def _golden_polish(objective, base: np.ndarray, delta: np.ndarray, hi: np.ndarra
         b = np.where(go_right, b, x2)
         x1 = b - _GOLDEN * (b - a)
         x2 = a + _GOLDEN * (b - a)
-        f1 = probe(x1)
-        f2 = probe(x2)
-        evals += 2 * n
-    better = np.where(f1 >= f2, x1, x2)
-    better_v = np.maximum(f1, f2)
-    upd = better_v > best_v
-    best_t = np.where(upd, better, best_t)
-    best_v = np.maximum(best_v, better_v)
     return best_t, best_v, evals
 
 

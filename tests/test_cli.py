@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import statebc
 from statebc.cli import main
 from statebc.regions import convex_hull
 
@@ -142,6 +147,16 @@ class TestExampleCommands:
     def test_dof_stdout(self, capsys):
         assert main(["dof", "--p1", "0.7", "--p2", "0.4"]) == 0
         assert capsys.readouterr().out.strip() == "1.3"
+
+    def test_module_entry_point(self):
+        src = str(Path(statebc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "statebc.cli", "dof", "--p1", "0.7", "--p2", "0.4"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "1.3"
 
     def test_dof_non_canonical_exit_two(self, capsys):
         assert main(["dof", "--p1", "0.3", "--p2", "0.7"]) == 2

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from statebc import ChannelSpec, OptConfig, maximize_joint, maximize_simplex
+from statebc import ChannelSpec, OptConfig, maximize_joint, maximize_simplex, simplexopt
 from statebc.channel import component_entropies
 from statebc.infotheory import entropy
+from statebc.regions import primed_regions
 from statebc.simplexopt import default_grid, iter_lattice, lattice_size
 
 
@@ -90,10 +92,64 @@ def test_lattice_enumeration_counts_and_order():
         assert len(set(keys)) == len(keys)
 
 
-def test_lattice_chunking_matches_single_block():
+def stars_and_bars(m, d):
+    """Reference enumeration: bar positions among m + d - 1 slots."""
+    rows = []
+    for bars in itertools.combinations(range(m + d - 1), d - 1):
+        cuts = (-1, *bars, m + d - 1)
+        rows.append([cuts[i + 1] - cuts[i] - 1 for i in range(d)])
+    return np.array(rows, dtype=np.int32).reshape(-1, d)
+
+
+def test_lattice_matches_stars_and_bars():
+    for m in range(7):
+        for d in range(1, 6):
+            expected = stars_and_bars(m, d)
+            np.testing.assert_array_equal(np.vstack(list(iter_lattice(m, d))), expected)
+            (block,) = simplexopt._lattice_blocks(m, d, math.inf)
+            assert block.dtype == np.int32
+            np.testing.assert_array_equal(block, expected)
+
+
+def stream_small(monkeypatch, cap_bytes):
+    """Force every lattice through the streamed path with a tiny block cap."""
+    monkeypatch.setattr(simplexopt, "_MEMO_POINT_LIMIT", 0)
+    monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", cap_bytes)
+
+
+def test_lattice_chunking_matches_single_block(monkeypatch):
     whole = np.vstack(list(iter_lattice(8, 4)))
-    chunked = np.vstack(list(iter_lattice(8, 4, chunk_limit=20)))
-    np.testing.assert_array_equal(whole, chunked)
+    stream_small(monkeypatch, 20 * 4 * 4)  # 20 rows of four int32 coordinates
+    blocks = list(iter_lattice(8, 4))
+    assert len(blocks) > 1
+    np.testing.assert_array_equal(whole, np.vstack(blocks))
+
+
+def test_streamed_blocks_within_cap_in_strict_order(monkeypatch):
+    stream_small(monkeypatch, 48)
+    for m, d in [(9, 3), (6, 5), (4, 8), (1, 12), (0, 4), (5, 1)]:
+        blocks = list(iter_lattice(m, d))
+        assert all(b.nbytes <= 48 or b.shape[0] == 1 for b in blocks)
+        keys = [tuple(row) for row in np.vstack(blocks)]
+        assert len(keys) == lattice_size(m, d)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert all(sum(k) == m for k in keys)
+
+
+def test_large_outer_lattice_first_block_within_cap():
+    # n = 9 joint lattice (u = 10): 2.9M points, never built whole
+    assert next(iter_lattice(4, 90)).nbytes <= simplexopt._BLOCK_BYTES
+
+
+def test_primed_regions_independent_of_block_cap(monkeypatch, blackwell_07_03):
+    def vertices():
+        return [poly.vertices for poly in primed_regions(blackwell_07_03, px_grid=60)]
+
+    whole = vertices()
+    stream_small(monkeypatch, 1024)
+    small = vertices()
+    monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", 96)
+    assert small == vertices() == whole
 
 
 def test_global_lattice_dominance():
