@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .channel import canonicalize, load_channel
@@ -28,26 +27,6 @@ from .regions import (
     transpose_polygon,
 )
 from .simplexopt import OptConfig
-
-
-@dataclass
-class RunConfig:
-    """One CLI invocation; flags override any channel-file values."""
-
-    command: str
-    channel_path: str | None = None
-    p1: float | None = None
-    p2: float | None = None
-    lambda_count: int = 64
-    grid_denominator: int = 0
-    u_size: int = 0
-    tolerance: float = 5e-3
-    out_path: str | None = None
-    normalize: bool = False
-    k: int = 2
-    h: tuple[int, int, int, int] = (1, 1, 1, 0)
-    px_grid: int = 0
-    alpha_grid: int = 101
 
 
 def _parse_h(text: str) -> tuple[int, int, int, int]:
@@ -116,27 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.channel_path = getattr(args, "channel", None)
-    cfg.p1 = getattr(args, "p1", None)
-    cfg.p2 = getattr(args, "p2", None)
-    cfg.grid_denominator = getattr(args, "grid", 0)
-    cfg.lambda_count = getattr(args, "n_lambda", getattr(args, "lambdas", 64))
-    cfg.u_size = getattr(args, "u_size", 0)
-    cfg.tolerance = getattr(args, "tol", 5e-3)
-    cfg.out_path = getattr(args, "out", None)
-    cfg.normalize = getattr(args, "normalize", False)
-    cfg.k = getattr(args, "k", 2)
-    cfg.h = getattr(args, "h", (1, 1, 1, 0))
-    cfg.px_grid = getattr(args, "px_grid", 0)
-    cfg.alpha_grid = getattr(args, "alpha_grid", 101)
-    return cfg
-
-
-def _opt_config(cfg: RunConfig) -> OptConfig | None:
-    if cfg.grid_denominator > 0:
-        return OptConfig(grid_denominator=cfg.grid_denominator)
+def _opt_config(args: argparse.Namespace) -> OptConfig | None:
+    if args.grid > 0:
+        return OptConfig(grid_denominator=args.grid)
     return None
 
 
@@ -155,33 +116,34 @@ def _scale_polygon(poly: RegionPolygon, factor: float) -> RegionPolygon:
     return make_polygon([(v.r1 * factor, v.r2 * factor) for v in poly.vertices], poly.label)
 
 
-def run(cfg: RunConfig) -> int:
-    if cfg.command == "region":
-        spec = load_channel(cfg.channel_path, cfg.p1, cfg.p2)
-        poly = capacity_polygon(spec, n_lambda=cfg.lambda_count, cfg=_opt_config(cfg))
-        _write(cfg.out_path, _header(spec.p1, spec.p2) + polygon_to_csv(poly))
+def run(args: argparse.Namespace) -> int:
+    """Run one parsed command line; flags override channel-file values."""
+    if args.command == "region":
+        spec = load_channel(args.channel, args.p1, args.p2)
+        poly = capacity_polygon(spec, n_lambda=args.n_lambda, cfg=_opt_config(args))
+        _write(args.out, _header(spec.p1, spec.p2) + polygon_to_csv(poly))
         return 0
 
-    if cfg.command == "support":
-        spec = load_channel(cfg.channel_path, cfg.p1, cfg.p2)
+    if args.command == "support":
+        spec = load_channel(args.channel, args.p1, args.p2)
         canon, swapped = canonicalize(spec)
-        lambdas = case_spanning_lambdas(canon, cfg.lambda_count)
-        curve = support_curve(canon, lambdas, _opt_config(cfg))
+        lambdas = case_spanning_lambdas(canon, args.lambdas)
+        curve = support_curve(canon, lambdas, _opt_config(args))
         extra = "note=receivers-swapped" if swapped else ""
         lines = ["lambda,value,case"]
         for s in curve.samples:
             lines.append(f"{format_number(s.lam)},{format_number(s.value)},{s.case_id}")
-        _write(cfg.out_path, _header(canon.p1, canon.p2, extra) + "\n".join(lines) + "\n")
+        _write(args.out, _header(canon.p1, canon.p2, extra) + "\n".join(lines) + "\n")
         return 0
 
-    if cfg.command == "verify":
-        spec = load_channel(cfg.channel_path, cfg.p1, cfg.p2)
+    if args.command == "verify":
+        spec = load_channel(args.channel, args.p1, args.p2)
         canon, _ = canonicalize(spec)
-        lambdas = case_spanning_lambdas(canon, cfg.lambda_count)
-        u_size = cfg.u_size if cfg.u_size > 0 else None
-        report = verify_converse(canon, lambdas, u_size=u_size, tol=cfg.tolerance, cfg=_opt_config(cfg))
-        if cfg.out_path:
-            _write(cfg.out_path, _header(canon.p1, canon.p2) + converse_to_csv(report))
+        lambdas = case_spanning_lambdas(canon, args.lambdas)
+        u_size = args.u_size if args.u_size > 0 else None
+        report = verify_converse(canon, lambdas, u_size=u_size, tol=args.tol, cfg=_opt_config(args))
+        if args.out:
+            _write(args.out, _header(canon.p1, canon.p2) + converse_to_csv(report))
         verdict = "pass" if report.passed else "fail"
         print(
             f"max_gap={format_number(report.max_gap)} "
@@ -189,51 +151,50 @@ def run(cfg: RunConfig) -> int:
         )
         return 0 if report.passed else 1
 
-    if cfg.command == "regions4":
-        spec = load_channel(cfg.channel_path, cfg.p1, cfg.p2)
+    if args.command == "regions4":
+        spec = load_channel(args.channel, args.p1, args.p2)
         canon, _ = canonicalize(spec)
-        polys = proposition_regions(canon, n_lambda=cfg.lambda_count, cfg=_opt_config(cfg))
-        polys += primed_regions(canon, px_grid=cfg.px_grid or None)
+        polys = proposition_regions(canon, n_lambda=args.n_lambda, cfg=_opt_config(args))
+        polys += primed_regions(canon, px_grid=args.px_grid or None)
         header = _header(canon.p1, canon.p2)
         for poly in polys:
             name = poly.label.replace("'", "p")
-            _write(f"{cfg.out_path}{name}.csv", header + polygon_to_csv(poly))
+            _write(f"{args.out}{name}.csv", header + polygon_to_csv(poly))
         return 0
 
-    if cfg.command == "example-blackwell":
-        canon_p1, canon_p2 = max(cfg.p1, cfg.p2), min(cfg.p1, cfg.p2)
-        poly = blackwell_sweep_hull(canon_p1, canon_p2, grid=cfg.alpha_grid)
-        if cfg.p1 < cfg.p2:
+    if args.command == "example-blackwell":
+        canon_p1, canon_p2 = max(args.p1, args.p2), min(args.p1, args.p2)
+        poly = blackwell_sweep_hull(canon_p1, canon_p2, grid=args.alpha_grid)
+        if args.p1 < args.p2:
             poly = transpose_polygon(poly)
-        _write(cfg.out_path, _header(cfg.p1, cfg.p2) + polygon_to_csv(poly))
+        _write(args.out, _header(args.p1, args.p2) + polygon_to_csv(poly))
         return 0
 
-    if cfg.command == "example-ff":
-        ff = FiniteFieldSpec(cfg.k, ((cfg.h[0], cfg.h[1]), (cfg.h[2], cfg.h[3])))
-        canon_p1, canon_p2 = max(cfg.p1, cfg.p2), min(cfg.p1, cfg.p2)
+    if args.command == "example-ff":
+        ff = FiniteFieldSpec(args.k, ((args.h[0], args.h[1]), (args.h[2], args.h[3])))
+        canon_p1, canon_p2 = max(args.p1, args.p2), min(args.p1, args.p2)
         poly = finite_field_region(ff, canon_p1, canon_p2)
-        if cfg.p1 < cfg.p2:
+        if args.p1 < args.p2:
             poly = transpose_polygon(poly)
-        extra = f"k={cfg.k}"
-        if cfg.normalize:
-            poly = _scale_polygon(poly, 1.0 / math.log2(cfg.k))
+        extra = f"k={args.k}"
+        if args.normalize:
+            poly = _scale_polygon(poly, 1.0 / math.log2(args.k))
             extra += " normalized=log2K"
-        _write(cfg.out_path, _header(cfg.p1, cfg.p2, extra) + polygon_to_csv(poly))
+        _write(args.out, _header(args.p1, args.p2, extra) + polygon_to_csv(poly))
         return 0
 
-    if cfg.command == "dof":
-        print(format_number(dof(cfg.p1, cfg.p2)))
+    if args.command == "dof":
+        print(format_number(dof(args.p1, args.p2)))
         return 0
 
-    raise ValueError(f"unknown command {cfg.command!r}")
+    raise ValueError(f"unknown command {args.command!r}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = config_from_args(args)
     try:
-        return run(cfg)
+        return run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

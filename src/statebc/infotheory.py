@@ -17,10 +17,15 @@ MASS_EPS = 1e-15
 
 
 def xlogx(p):
-    """p * log2(p) with the 0 log 0 = 0 convention."""
+    """p * log2(p) with the 0 log 0 = 0 convention; NaN also maps to 0.
+    Computed in one output buffer (a 0-d array for a 0-d input), as it runs
+    on every objective evaluation."""
     p = np.asarray(p, dtype=float)
-    safe = np.maximum(p, MASS_EPS)
-    return np.where(p > MASS_EPS, p * np.log2(safe), 0.0)
+    out = np.maximum(p, MASS_EPS, out=np.empty_like(p))
+    np.log2(out, out=out)
+    out *= p
+    np.copyto(out, 0.0, where=~(p > MASS_EPS))
+    return out
 
 
 def entropy(p, axis: int = -1):

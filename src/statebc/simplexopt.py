@@ -196,23 +196,24 @@ def _pair_deltas(dim: int):
 
 def _golden_polish(objective, base: np.ndarray, delta: np.ndarray, hi: np.ndarray, iters: int = _GOLDEN_ITERS):
     """Per-row golden-section maximum of t -> objective(base + t*delta) on
-    [0, hi]; returns the best (t, value) seen including the probes."""
+    [0, hi]; returns the best (t, value) seen including the probes. Each
+    step sends both interior probes of every row to the objective in one
+    call on the stacked points; objectives evaluate rows independently, so
+    the values are those of two separate calls."""
     n = base.shape[0]
     a = np.zeros(n)
     b = hi.astype(float).copy()
-
-    def probe(t):
-        pts = np.maximum(base + t[:, None] * delta, 0.0)
-        return np.asarray(objective(pts), dtype=float)
-
+    base2 = np.concatenate((base, base))
+    delta2 = np.concatenate((delta, delta))
     best_t = np.zeros(n)
     best_v = np.full(n, -np.inf)
     evals = 0
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     for _ in range(iters + 1):
-        f1 = probe(x1)
-        f2 = probe(x2)
+        pts = np.maximum(base2 + np.concatenate((x1, x2))[:, None] * delta2, 0.0)
+        f = np.asarray(objective(pts), dtype=float)
+        f1, f2 = f[:n], f[n:]
         evals += 2 * n
         better = np.where(f1 >= f2, x1, x2)
         better_v = np.maximum(f1, f2)
@@ -231,23 +232,24 @@ def _full_pair_polish(objective, S, V, rows, i_idx, delta, step_tolerance, iters
     """Golden-section line search over every ordered pair for the given state
     rows; the rigorous stall check before a state is frozen. The coarse step
     grid of the main scan can miss pairs whose optimal move is tiny, so a
-    state only freezes once no pair improves it. Applies improving moves in
-    place and returns (rescued mask, evals)."""
-    evals = 0
-    rescued = np.zeros(len(rows), dtype=bool)
-    for pos, s in enumerate(rows):
-        hi = S[s][i_idx]
-        live = hi > 0.0
-        if not live.any():
-            continue
-        base = np.broadcast_to(S[s], (int(live.sum()), S.shape[1]))
-        t_g, v_g, e = _golden_polish(objective, base, delta[live], hi[live], iters)
-        evals += e
-        b = int(np.argmax(v_g))
-        if v_g[b] > V[s] + step_tolerance:
-            S[s] = np.maximum(S[s] + t_g[b] * delta[live][b], 0.0)
-            V[s] = v_g[b]
-            rescued[pos] = True
+    state only freezes once no pair improves it. One search runs over every
+    (row, live pair) at once, and each row takes its first best pair, as a
+    search of that row alone would. Applies improving moves in place and
+    returns (rescued mask, evals)."""
+    hi = S[rows][:, i_idx]
+    r, pair = np.nonzero(hi > 0.0)
+    t_g, v_g, evals = _golden_polish(objective, S[rows[r]], delta[pair], hi[r, pair], iters)
+    t_row = np.zeros(hi.shape)
+    v_row = np.full(hi.shape, -np.inf)
+    t_row[r, pair] = t_g
+    v_row[r, pair] = v_g
+    b = v_row.argmax(axis=1)
+    pos = np.arange(len(rows))
+    t_b, v_b = t_row[pos, b], v_row[pos, b]
+    rescued = v_b > V[rows] + step_tolerance
+    s = rows[rescued]
+    S[s] = np.maximum(S[s] + t_b[rescued, None] * delta[b[rescued]], 0.0)
+    V[s] = v_b[rescued]
     return rescued, evals
 
 
@@ -279,12 +281,9 @@ def _pattern_step(objective, S, V, rows, snap, step_tolerance, iters):
     improve = v_g > V[sub] + step_tolerance
     tgt = sub[improve]
     S[tgt] = np.maximum(base[improve] + t_g[improve, None] * D[improve], 0.0)
-    full_gain = np.zeros(len(rows))
-    lookup = {int(r): i for i, r in enumerate(rows)}
-    for r, v in zip(sub[improve], v_g[improve] - V[sub][improve]):
-        full_gain[lookup[int(r)]] = v
+    gain[np.flatnonzero(live)[ok][improve]] = v_g[improve] - V[tgt]
     V[tgt] = v_g[improve]
-    return full_gain, evals
+    return gain, evals
 
 
 def _refine(objective, starts: np.ndarray, cfg: OptConfig):

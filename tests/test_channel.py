@@ -20,7 +20,9 @@ from statebc import (
     load_channel,
     receiver_channel_mi,
 )
+from statebc.channel import component_entropies, indicator_matrices
 from statebc.examples import blackwell_channel
+from statebc.infotheory import entropy
 from conftest import random_pmf, random_spec
 
 
@@ -227,3 +229,32 @@ class TestChannelFile:
         path.write_text("{not json")
         with pytest.raises(ValueError, match="invalid JSON"):
             load_channel(path)
+
+
+class TestComponentEntropiesKernel:
+    """The fused kernel must equal the three separate entropies bit for bit."""
+
+    SPECS = (
+        blackwell_channel(0.7, 0.3),
+        finite_field_channel(FiniteFieldSpec(2, ((1, 1), (1, 0))), 0.7, 0.4),
+        # Output size 3: the 9-cell joint takes numpy's pairwise-sum path,
+        # and three inputs share f1 = 0 and f2 = 0.
+        ChannelSpec(5, (0, 0, 0, 1, 2), (2, 1, 0, 0, 0), 0.6, 0.2),
+    )
+
+    @pytest.mark.parametrize("spec", SPECS, ids=("blackwell", "gf2", "out3"))
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 5)], ids=("1d", "2d", "3d"))
+    def test_matches_separate_entropies(self, spec, lead):
+        rng = np.random.default_rng(17)
+        p = rng.dirichlet(np.ones(spec.input_size), size=lead or None)
+        p[..., 0] = 0.0  # an empty input cell
+        e1, e2, ej = indicator_matrices(spec)
+        got = component_entropies(spec, p)
+        want = (entropy(p @ e1), entropy(p @ e2), entropy(p @ ej))
+        for g, w in zip(got, want):
+            if lead:
+                assert g.shape == lead
+                assert np.array_equal(g, w)
+            else:
+                assert type(g) is float
+                assert g == w

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from statebc import binary_entropy, entropy, report
 from statebc.channel import induced_joint
 from statebc.examples import blackwell_channel
+from statebc.infotheory import MASS_EPS, xlogx
 
 
 def test_entropy_fair_bit():
@@ -111,3 +112,23 @@ def test_entropy_permutation_invariant_and_uniform_max(weights):
 def test_entropy_uniform_attains_log_n():
     for n in range(2, 7):
         assert entropy(np.full(n, 1.0 / n)) == pytest.approx(math.log2(n), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [0.0, MASS_EPS, np.nextafter(MASS_EPS, 1.0), 0.3, 1.0, np.nan, -0.5],
+    ids=("zero", "at_eps", "above_eps", "mid", "one", "nan", "negative"),
+)
+def test_xlogx_zero_dim_matches_formula(p):
+    got = xlogx(np.float64(p))
+    want = np.where(p > MASS_EPS, p * np.log2(max(p, MASS_EPS)), 0.0)
+    assert isinstance(got, np.ndarray) and got.shape == ()
+    assert got.tobytes() == want.tobytes()
+
+
+def test_xlogx_array_matches_formula():
+    p = np.array([[0.0, MASS_EPS, np.nextafter(MASS_EPS, 1.0)], [np.nan, 0.25, 1.0]])
+    want = np.where(p > MASS_EPS, p * np.log2(np.maximum(p, MASS_EPS)), 0.0)
+    got = xlogx(p)
+    assert got.tobytes() == want.tobytes()
+    assert got[0, 2] < 0.0 and got[1, 0] == 0.0

@@ -241,3 +241,102 @@ def test_default_grid_shrinks_with_dimension():
     assert default_grid(6) == 24
     sizes = [lattice_size(default_grid(d), d) for d in range(2, 22)]
     assert max(sizes) < 300_000
+
+
+def _full_pair_polish_per_row(objective, S, V, rows, i_idx, delta, step_tolerance, iters):
+    """Reference: the full-pair polish searched one stalled row at a time."""
+    evals = 0
+    rescued = np.zeros(len(rows), dtype=bool)
+    for pos, s in enumerate(rows):
+        hi = S[s][i_idx]
+        live = hi > 0.0
+        if not live.any():
+            continue
+        base = np.broadcast_to(S[s], (int(live.sum()), S.shape[1]))
+        t_g, v_g, e = simplexopt._golden_polish(objective, base, delta[live], hi[live], iters)
+        evals += e
+        b = int(np.argmax(v_g))
+        if v_g[b] > V[s] + step_tolerance:
+            S[s] = np.maximum(S[s] + t_g[b] * delta[live][b], 0.0)
+            V[s] = v_g[b]
+            rescued[pos] = True
+    return rescued, evals
+
+
+def _r3_objective(spec, lam):
+    def obj(p):
+        h1, h2, hj = component_entropies(spec, p)
+        return spec.p1 * h1 + spec.q1 * h2 + (lam * spec.q2 - spec.q1) * (hj - h1)
+
+    return obj
+
+
+_POLISH_SPECS = (
+    ChannelSpec(3, (0, 1, 1), (1, 0, 1), 0.7, 0.3),
+    ChannelSpec(5, (0, 0, 0, 1, 2), (2, 1, 0, 0, 0), 0.6, 0.2),
+)
+
+
+@pytest.mark.parametrize("spec", _POLISH_SPECS, ids=("blackwell", "out3"))
+@pytest.mark.parametrize("n_rows", [1, 6])
+def test_full_pair_polish_matches_per_row_search(spec, n_rows):
+    rng = np.random.default_rng(5 + n_rows)
+    dim = spec.input_size
+    obj = _r3_objective(spec, 0.8)
+    S = rng.dirichlet(np.ones(dim), size=8)
+    S[1, :2] = 0.0  # a state on a face of the simplex
+    S[1] /= S[1].sum()
+    S[2] = 0.0  # no live pair at all
+    S[3] = maximize_simplex(obj, dim).argmax  # nothing left to rescue
+    V = np.asarray(obj(S), dtype=float)
+    rows = np.array([6, 1, 2, 3, 0, 5])[:n_rows] if n_rows > 1 else np.array([4])
+    i_idx, delta = simplexopt._pair_deltas(dim)
+    S_ref, V_ref = S.copy(), V.copy()
+    got = simplexopt._full_pair_polish(obj, S, V, rows, i_idx, delta, 1e-9, 12)
+    want = _full_pair_polish_per_row(obj, S_ref, V_ref, rows, i_idx, delta, 1e-9, 12)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert np.array_equal(S, S_ref) and np.array_equal(V, V_ref)
+    if n_rows > 1:
+        assert want[0].any() and not want[0].all()
+
+
+def test_full_pair_polish_without_live_pairs_is_a_no_op():
+    S = np.zeros((2, 3))
+    V = np.zeros(2)
+    i_idx, delta = simplexopt._pair_deltas(3)
+    rescued, evals = simplexopt._full_pair_polish(entropy, S, V, np.array([0, 1]), i_idx, delta, 1e-9, 12)
+    assert not rescued.any() and evals == 0
+
+
+@pytest.mark.parametrize("spec", _POLISH_SPECS, ids=("blackwell", "out3"))
+def test_golden_polish_stacked_matches_row_by_row(spec):
+    rng = np.random.default_rng(9)
+    dim = spec.input_size
+    obj = _r3_objective(spec, 1.0)
+    i_idx, delta = simplexopt._pair_deltas(dim)
+    pick = rng.integers(0, i_idx.size, 9)
+    base = rng.dirichlet(np.ones(dim), size=9)
+    hi = base[np.arange(9), i_idx[pick]]
+    t, v, evals = simplexopt._golden_polish(obj, base, delta[pick], hi)
+    for r in range(9):
+        t_r, v_r, e_r = simplexopt._golden_polish(obj, base[r : r + 1], delta[pick[r : r + 1]], hi[r : r + 1])
+        assert t_r[0] == t[r] and v_r[0] == v[r]
+        assert e_r * 9 == evals
+
+
+def test_pattern_step_gain_lines_up_with_rows():
+    # gain[i] belongs to rows[i], including for unsorted rows and rows
+    # without a live direction.
+    rng = np.random.default_rng(2)
+    spec = _POLISH_SPECS[1]
+    obj = _r3_objective(spec, 0.8)
+    S = rng.dirichlet(np.ones(5), size=6)
+    # The accumulated direction S - snap points toward the maximizer.
+    snap = S - 0.1 * (maximize_simplex(obj, 5).argmax - S)
+    snap[3] = S[3]
+    V = np.asarray(obj(S), dtype=float)
+    V_before = V.copy()
+    rows = np.array([5, 3, 0, 2])
+    gain, evals = simplexopt._pattern_step(obj, S, V, rows, snap, 1e-9, 12)
+    assert evals > 0 and gain[1] == 0.0 and (gain > 0.0).sum() == 3
+    assert np.array_equal(gain, V[rows] - V_before[rows])
