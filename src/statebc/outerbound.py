@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ChannelSpec, indicator_matrices, require_canonical
 from .infotheory import binary_entropy, entropy
-from .regions import format_number, support_inner, thresholds
+from .regions import format_number, support_curve, support_inner, thresholds
 from .simplexopt import (
     OptConfig,
     OptResult,
@@ -165,8 +165,7 @@ def verify_converse(
     if tol < 0.0:
         raise ValueError("tolerance must be non-negative")
     samples = []
-    for lam in lambdas:
-        inner, case, px = support_inner(spec, lam, cfg)
+    for lam, inner, case, px in support_curve(spec, lambdas, cfg).samples:
         outer = support_outer(spec, lam, u_size, cfg, seed_px=px)
         gap = outer - inner
         if gap < -1e-9:

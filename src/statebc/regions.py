@@ -26,7 +26,7 @@ from .channel import (
     component_entropies,
     require_canonical,
 )
-from .simplexopt import OptConfig, default_config, iter_lattice, lattice_size, maximize_simplex
+from .simplexopt import OptConfig, iter_lattice, lattice_size, maximize_simplex, maximize_simplex_weights
 
 CASE_R1 = "R1"
 CASE_R2 = "R2"
@@ -234,32 +234,32 @@ def _objective_r1(spec: ChannelSpec):
     return obj
 
 
-def _objective_r3(spec: ChannelSpec, lam: float):
+def _objective_r3(spec: ChannelSpec):
     p1, q1, q2 = spec.p1, spec.q1, spec.q2
 
-    def obj(px):
+    def obj(px, lam):
         h1, h2, hj = component_entropies(spec, px)
         return p1 * h1 + q1 * h2 + (lam * q2 - q1) * (hj - h1)
 
     return obj
 
 
-def _objective_r4(spec: ChannelSpec, lam: float):
+def _objective_r4(spec: ChannelSpec):
     p1, p2, q2 = spec.p1, spec.p2, spec.q2
 
-    def obj(px):
+    def obj(px, lam):
         h1, h2, hj = component_entropies(spec, px)
         return p1 * (hj - h2) + lam * (p2 * (h1 + h2 - hj) + q2 * h2)
 
     return obj
 
 
-def _objective_r4_scaled(spec: ChannelSpec, mu: float):
+def _objective_r4_scaled(spec: ChannelSpec):
     """The mid-high case objective divided by lambda = 1/mu; same argmax,
     finite at mu = 0 (the infinite-weight limit)."""
     p1, p2, q2 = spec.p1, spec.p2, spec.q2
 
-    def obj(px):
+    def obj(px, mu):
         h1, h2, hj = component_entropies(spec, px)
         return mu * p1 * (hj - h2) + p2 * (h1 + h2 - hj) + q2 * h2
 
@@ -276,37 +276,51 @@ def _objective_c2(spec: ChannelSpec):
     return obj
 
 
+_CASE_OBJECTIVES = {CASE_R1: _objective_r1, CASE_R3: _objective_r3, CASE_R4: _objective_r4, CASE_R2: _objective_c2}
+
+
+def _solve_cases(spec: ChannelSpec, keys, cfg: OptConfig | None) -> dict:
+    """Optimizer result for each (case, lambda) key of the support
+    reduction: the weights of R3 in one batch and those of R4 in another,
+    the weight-free R1 and R2 (plain C2) objectives once each."""
+    out = {}
+    for case, objective in _CASE_OBJECTIVES.items():
+        lams = list(dict.fromkeys(lam for c, lam in keys if c == case))
+        if case in (CASE_R3, CASE_R4):
+            results = maximize_simplex_weights(objective(spec), spec.input_size, lams, cfg)
+        else:
+            results = [maximize_simplex(objective(spec), spec.input_size, cfg)] * len(lams) if lams else []
+        out.update(zip([(case, lam) for lam in lams], results))
+    return out
+
+
+def _support_value(key, res) -> float:
+    """The support at a (case, lambda) key from its optimizer result; the
+    R2 case scales C2 by lambda."""
+    case, lam = key
+    return lam * res.value if case == CASE_R2 else res.value
+
+
 def support_inner(spec: ChannelSpec, lam: float, cfg: OptConfig | None = None):
     """Maximum of R1 + lam*R2 over the capacity region.
 
     Uses the exact piecewise reduction to a single-letter maximization over
     the input law; returns (value, case_id, argmax_px).
     """
-    require_canonical(spec)
-    if lam < 0.0:
-        raise ValueError("lambda must be non-negative")
-    n = spec.input_size
-    cfg = cfg or default_config(n)
-    case = case_of(spec, lam)
-    if case == CASE_R1:
-        res = maximize_simplex(_objective_r1(spec), n, cfg)
-        return res.value, case, res.argmax
-    if case == CASE_R3:
-        res = maximize_simplex(_objective_r3(spec, lam), n, cfg)
-        return res.value, case, res.argmax
-    if case == CASE_R4:
-        res = maximize_simplex(_objective_r4(spec, lam), n, cfg)
-        return res.value, case, res.argmax
-    res = maximize_simplex(_objective_c2(spec), n, cfg)
-    return lam * res.value, case, res.argmax
+    key = (case_of(spec, lam), lam)
+    res = _solve_cases(spec, [key], cfg)[key]
+    return _support_value(key, res), key[0], res.argmax
 
 
 def support_curve(spec: ChannelSpec, lambdas, cfg: OptConfig | None = None) -> SupportCurve:
-    """Sample the support function at the given weights."""
+    """Sample the support function at the given weights, solving the
+    weights of each case in one batch."""
+    keys = [(case_of(spec, float(lam)), float(lam)) for lam in lambdas]
+    opt = _solve_cases(spec, keys, cfg)
     samples = []
-    for lam in lambdas:
-        value, case, px = support_inner(spec, float(lam), cfg)
-        samples.append(SupportSample(float(lam), value, case, tuple(float(v) for v in px)))
+    for case, lam in keys:
+        res = opt[case, lam]
+        samples.append(SupportSample(lam, _support_value((case, lam), res), case, tuple(float(v) for v in res.argmax)))
     return SupportCurve(tuple(samples))
 
 
@@ -359,26 +373,6 @@ def _mu_grid(spec: ChannelSpec, n: int) -> np.ndarray:
     return np.unique(np.concatenate([seg_a, seg_b]))
 
 
-def _memo_support(spec: ChannelSpec, lam: float, cfg: OptConfig | None, memo: dict) -> float:
-    """support_inner with per-polygon caching; the two outermost cases are
-    weight independent (plain C1, and lam times C2), so whole grid segments
-    collapse to a single maximization."""
-    case = case_of(spec, lam)
-    if case == CASE_R1:
-        if CASE_R1 not in memo:
-            memo[CASE_R1] = support_inner(spec, lam, cfg)[0]
-        return memo[CASE_R1]
-    if case == CASE_R2:
-        if CASE_R2 not in memo:
-            n = spec.input_size
-            memo[CASE_R2] = maximize_simplex(_objective_c2(spec), n, cfg or default_config(n)).value
-        return lam * memo[CASE_R2]
-    key = (case, lam)
-    if key not in memo:
-        memo[key] = support_inner(spec, lam, cfg)[0]
-    return memo[key]
-
-
 def capacity_polygon(spec: ChannelSpec, n_lambda: int = 64, cfg: OptConfig | None = None) -> RegionPolygon:
     """Capacity region polygon from supporting half-planes in both axis
     weightings.
@@ -389,19 +383,19 @@ def capacity_polygon(spec: ChannelSpec, n_lambda: int = 64, cfg: OptConfig | Non
     if n_lambda < 3:
         raise ValueError("n_lambda must be >= 3")
     canon, swapped = canonicalize(spec)
-    memo: dict = {}
+    lams = _lambda_grid(canon, n_lambda).tolist()
+    mus = _mu_grid(canon, n_lambda).tolist()
+    lam_keys = [(case_of(canon, lam), lam) for lam in lams]
+    # The (mu, 1) half-plane is mu times the support at lambda = 1/mu; at
+    # mu = 0 (infinite weight) it is R2 <= C2, the plain R2 optimum.
+    mu_keys = [(case_of(canon, 1.0 / mu), 1.0 / mu) if mu > 0.0 else (CASE_R2, math.inf) for mu in mus]
+    opt = _solve_cases(canon, lam_keys + mu_keys, cfg)
     cons = [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
-    for lam in _lambda_grid(canon, n_lambda):
-        cons.append((1.0, float(lam), _memo_support(canon, float(lam), cfg, memo)))
-    for mu in _mu_grid(canon, n_lambda):
-        mu = float(mu)
-        if mu == 0.0:
-            n = canon.input_size
-            if CASE_R2 not in memo:
-                memo[CASE_R2] = maximize_simplex(_objective_c2(canon), n, cfg or default_config(n)).value
-            cons.append((0.0, 1.0, memo[CASE_R2]))
-        else:
-            cons.append((mu, 1.0, mu * _memo_support(canon, 1.0 / mu, cfg, memo)))
+    cons += [(1.0, lam, _support_value(key, opt[key])) for lam, key in zip(lams, lam_keys)]
+    cons += [
+        (mu, 1.0, mu * _support_value(key, opt[key]) if mu > 0.0 else opt[key].value)
+        for mu, key in zip(mus, mu_keys)
+    ]
     verts = halfplane_vertices(cons)
     poly = make_polygon(verts, "capacity")
     return transpose_polygon(poly) if swapped else poly
@@ -433,24 +427,23 @@ def proposition_regions(
     """
     require_canonical(spec)
     n = spec.input_size
-    cfg_n = cfg or default_config(n)
     lo, hi = thresholds(spec)
-    c1 = maximize_simplex(_objective_r1(spec), n, cfg_n).value
-    c2 = maximize_simplex(_objective_c2(spec), n, cfg_n).value
+    c1 = maximize_simplex(_objective_r1(spec), n, cfg).value
+    c2 = maximize_simplex(_objective_c2(spec), n, cfg).value
     r1 = make_polygon([(0.0, 0.0), (c1, 0.0)], "R1")
     r2 = make_polygon([(0.0, 0.0), (0.0, c2)], "R2")
 
     pts3 = [(0.0, 0.0)]
-    for lam in np.unique(_open_segment(min(lo, 1.0), 1.0, n_lambda)):
-        res = maximize_simplex(_objective_r3(spec, float(lam)), n, cfg_n)
+    lams = np.unique(_open_segment(min(lo, 1.0), 1.0, n_lambda))
+    for res in maximize_simplex_weights(_objective_r3(spec), n, lams, cfg):
         a3, b3, _, _ = corner_values(spec, res.argmax)
         pts3 += [(float(a3), 0.0), (0.0, float(b3)), (float(a3), float(b3))]
     r3 = make_polygon(pts3, "R3")
 
     mu_lo = 0.0 if math.isinf(hi) else 1.0 / hi
     pts4 = [(0.0, 0.0)]
-    for mu in np.unique(_open_segment(mu_lo, 1.0, n_lambda)):
-        res = maximize_simplex(_objective_r4_scaled(spec, float(mu)), n, cfg_n)
+    mus = np.unique(_open_segment(mu_lo, 1.0, n_lambda))
+    for res in maximize_simplex_weights(_objective_r4_scaled(spec), n, mus, cfg):
         _, _, a4, b4 = corner_values(spec, res.argmax)
         pts4 += [(float(a4), 0.0), (0.0, float(b4)), (float(a4), float(b4))]
     r4 = make_polygon(pts4, "R4")

@@ -13,7 +13,9 @@ comparisons elsewhere use first-maximum semantics.
 Objectives must be vectorized: they take an array whose trailing axis (for
 maximize_simplex) or trailing two axes (for maximize_joint) hold the
 distribution, and return values over the leading axes. A bare 1-D (or 2-D
-joint) input must yield a scalar.
+joint) input must yield a scalar. maximize_simplex_weights solves one
+objective at many weights at once; its objective takes the weights as a
+second argument that broadcasts against those leading axes.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 
 _BLOCK_BYTES = 256 * 1024
 _MEMO_POINT_LIMIT = 200_000
+_SCAN_BYTES = 256 * 1024
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 24
 _FRACS = np.array([0.03125, 0.125, 0.25, 0.5, 0.75, 1.0])
@@ -93,11 +96,11 @@ def lattice_size(denominator: int, dim: int) -> int:
     return math.comb(denominator + dim - 1, dim - 1)
 
 
-def _lattice_blocks(mass: int, dim: int, cap_rows: float, prefix: tuple = ()):
+def _lattice_runs(mass: int, dim: int, cap_rows: float, prefix: tuple = ()):
     """The rows of the lattice {k in N^dim : sum k = mass + sum(prefix)} that
-    start with `prefix`, in ascending lexicographic order, as int32 blocks of
-    at most cap_rows rows. A block is a run of consecutive slices on the next
-    coordinate; a slice larger than cap_rows is split on the one after."""
+    start with `prefix`, in ascending lexicographic order, as int32 runs of
+    at most cap_rows rows. A run is a stretch of consecutive slices on the
+    next coordinate; a slice larger than cap_rows is split on the one after."""
     rest = dim - len(prefix)
     if rest == 1:
         yield np.array([prefix + (mass,)], dtype=np.int32)
@@ -107,7 +110,7 @@ def _lattice_blocks(mass: int, dim: int, cap_rows: float, prefix: tuple = ()):
     k = 0
     while k <= mass:
         if sizes[k] > cap_rows:
-            yield from _lattice_blocks(mass - k, dim, cap_rows, prefix + (k,))
+            yield from _lattice_runs(mass - k, dim, cap_rows, prefix + (k,))
             k += 1
             continue
         stop = int(np.searchsorted(ends, ends[k] - sizes[k] + cap_rows, side="right"))
@@ -122,6 +125,23 @@ def _lattice_blocks(mass: int, dim: int, cap_rows: float, prefix: tuple = ()):
         lead = np.broadcast_to(np.array(prefix, dtype=np.int64), (rows.shape[0], len(prefix)))
         yield np.hstack((lead, rows, rem[:, None]), dtype=np.int32)
         k = stop
+
+
+def _lattice_blocks(mass: int, dim: int, cap_rows: float):
+    """The lattice {k in N^dim : sum k = mass} in ascending lexicographic
+    order, as int32 blocks of at most cap_rows rows. Consecutive runs join
+    while they fit, across the levels of the slice recursion, so two
+    neighbouring blocks always hold more than cap_rows rows together; a
+    lattice whose slices never split keeps one run per block."""
+    join = lambda runs: runs[0] if len(runs) == 1 else np.vstack(runs)
+    pending, rows = [], 0
+    for run in _lattice_runs(mass, dim, cap_rows):
+        if pending and rows + run.shape[0] > cap_rows:
+            yield join(pending)
+            pending, rows = [], 0
+        pending.append(run)
+        rows += run.shape[0]
+    yield join(pending)
 
 
 @lru_cache(maxsize=48)
@@ -148,41 +168,74 @@ def iter_lattice(denominator: int, dim: int):
     yield from _lattice_blocks(denominator, dim, max(1, _BLOCK_BYTES // row_bytes))
 
 
+class _Weighted:
+    """An objective(P, w) solved at a batch of weights at once.
+
+    Each leading row of P belongs to one weight: a call passes `own`, the
+    position of each row's weight, and the objective gets that weight
+    broadcast over the row's candidate axes. Evaluations are tallied per
+    weight, so each weight's count is the one a run of that weight alone
+    reports."""
+
+    def __init__(self, objective, weights: np.ndarray):
+        self.objective = objective
+        self.weights = weights
+        self.evals = np.zeros(weights.size, dtype=np.int64)
+
+    def __call__(self, P: np.ndarray, own: np.ndarray) -> np.ndarray:
+        w = self.weights[own].reshape(own.shape + (1,) * (P.ndim - 2))
+        vals = np.asarray(self.objective(P, w), dtype=float)
+        self.evals += np.bincount(own, minlength=self.weights.size) * (vals.size // max(own.size, 1))
+        return vals
+
+
 def _check_values(vals: np.ndarray, pts: np.ndarray) -> None:
-    if vals.shape != (pts.shape[0],):
+    if vals.shape[-1:] != pts.shape[:1]:
         raise ValueError("objective must return one value per input point")
     if np.isnan(vals).any():
-        i = int(np.flatnonzero(np.isnan(vals))[0])
+        i = int(np.flatnonzero(np.isnan(vals))[0]) % pts.shape[0]
         raise ValueError(f"objective returned NaN at point {pts[i].tolist()}")
 
 
-def _scan_lattice(objective, dim: int, m: int, top_k: int):
-    """Evaluate the objective on the full lattice, tracking the top_k points.
-    np.argpartition picks among a block's points tied at the k-th value
-    repeatably but not by generation index; the kept points are ranked by
-    value, ties toward the earlier generation index."""
-    top_vals = np.empty(0)
-    top_pts = np.empty((0, dim))
-    top_ord = np.empty(0, dtype=np.int64)
+def _keep_top(top, vals: np.ndarray, pts: np.ndarray, offset: int, top_k: int):
+    """Merge one block's values into one weight's running top_k (values,
+    points, generation indices)."""
+    top_vals, top_pts, top_ord = top
+    k_here = min(top_k, vals.shape[0])
+    if k_here < vals.shape[0]:
+        idx = np.argpartition(-vals, k_here - 1)[:k_here]
+    else:
+        idx = np.arange(vals.shape[0])
+    cand_vals = np.concatenate([top_vals, vals[idx]])
+    cand_pts = np.vstack([top_pts, pts[idx]])
+    cand_ord = np.concatenate([top_ord, offset + idx])
+    order = np.lexsort((cand_ord, -cand_vals))[:top_k]
+    return cand_vals[order], cand_pts[order], cand_ord[order]
+
+
+def _scan_lattice(f: _Weighted, dim: int, m: int, top_k: int):
+    """Evaluate the objective on the full lattice, tracking the top_k points
+    of each weight. One objective call serves a group of weights whose
+    values fit in _SCAN_BYTES (or one weight), which bounds the call's
+    temporaries; the selection runs per weight. np.argpartition
+    picks among a block's points tied at the k-th value repeatably but not
+    by generation index; the kept points are ranked by value, ties toward
+    the earlier generation index."""
+    tops = [(np.empty(0), np.empty((0, dim)), np.empty(0, dtype=np.int64))] * f.weights.size
     offset = 0
-    evals = 0
     for block in iter_lattice(m, dim):
         pts = block.astype(float) / m
-        vals = np.asarray(objective(pts), dtype=float)
-        _check_values(vals, pts)
-        evals += pts.shape[0]
-        k_here = min(top_k, vals.shape[0])
-        if k_here < vals.shape[0]:
-            idx = np.argpartition(-vals, k_here - 1)[:k_here]
-        else:
-            idx = np.arange(vals.shape[0])
-        cand_vals = np.concatenate([top_vals, vals[idx]])
-        cand_pts = np.vstack([top_pts, pts[idx]])
-        cand_ord = np.concatenate([top_ord, offset + idx])
-        order = np.lexsort((cand_ord, -cand_vals))[:top_k]
-        top_vals, top_pts, top_ord = cand_vals[order], cand_pts[order], cand_ord[order]
-        offset += pts.shape[0]
-    return top_vals, top_pts, evals
+        n = pts.shape[0]
+        group = max(1, _SCAN_BYTES // (8 * n))
+        for lo in range(0, f.weights.size, group):
+            w = f.weights[lo : lo + group]
+            vals = np.asarray(f.objective(pts, w[:, None]), dtype=float)
+            _check_values(vals, pts)
+            f.evals[lo : lo + group] += n
+            for j, v in enumerate(np.broadcast_to(vals, (w.size, n)), lo):
+                tops[j] = _keep_top(tops[j], v, pts, offset, top_k)
+        offset += n
+    return tops
 
 
 def _pair_deltas(dim: int):
@@ -194,27 +247,26 @@ def _pair_deltas(dim: int):
     return i_idx, delta
 
 
-def _golden_polish(objective, base: np.ndarray, delta: np.ndarray, hi: np.ndarray, iters: int = _GOLDEN_ITERS):
+def _golden_polish(f: _Weighted, base, delta, hi, own, iters: int = _GOLDEN_ITERS):
     """Per-row golden-section maximum of t -> objective(base + t*delta) on
-    [0, hi]; returns the best (t, value) seen including the probes. Each
-    step sends both interior probes of every row to the objective in one
-    call on the stacked points; objectives evaluate rows independently, so
-    the values are those of two separate calls."""
+    [0, hi], each row at its weight own; returns the best (t, value) seen
+    including the probes. Each step sends both interior probes of every row
+    to the objective in one call on the stacked points; objectives evaluate
+    rows independently, so the values are those of two separate calls."""
     n = base.shape[0]
     a = np.zeros(n)
     b = hi.astype(float).copy()
     base2 = np.concatenate((base, base))
     delta2 = np.concatenate((delta, delta))
+    own2 = np.concatenate((own, own))
     best_t = np.zeros(n)
     best_v = np.full(n, -np.inf)
-    evals = 0
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     for _ in range(iters + 1):
         pts = np.maximum(base2 + np.concatenate((x1, x2))[:, None] * delta2, 0.0)
-        f = np.asarray(objective(pts), dtype=float)
-        f1, f2 = f[:n], f[n:]
-        evals += 2 * n
+        f12 = f(pts, own2)
+        f1, f2 = f12[:n], f12[n:]
         better = np.where(f1 >= f2, x1, x2)
         better_v = np.maximum(f1, f2)
         upd = better_v > best_v
@@ -225,20 +277,20 @@ def _golden_polish(objective, base: np.ndarray, delta: np.ndarray, hi: np.ndarra
         b = np.where(go_right, b, x2)
         x1 = b - _GOLDEN * (b - a)
         x2 = a + _GOLDEN * (b - a)
-    return best_t, best_v, evals
+    return best_t, best_v
 
 
-def _full_pair_polish(objective, S, V, rows, i_idx, delta, step_tolerance, iters):
+def _full_pair_polish(f: _Weighted, S, V, rows, own, i_idx, delta, step_tolerance, iters):
     """Golden-section line search over every ordered pair for the given state
     rows; the rigorous stall check before a state is frozen. The coarse step
     grid of the main scan can miss pairs whose optimal move is tiny, so a
     state only freezes once no pair improves it. One search runs over every
     (row, live pair) at once, and each row takes its first best pair, as a
-    search of that row alone would. Applies improving moves in place and
-    returns (rescued mask, evals)."""
+    search of that row alone would. own gives each state's weight. Applies
+    improving moves in place and returns the rescued mask."""
     hi = S[rows][:, i_idx]
     r, pair = np.nonzero(hi > 0.0)
-    t_g, v_g, evals = _golden_polish(objective, S[rows[r]], delta[pair], hi[r, pair], iters)
+    t_g, v_g = _golden_polish(f, S[rows[r]], delta[pair], hi[r, pair], own[rows[r]], iters)
     t_row = np.zeros(hi.shape)
     v_row = np.full(hi.shape, -np.inf)
     t_row[r, pair] = t_g
@@ -250,20 +302,21 @@ def _full_pair_polish(objective, S, V, rows, i_idx, delta, step_tolerance, iters
     s = rows[rescued]
     S[s] = np.maximum(S[s] + t_b[rescued, None] * delta[b[rescued]], 0.0)
     V[s] = v_b[rescued]
-    return rescued, evals
+    return rescued
 
 
-def _pattern_step(objective, S, V, rows, snap, step_tolerance, iters):
+def _pattern_step(f: _Weighted, S, V, rows, own, snap, step_tolerance, iters):
     """Line search along the accumulated move direction (current minus
     snapshot) for the given state rows; de-zigzags ridge-shaped objectives.
-    Returns (gain per row, evals); applies improving steps in place."""
+    own gives each state's weight. Returns the gain per row; applies
+    improving steps in place."""
     base = S[rows]
     D = base - snap[rows]
     span = np.abs(D).max(axis=1)
     live = span > 1e-15
     gain = np.zeros(len(rows))
     if not live.any():
-        return gain, 0
+        return gain
     sub = rows[live]
     base = S[sub]
     D = D[live]
@@ -272,60 +325,56 @@ def _pattern_step(objective, S, V, rows, snap, step_tolerance, iters):
     t_lim = np.minimum(ratio.min(axis=1), 8.0)
     ok = t_lim > 0.0
     if not ok.any():
-        return gain, 0
+        return gain
     sub = sub[ok]
     base = base[ok]
     D = D[ok]
     t_lim = t_lim[ok]
-    t_g, v_g, evals = _golden_polish(objective, base, D, t_lim, iters)
+    t_g, v_g = _golden_polish(f, base, D, t_lim, own[sub], iters)
     improve = v_g > V[sub] + step_tolerance
     tgt = sub[improve]
     S[tgt] = np.maximum(base[improve] + t_g[improve, None] * D[improve], 0.0)
     gain[np.flatnonzero(live)[ok][improve]] = v_g[improve] - V[tgt]
     V[tgt] = v_g[improve]
-    return gain, evals
+    return gain
 
 
-def _refine(objective, starts: np.ndarray, cfg: OptConfig):
+def _refine(f: _Weighted, starts: np.ndarray, own: np.ndarray, cfg: OptConfig):
     """Two-phase refinement: ascend every start at a coarse tolerance, then
-    polish only the leaders (within 1e-4 bits of the best, at most three) at
-    the configured tolerance. Laggard starts cannot win, so the tail cost is
-    spent where it matters."""
-    S = np.array(starts, dtype=float)
-    k, _ = S.shape
-    if k == 0:
-        return S, np.empty(0), 0
+    polish only each weight's leaders (within 1e-4 bits of that weight's
+    best, at most three) at the configured tolerance. Laggard starts cannot
+    win, so the tail cost is spent where it matters. own, the weight of each
+    start, is ascending."""
     coarse_tol = max(cfg.step_tolerance, 1e-6)
-    S, V, evals = _ascend(objective, S, coarse_tol, min(cfg.refine_iters, 80), polish=False)
+    S, V = _ascend(f, starts, own, coarse_tol, min(cfg.refine_iters, 80), polish=False)
     if coarse_tol > cfg.step_tolerance:
-        order = np.argsort(-V, kind="stable")
-        lead = order[: max(1, min(3, k))]
-        lead = lead[V[lead] >= V[order[0]] - 1e-4]
-        S2, V2, e2 = _ascend(objective, S[lead], cfg.step_tolerance, cfg.refine_iters, polish=True)
-        S[lead], V[lead] = S2, V2
-        evals += e2
+        # Per weight, best first with ties in start order; `first` is where
+        # each start's weight begins in that order.
+        order = np.lexsort((-V, own))
+        first = np.searchsorted(own, own)
+        lead = order[(np.arange(own.size) - first < 3) & (V[order] >= V[order[first]] - 1e-4)]
+        S[lead], V[lead] = _ascend(f, S[lead], own[lead], cfg.step_tolerance, cfg.refine_iters, polish=True)
     # Renormalize accumulated float drift exactly onto the simplex, then
     # re-evaluate so returned values match returned points.
     S = S / S.sum(axis=1, keepdims=True)
-    V = np.asarray(objective(S), dtype=float)
-    evals += k
-    return S, V, evals
+    return S, f(S, own)
 
 
-def _ascend(objective, starts: np.ndarray, step_tolerance: float, max_iters: int, polish: bool = True):
-    """Greedy pairwise-exchange ascent, batched over start points. Each
-    iteration applies to every still-active start its single best mass move
-    (pair scan over a geometric step grid, then golden-section polish); a
-    periodic pattern step along the accumulated direction accelerates
-    convergence along ridges where single-pair moves zigzag, and a state only
-    freezes after a full per-pair line search fails to improve it."""
+def _ascend(f: _Weighted, starts: np.ndarray, own: np.ndarray, step_tolerance: float, max_iters: int, polish: bool = True):
+    """Greedy pairwise-exchange ascent, batched over start points, each at
+    its weight own. Each iteration applies to every still-active start its
+    single best mass move (pair scan over a geometric step grid, then
+    golden-section polish); a periodic pattern step along the accumulated
+    direction accelerates convergence along ridges where single-pair moves
+    zigzag, and a state only freezes after a full per-pair line search fails
+    to improve it. A start's path depends on its own state alone, so
+    batching starts of many weights changes no start's result."""
     S = np.array(starts, dtype=float)
     k, dim = S.shape
-    V = np.asarray(objective(S), dtype=float)
+    V = f(S, own)
     _check_values(V, S)
-    evals = k
     if dim == 1 or k == 0:
-        return S, V, evals
+        return S, V
     i_idx, delta = _pair_deltas(dim)
     active = np.ones(k, dtype=bool)
     snap = S.copy()
@@ -345,9 +394,7 @@ def _ascend(objective, starts: np.ndarray, step_tolerance: float, max_iters: int
         T = t_max[:, :, None] * _FRACS
         C = base[:, None, None, :] + T[..., None] * delta[None, :, None, :]
         np.maximum(C, 0.0, out=C)
-        vals = np.asarray(objective(C), dtype=float)
-        evals += vals.size
-        flat = vals.reshape(len(act), -1)
+        flat = f(C, own[act]).reshape(len(act), -1)
         pick = flat.argmax(axis=1)
         pair_pick, frac_pick = np.unravel_index(pick, (i_idx.size, _FRACS.size))
         rows = np.arange(len(act))
@@ -355,8 +402,7 @@ def _ascend(objective, starts: np.ndarray, step_tolerance: float, max_iters: int
         t_grid = t_max[rows, pair_pick] * _FRACS[frac_pick]
         dsel = delta[pair_pick]
         if polish:
-            t_gold, v_gold, e_gold = _golden_polish(objective, base, dsel, t_max[rows, pair_pick])
-            evals += e_gold
+            t_gold, v_gold = _golden_polish(f, base, dsel, t_max[rows, pair_pick], own[act])
             take_gold = v_gold > v_grid
             t_new = np.where(take_gold, t_gold, t_grid)
             v_new = np.maximum(v_grid, v_gold)
@@ -371,23 +417,19 @@ def _ascend(objective, starts: np.ndarray, step_tolerance: float, max_iters: int
         due = act[(age[act] >= dim) | ~improved]
         if due.size:
             g_iters = _GOLDEN_ITERS if polish else 12
-            gain, e_pat = _pattern_step(objective, S, V, due, snap, step_tolerance, g_iters)
-            evals += e_pat
+            gain = _pattern_step(f, S, V, due, own, snap, step_tolerance, g_iters)
             snap[due] = S[due]
             age[due] = 0
             pair_failed = np.isin(due, act[~improved])
             stalled = due[pair_failed & (gain <= step_tolerance)]
             if stalled.size:
-                rescued, e_res = _full_pair_polish(
-                    objective, S, V, stalled, i_idx, delta, step_tolerance, g_iters
-                )
-                evals += e_res
+                rescued = _full_pair_polish(f, S, V, stalled, own, i_idx, delta, step_tolerance, g_iters)
                 snap[stalled] = S[stalled]
                 active[stalled[~rescued]] = False
         it_gain = V[act] - v_before
         stall[act] = np.where(it_gain > 1e3 * step_tolerance, 0, stall[act] + 1)
         active[act[stall[act] > stall_budget]] = False
-    return S, V, evals
+    return S, V
 
 
 def _dedupe_rows(rows: list[np.ndarray]) -> list[np.ndarray]:
@@ -401,39 +443,49 @@ def _dedupe_rows(rows: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-def _maximize_flat(objective, dim: int, cfg: OptConfig, extra_starts, orbit_key=None) -> OptResult:
+def _maximize_flat(objective, dim: int, cfg: OptConfig, weights, extra_starts=(), orbit_key=None) -> list[OptResult]:
+    """One OptResult per weight for objective(P, w): the lattice scan and
+    the start selection run per weight, and every weight's starts ascend in
+    one lockstep batch. weights is a 1-D float array."""
     if dim == 1:
-        pt = np.ones(1)
-        return OptResult(pt, float(objective(pt)), 1)
-    top_vals, top_pts, evals = _scan_lattice(objective, dim, cfg.grid_denominator, cfg.refine_starts)
-    starts = list(top_pts)
-    if orbit_key is not None:
-        seen = set()
-        kept = []
-        for p in starts:
-            key = orbit_key(p)
-            if key not in seen:
-                seen.add(key)
-                kept.append(p)
-        starts = kept
+        return [OptResult(np.ones(1), float(objective(np.ones(1), w)), 1) for w in weights]
+    extras = []
     for s in extra_starts:
         arr = np.asarray(s, dtype=float).reshape(-1)
         if arr.shape[0] != dim:
             raise ValueError(f"extra start has dimension {arr.shape[0]}, expected {dim}")
-        starts.append(arr)
-    starts = _dedupe_rows(starts)
-    ref_pts, ref_vals, ev2 = _refine(objective, np.array(starts), cfg)
-    evals += ev2
-    cand_vals = np.concatenate([[top_vals[0]], ref_vals])
-    cand_pts = [top_pts[0], *ref_pts]
-    best = int(np.argmax(cand_vals))
-    point = np.asarray(cand_pts[best])
-    value = float(cand_vals[best])
-    check = float(objective(point))
-    evals += 1
-    if abs(check - value) > 1e-12:
-        raise AssertionError(f"optimizer value {value} failed re-evaluation ({check})")
-    return OptResult(point, value, evals)
+        extras.append(arr)
+    f = _Weighted(objective, weights)
+    tops = _scan_lattice(f, dim, cfg.grid_denominator, cfg.refine_starts)
+    starts, counts = [], []
+    for _, top_pts, _ in tops:
+        kept = list(top_pts)
+        if orbit_key is not None:
+            seen = set()
+            orbits = []
+            for p in kept:
+                key = orbit_key(p)
+                if key not in seen:
+                    seen.add(key)
+                    orbits.append(p)
+            kept = orbits
+        kept = _dedupe_rows(kept + extras)
+        starts += kept
+        counts.append(len(kept))
+    own = np.repeat(np.arange(weights.size), counts)
+    S, V = _refine(f, np.array(starts), own, cfg)
+    ends = np.cumsum(counts)
+    points, values = [], []
+    for (top_vals, top_pts, _), lo, hi in zip(tops, ends - counts, ends):
+        cand_vals = np.concatenate([top_vals[:1], V[lo:hi]])
+        best = int(np.argmax(cand_vals))
+        points.append(top_pts[0] if best == 0 else S[lo + best - 1])
+        values.append(float(cand_vals[best]))
+    checks = f(np.array(points), np.arange(weights.size))
+    for value, check in zip(values, checks):
+        if abs(check - value) > 1e-12:
+            raise AssertionError(f"optimizer value {value} failed re-evaluation ({check})")
+    return [OptResult(p, v, int(e)) for p, v, e in zip(points, values, f.evals)]
 
 
 def maximize_simplex(objective, dim: int, cfg: OptConfig | None = None, extra_starts=()) -> OptResult:
@@ -446,7 +498,27 @@ def maximize_simplex(objective, dim: int, cfg: OptConfig | None = None, extra_st
     if dim < 1:
         raise ValueError("dim must be a positive integer")
     cfg = cfg or default_config(dim)
-    return _maximize_flat(objective, dim, cfg, extra_starts)
+    (res,) = _maximize_flat(lambda P, w: objective(P), dim, cfg, np.zeros(1), extra_starts)
+    return res
+
+
+def maximize_simplex_weights(objective, dim: int, weights, cfg: OptConfig | None = None) -> list[OptResult]:
+    """maximize_simplex of P -> objective(P, w) at every weight w, solved in
+    one batch; one OptResult per weight, in order.
+
+    The objective takes the distribution batch and an array of weights that
+    broadcasts against its leading axes (one weight per leading row, or a
+    column of weights against the lattice), and evaluates elementwise in
+    the weight. Each result, evaluation count included, equals that of a
+    one-weight call, because the lattice scan and the start selection run
+    per weight and each start ascends on its own path.
+    """
+    if dim < 1:
+        raise ValueError("dim must be a positive integer")
+    weights = np.asarray(weights, dtype=float).reshape(-1)
+    if weights.size == 0:
+        return []
+    return _maximize_flat(objective, dim, cfg or default_config(dim), weights)
 
 
 def maximize_joint(
@@ -469,7 +541,7 @@ def maximize_joint(
     dim = u_size * x_size
     cfg = cfg or default_config(dim)
 
-    def flat_obj(arr):
+    def flat_obj(arr, w):
         a = np.asarray(arr, dtype=float)
         return objective(a.reshape(a.shape[:-1] + (u_size, x_size)))
 
@@ -479,7 +551,6 @@ def maximize_joint(
             rows = np.round(pt.reshape(u_size, x_size), 12)
             return tuple(sorted(map(tuple, rows.tolist())))
 
-    extras = [np.asarray(s, dtype=float).reshape(-1) for s in extra_starts]
-    res = _maximize_flat(flat_obj, dim, cfg, extras, orbit_key=orbit_key)
+    (res,) = _maximize_flat(flat_obj, dim, cfg, np.zeros(1), extra_starts, orbit_key=orbit_key)
     res.argmax = res.argmax.reshape(u_size, x_size)
     return res

@@ -41,6 +41,8 @@ from statebc.regions import make_polygon
 from statebc.simplexopt import default_grid
 from conftest import random_pmf, random_spec
 
+pytestmark = pytest.mark.slow
+
 FF2 = FiniteFieldSpec(2, ((1, 1), (1, 0)))
 FF3 = FiniteFieldSpec(3, ((1, 1), (1, 0)))
 

@@ -13,8 +13,10 @@ from statebc import (
     OptConfig,
     blackwell_channel,
     capacity_polygon,
+    case_spanning_lambdas,
     convex_hull,
     finite_field_channel,
+    maximize_simplex,
     polygon_contains,
     polygon_support,
     primed_regions,
@@ -153,6 +155,53 @@ class TestCapacityPolygon:
     def test_rejects_tiny_grid(self, blackwell_07_03):
         with pytest.raises(ValueError):
             capacity_polygon(blackwell_07_03, n_lambda=2)
+
+
+_BATCH_SPECS = {
+    "blackwell": blackwell_channel(0.7, 0.3),
+    "gf2": finite_field_channel(FiniteFieldSpec(2, ((1, 1), (1, 0))), 0.7, 0.4),
+    "random5": ChannelSpec(5, (1, 3, 0, 3, 2), (0, 2, 2, 1, 3), 0.65, 0.25),
+}
+
+
+class TestWeightBatching:
+    """Solving a case's weights in one batch gives each weight's one-weight
+    result, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(_BATCH_SPECS))
+    def test_support_curve_matches_support_inner(self, name):
+        spec = _BATCH_SPECS[name]
+        lams = case_spanning_lambdas(spec, 32)
+        samples = support_curve(spec, lams).samples
+        assert {s.case_id for s in samples} == {"R1", "R2", "R3", "R4"}
+        for s in samples:
+            value, case, px = support_inner(spec, s.lam)
+            assert (s.value, s.case_id) == (value, case)
+            assert np.array(s.argmax_px).tobytes() == px.tobytes()
+
+    @pytest.mark.parametrize("name", list(_BATCH_SPECS))
+    def test_capacity_polygon_offsets_match_support_inner(self, name, monkeypatch):
+        from statebc import regions
+
+        spec = _BATCH_SPECS[name]
+        seen = []
+
+        def record(constraints, *args, **kwargs):
+            seen.extend(constraints)
+            return halfplane_vertices(constraints, *args, **kwargs)
+
+        monkeypatch.setattr(regions, "halfplane_vertices", record)
+        capacity_polygon(spec, n_lambda=8, cfg=FAST)
+        c2 = maximize_simplex(regions._objective_c2(spec), spec.input_size, FAST).value
+        halfplanes = seen[2:]
+        assert len(halfplanes) > 8
+        for a, b, c in halfplanes:
+            if a == 1.0:
+                assert c == support_inner(spec, b, FAST)[0]
+            elif a > 0.0:
+                assert b == 1.0 and c == a * support_inner(spec, 1.0 / a, FAST)[0]
+            else:
+                assert (a, b, c) == (0.0, 1.0, c2)
 
 
 class TestPropositionRegions:

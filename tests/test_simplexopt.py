@@ -8,7 +8,18 @@ import math
 import numpy as np
 import pytest
 
-from statebc import ChannelSpec, OptConfig, maximize_joint, maximize_simplex, simplexopt
+from statebc import (
+    ChannelSpec,
+    FiniteFieldSpec,
+    OptConfig,
+    blackwell_channel,
+    case_spanning_lambdas,
+    finite_field_channel,
+    maximize_joint,
+    maximize_simplex,
+    regions,
+    simplexopt,
+)
 from statebc.channel import component_entropies
 from statebc.infotheory import entropy
 from statebc.regions import primed_regions
@@ -134,6 +145,38 @@ def test_streamed_blocks_within_cap_in_strict_order(monkeypatch):
         assert len(keys) == lattice_size(m, d)
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert all(sum(k) == m for k in keys)
+        assert len(blocks) <= 2 * math.ceil(len(keys) / max(1, 48 // (4 * d)))
+
+
+def test_split_lattice_blocks_fill_toward_the_cap():
+    # (4, 50) splits slices over dozens of recursion levels; runs joined
+    # across levels keep the blocks within twice the fewest the cap allows.
+    cap_rows = simplexopt._BLOCK_BYTES // (4 * 50)
+    blocks = list(iter_lattice(4, 50))
+    total = lattice_size(4, 50)
+    assert sum(b.shape[0] for b in blocks) == total
+    assert all(b.shape[0] <= cap_rows and b.dtype == np.int32 for b in blocks)
+    assert len(blocks) <= 2 * math.ceil(total / cap_rows)
+    pts = np.vstack(blocks).astype(np.int64)
+    assert (pts.sum(axis=1) == 4).all()
+    step = np.diff(pts, axis=0)
+    first = np.argmax(step != 0, axis=1)
+    assert (step[np.arange(step.shape[0]), first] > 0).all()  # strictly ascending
+
+
+def test_unsplit_lattice_keeps_one_run_per_block():
+    # (1750, 3) never splits a slice: each block is the longest run of whole
+    # first-coordinate slices that fits the cap, as before runs were joined.
+    cap_rows = simplexopt._BLOCK_BYTES // (4 * 3)
+    expected, run = [], 0
+    for size in range(1751, 0, -1):  # slice k holds 1751 - k rows
+        if run + size > cap_rows:
+            expected.append(run)
+            run = 0
+        run += size
+    expected.append(run)
+    assert len(expected) == 73
+    assert [b.shape[0] for b in iter_lattice(1750, 3)] == expected
 
 
 def test_large_outer_lattice_first_block_within_cap():
@@ -243,32 +286,40 @@ def test_default_grid_shrinks_with_dimension():
     assert max(sizes) < 300_000
 
 
-def _full_pair_polish_per_row(objective, S, V, rows, i_idx, delta, step_tolerance, iters):
+def weighted(obj):
+    """obj as a one-weight batch objective that counts its evaluations."""
+    return simplexopt._Weighted(lambda P, w: obj(P), np.zeros(1))
+
+
+def _full_pair_polish_per_row(f, S, V, rows, own, i_idx, delta, step_tolerance, iters):
     """Reference: the full-pair polish searched one stalled row at a time."""
-    evals = 0
     rescued = np.zeros(len(rows), dtype=bool)
     for pos, s in enumerate(rows):
         hi = S[s][i_idx]
         live = hi > 0.0
         if not live.any():
             continue
-        base = np.broadcast_to(S[s], (int(live.sum()), S.shape[1]))
-        t_g, v_g, e = simplexopt._golden_polish(objective, base, delta[live], hi[live], iters)
-        evals += e
+        n_live = int(live.sum())
+        base = np.broadcast_to(S[s], (n_live, S.shape[1]))
+        t_g, v_g = simplexopt._golden_polish(f, base, delta[live], hi[live], np.full(n_live, own[s]), iters)
         b = int(np.argmax(v_g))
         if v_g[b] > V[s] + step_tolerance:
             S[s] = np.maximum(S[s] + t_g[b] * delta[live][b], 0.0)
             V[s] = v_g[b]
             rescued[pos] = True
-    return rescued, evals
+    return rescued
 
 
-def _r3_objective(spec, lam):
-    def obj(p):
+def _r3_weighted(spec):
+    def obj(p, lam):
         h1, h2, hj = component_entropies(spec, p)
         return spec.p1 * h1 + spec.q1 * h2 + (lam * spec.q2 - spec.q1) * (hj - h1)
 
     return obj
+
+
+def _r3_objective(spec, lam):
+    return lambda p: _r3_weighted(spec)(p, lam)
 
 
 _POLISH_SPECS = (
@@ -290,38 +341,46 @@ def test_full_pair_polish_matches_per_row_search(spec, n_rows):
     S[3] = maximize_simplex(obj, dim).argmax  # nothing left to rescue
     V = np.asarray(obj(S), dtype=float)
     rows = np.array([6, 1, 2, 3, 0, 5])[:n_rows] if n_rows > 1 else np.array([4])
+    own = np.zeros(len(S), dtype=int)
     i_idx, delta = simplexopt._pair_deltas(dim)
     S_ref, V_ref = S.copy(), V.copy()
-    got = simplexopt._full_pair_polish(obj, S, V, rows, i_idx, delta, 1e-9, 12)
-    want = _full_pair_polish_per_row(obj, S_ref, V_ref, rows, i_idx, delta, 1e-9, 12)
-    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    f_got, f_want = weighted(obj), weighted(obj)
+    got = simplexopt._full_pair_polish(f_got, S, V, rows, own, i_idx, delta, 1e-9, 12)
+    want = _full_pair_polish_per_row(f_want, S_ref, V_ref, rows, own, i_idx, delta, 1e-9, 12)
+    assert np.array_equal(got, want) and f_got.evals[0] == f_want.evals[0]
     assert np.array_equal(S, S_ref) and np.array_equal(V, V_ref)
     if n_rows > 1:
-        assert want[0].any() and not want[0].all()
+        assert want.any() and not want.all()
 
 
 def test_full_pair_polish_without_live_pairs_is_a_no_op():
     S = np.zeros((2, 3))
     V = np.zeros(2)
     i_idx, delta = simplexopt._pair_deltas(3)
-    rescued, evals = simplexopt._full_pair_polish(entropy, S, V, np.array([0, 1]), i_idx, delta, 1e-9, 12)
-    assert not rescued.any() and evals == 0
+    f = weighted(entropy)
+    rescued = simplexopt._full_pair_polish(f, S, V, np.array([0, 1]), np.zeros(2, dtype=int), i_idx, delta, 1e-9, 12)
+    assert not rescued.any() and f.evals[0] == 0
 
 
 @pytest.mark.parametrize("spec", _POLISH_SPECS, ids=("blackwell", "out3"))
 def test_golden_polish_stacked_matches_row_by_row(spec):
+    # Rows of three weights stacked in one search give each row's own
+    # search, values and per-weight evaluation counts.
     rng = np.random.default_rng(9)
     dim = spec.input_size
-    obj = _r3_objective(spec, 1.0)
+    weights = np.array([0.6, 1.0, 0.85])
+    own = np.arange(9) % 3
     i_idx, delta = simplexopt._pair_deltas(dim)
     pick = rng.integers(0, i_idx.size, 9)
     base = rng.dirichlet(np.ones(dim), size=9)
     hi = base[np.arange(9), i_idx[pick]]
-    t, v, evals = simplexopt._golden_polish(obj, base, delta[pick], hi)
+    f = simplexopt._Weighted(_r3_weighted(spec), weights)
+    t, v = simplexopt._golden_polish(f, base, delta[pick], hi, own)
     for r in range(9):
-        t_r, v_r, e_r = simplexopt._golden_polish(obj, base[r : r + 1], delta[pick[r : r + 1]], hi[r : r + 1])
+        f_r = weighted(_r3_objective(spec, weights[own[r]]))
+        t_r, v_r = simplexopt._golden_polish(f_r, base[r : r + 1], delta[pick[r : r + 1]], hi[r : r + 1], own[:1] * 0)
         assert t_r[0] == t[r] and v_r[0] == v[r]
-        assert e_r * 9 == evals
+        assert f_r.evals[0] * 3 == f.evals[own[r]]
 
 
 def test_pattern_step_gain_lines_up_with_rows():
@@ -337,6 +396,86 @@ def test_pattern_step_gain_lines_up_with_rows():
     V = np.asarray(obj(S), dtype=float)
     V_before = V.copy()
     rows = np.array([5, 3, 0, 2])
-    gain, evals = simplexopt._pattern_step(obj, S, V, rows, snap, 1e-9, 12)
-    assert evals > 0 and gain[1] == 0.0 and (gain > 0.0).sum() == 3
+    f = weighted(obj)
+    gain = simplexopt._pattern_step(f, S, V, rows, np.zeros(6, dtype=int), snap, 1e-9, 12)
+    assert f.evals[0] > 0 and gain[1] == 0.0 and (gain > 0.0).sum() == 3
     assert np.array_equal(gain, V[rows] - V_before[rows])
+
+
+# Each inner case's objective, taking the weight as an argument (the
+# weight-free R1 and R2 objectives ignore it).
+_CASE_OBJECTIVES = {
+    "R1": lambda spec: (lambda p, w: regions._objective_r1(spec)(p)),
+    "R3": regions._objective_r3,
+    "R4": regions._objective_r4,
+    "R4-scaled": regions._objective_r4_scaled,
+    "R2": lambda spec: (lambda p, w: regions._objective_c2(spec)(p)),
+}
+_BATCH_SPECS = {
+    "blackwell": blackwell_channel(0.7, 0.3),
+    "gf2": finite_field_channel(FiniteFieldSpec(2, ((1, 1), (1, 0))), 0.7, 0.4),
+    "random5": ChannelSpec(5, (1, 3, 0, 3, 2), (0, 2, 2, 1, 3), 0.65, 0.25),
+}
+
+
+def one_weight(objective, dim, w, cfg=None):
+    """The plain one-weight run at weight w."""
+    return maximize_simplex(lambda p: objective(p, w), dim, cfg)
+
+
+def assert_same_result(got, want):
+    assert got.argmax.tobytes() == want.argmax.tobytes()
+    assert got.value == want.value
+    assert got.evaluations == want.evaluations
+
+
+@pytest.mark.parametrize("case", list(_CASE_OBJECTIVES))
+@pytest.mark.parametrize("name", list(_BATCH_SPECS))
+def test_weight_batch_matches_one_weight_runs(name, case):
+    spec = _BATCH_SPECS[name]
+    n = spec.input_size
+    objective = _CASE_OBJECTIVES[case](spec)
+    # Weights across all four cases, so every objective sees weights from
+    # its own segment and beyond it.
+    weights = np.array(case_spanning_lambdas(spec, 12)) if case != "R4-scaled" else np.linspace(0.0, 1.0, 9)
+    assert weights.size >= 8
+    batch = simplexopt.maximize_simplex_weights(objective, n, weights)
+    assert len(batch) == weights.size
+    for w, got in zip(weights, batch):
+        assert_same_result(got, one_weight(objective, n, w))
+
+
+def test_weight_batch_permuted_and_duplicated_weights():
+    spec = _BATCH_SPECS["gf2"]
+    objective = regions._objective_r3(spec)
+    weights = np.array([0.9, 0.55, 1.0, 0.7, 0.55, 0.62, 1.0, 0.8])
+    base = simplexopt.maximize_simplex_weights(objective, 4, weights)
+    perm = np.random.default_rng(3).permutation(weights.size)
+    for got, i in zip(simplexopt.maximize_simplex_weights(objective, 4, weights[perm]), perm):
+        assert_same_result(got, base[i])
+    assert_same_result(base[1], base[4])
+    assert_same_result(base[2], base[6])
+
+
+def test_weight_batch_single_weight_and_unit_alphabet():
+    spec = _BATCH_SPECS["blackwell"]
+    objective = regions._objective_r4(spec)
+    (got,) = simplexopt.maximize_simplex_weights(objective, 3, [1.7])
+    assert_same_result(got, one_weight(objective, 3, 1.7))
+    unit = ChannelSpec(1, (0,), (0,), 0.6, 0.3)
+    objective = regions._objective_r3(unit)
+    batch = simplexopt.maximize_simplex_weights(objective, 1, [0.2, 0.9])
+    for w, got in zip([0.2, 0.9], batch):
+        assert_same_result(got, one_weight(objective, 1, w))
+    assert simplexopt.maximize_simplex_weights(objective, 1, []) == []
+
+
+def test_weight_batch_scans_in_groups(monkeypatch):
+    # Weights scanned a few per objective call pick the same starts.
+    spec = _BATCH_SPECS["blackwell"]
+    objective = regions._objective_r3(spec)
+    weights = np.linspace(0.45, 1.0, 7)
+    whole = simplexopt.maximize_simplex_weights(objective, 3, weights)
+    monkeypatch.setattr(simplexopt, "_SCAN_BYTES", 2 * 8 * lattice_size(default_grid(3), 3))
+    for got, want in zip(simplexopt.maximize_simplex_weights(objective, 3, weights), whole):
+        assert_same_result(got, want)
