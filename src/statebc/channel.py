@@ -176,10 +176,19 @@ def component_entropies(spec: ChannelSpec, px_batch):
     One matmul against the stacked indicator and one xlogx pass serve all
     three laws. Each matmul column is the same 0/1 selection of input
     masses as in p @ e_k, and each entropy sums the same contiguous cells
-    in the same order as entropy(p @ e_k), so the values are identical.
+    in the same order as entropy(p @ e_k), so the values are those of the
+    separate entropies of a many-row batch.
+
+    The batch is multiplied as one matrix of at least two rows. BLAS sends
+    a lone row through its matrix-vector routine, which can round a large
+    preimage's sum differently; with two or more rows every row takes the
+    matrix-matrix path, so a law's entropies do not depend on its batch.
     """
     m = spec.output_size
-    t = xlogx(np.asarray(px_batch, dtype=float) @ _stacked_indicator(spec))
+    px = np.asarray(px_batch, dtype=float)
+    flat = px.reshape(-1, spec.input_size)
+    rows = flat if flat.shape[0] > 1 else np.vstack((flat, flat))
+    t = xlogx(rows @ _stacked_indicator(spec))[: flat.shape[0]].reshape(px.shape[:-1] + (-1,))
     hs = (-t[..., a:b].sum(axis=-1) for a, b in ((0, m), (m, 2 * m), (2 * m, t.shape[-1])))
     return tuple(float(h) if np.ndim(h) == 0 else h for h in hs)
 

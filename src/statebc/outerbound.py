@@ -27,7 +27,7 @@ from .regions import format_number, support_curve, support_inner, thresholds
 from .simplexopt import (
     OptConfig,
     OptResult,
-    default_config,
+    combine,
     iter_lattice,
     lattice_size,
     maximize_joint,
@@ -55,31 +55,29 @@ class ConverseReport:
     passed: bool
 
 
-def _coefficients(spec: ChannelSpec, lam: float) -> tuple[float, float, float, float]:
-    """Weights (w1, w2, c1, c2) of the outer objective
-    w1 H(f1) + w2 H(f2) + c1 H(f1|U) + c2 H(f2|U), already scaled to the
-    R1 + lam*R2 axis."""
+def outer_table(spec: ChannelSpec, a: float, b: float) -> np.ndarray:
+    """The outer bound's corner table L for direction (a, b): the objective
+    is (a, b) L over (H(f1), H(f2), H(f1|U), H(f2|U)). At U = f1(X) the
+    b <= a table is regions.corner_tables' K3, and at U = f2(X) the other
+    is K4."""
     p1, p2, q1, q2 = spec.p1, spec.p2, spec.q1, spec.q2
-    if lam <= 1.0:
-        return p1, q1, lam * p2 - p1, lam * q2 - q1
-    return lam * p2, lam * q2, p1 - lam * p2, q1 - lam * q2
+    if b <= a:
+        return np.array([[p1, q1, -p1, -q1], [0.0, 0.0, p2, q2]])
+    return np.array([[0.0, 0.0, p1, q1], [p2, q2, -p2, -q2]])
 
 
 def outer_objective(spec: ChannelSpec, lam: float, u_size: int):
-    """Vectorized objective over joint laws p(u, x), trailing axes (u, x)."""
+    """Vectorized objective over joint laws p(u, x), trailing axes (u, x):
+    the row (1, lam) outer_table over (H(f1), H(f2), H(f1|U), H(f2|U))."""
     e1, e2, _ = indicator_matrices(spec)
-    w1, w2, c1, c2 = _coefficients(spec, lam)
+    table = outer_table(spec, 1.0, lam)
+    coeffs = table[0] + lam * table[1]
 
     def obj(P):
         P = np.asarray(P, dtype=float)
-        px = P.sum(axis=-2)
-        pu = P.sum(axis=-1)
-        hu = entropy(pu)
-        a1 = P @ e1
-        a2 = P @ e2
-        h_f1_u = entropy(a1.reshape(a1.shape[:-2] + (-1,))) - hu
-        h_f2_u = entropy(a2.reshape(a2.shape[:-2] + (-1,))) - hu
-        return w1 * entropy(px @ e1) + w2 * entropy(px @ e2) + c1 * h_f1_u + c2 * h_f2_u
+        px, hu = P.sum(axis=-2), entropy(P.sum(axis=-1))
+        cond = [entropy((P @ e).reshape(P.shape[:-2] + (-1,))) - hu for e in (e1, e2)]
+        return combine((entropy(px @ e1), entropy(px @ e2), *cond), coeffs)
 
     return obj
 
@@ -225,9 +223,9 @@ def support_gap_bound(spec: ChannelSpec, lam: float, u_size: int, grid: int) -> 
             return 0.0
         return eps * math.log2(max(n_atoms - 1, 1)) + float(binary_entropy(eps))
 
-    w1, w2, c1, c2 = _coefficients(spec, lam)
+    table = outer_table(spec, 1.0, lam)
     cond = fannes(u_size * y) + fannes(u_size)
-    return (abs(w1) + abs(w2)) * fannes(y) + (abs(c1) + abs(c2)) * cond
+    return float(combine((fannes(y), fannes(y), cond, cond), np.abs(table[0] + lam * table[1])))
 
 
 def case_spanning_lambdas(spec: ChannelSpec, n: int = 32) -> list[float]:

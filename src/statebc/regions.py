@@ -26,7 +26,7 @@ from .channel import (
     component_entropies,
     require_canonical,
 )
-from .simplexopt import OptConfig, iter_lattice, lattice_size, maximize_simplex, maximize_simplex_weights
+from .simplexopt import OptConfig, combine, iter_lattice, lattice_size, maximize_simplex_weights
 
 CASE_R1 = "R1"
 CASE_R2 = "R2"
@@ -224,81 +224,59 @@ def case_of(spec: ChannelSpec, lam: float) -> str:
     return CASE_R2
 
 
-def _objective_r1(spec: ChannelSpec):
-    p1, q1 = spec.p1, spec.q1
+def corner_tables(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The rate-rectangle corners as 2x3 tables K3, K4 over the feature
+    vector F = (H(f1), H(f2), H(f1,f2)) of an input law: the corner of the
+    R3 rectangle is K3 F and that of the R4 rectangle is K4 F,
 
-    def obj(px):
-        h1, h2, _ = component_entropies(spec, px)
-        return p1 * h1 + q1 * h2
+        a3 = p1 H(f1) + q1 I(f1;f2)     b3 = q2 H(f2|f1)
+        a4 = p1 H(f1|f2)                b4 = p2 I(f1;f2) + q2 H(f2)
 
-    return obj
-
-
-def _objective_r3(spec: ChannelSpec):
-    p1, q1, q2 = spec.p1, spec.q1, spec.q2
-
-    def obj(px, lam):
-        h1, h2, hj = component_entropies(spec, px)
-        return p1 * h1 + q1 * h2 + (lam * q2 - q1) * (hj - h1)
-
-    return obj
+    They are the one-auxiliary outer bound's corners at U = f1(X) and
+    U = f2(X)."""
+    p1, p2, q1, q2 = spec.p1, spec.p2, spec.q1, spec.q2
+    k3 = np.array([[1.0, q1, -q1], [-q2, 0.0, q2]])
+    k4 = np.array([[0.0, -p1, p1], [p2, 1.0, -p2]])
+    return k3, k4
 
 
-def _objective_r4(spec: ChannelSpec):
-    p1, p2, q2 = spec.p1, spec.p2, spec.q2
+def _support_row(spec: ChannelSpec, a: float, b: float) -> tuple[int, float, float, float]:
+    """The support of the capacity region in direction (a, b) as
+    scale * max over p(x) of (a', b') K F; returns (table, a', b', scale).
 
-    def obj(px, lam):
-        h1, h2, hj = component_entropies(spec, px)
-        return p1 * (hj - h2) + lam * (p2 * (h1 + h2 - hj) + q2 * h2)
-
-    return obj
-
-
-def _objective_r4_scaled(spec: ChannelSpec):
-    """The mid-high case objective divided by lambda = 1/mu; same argmax,
-    finite at mu = 0 (the infinite-weight limit)."""
-    p1, p2, q2 = spec.p1, spec.p2, spec.q2
-
-    def obj(px, mu):
-        h1, h2, hj = component_entropies(spec, px)
-        return mu * p1 * (hj - h2) + p2 * (h1 + h2 - hj) + q2 * h2
-
-    return obj
+    K is K3 (table 0) when b <= a and K4 (table 1) otherwise, and (a', b')
+    is the direction clamped to (max(a, b/hi), max(b, lo*a)). Where the
+    clamp binds, the R3 corner's direction sticks at a * (1, lo), the
+    single-user C1 objective, and the R4 corner's at b * (1/hi, 1), C2;
+    those directions are solved at (1, lo) or (1/hi, 1) and scaled back, so
+    they all share one row.
+    """
+    lo, hi = thresholds(spec)
+    if b <= a:
+        return (0, 1.0, lo, a) if b < lo * a else (0, a, b, 1.0)
+    return (1, 1.0 / hi, 1.0, b) if a < b / hi else (1, a, b, 1.0)
 
 
-def _objective_c2(spec: ChannelSpec):
-    p2, q2 = spec.p2, spec.q2
-
-    def obj(px):
-        h1, h2, _ = component_entropies(spec, px)
-        return p2 * h1 + q2 * h2
-
-    return obj
+def _coefficient_row(spec: ChannelSpec, table: int, a: float, b: float) -> np.ndarray:
+    """(a, b) K, formed elementwise."""
+    k = corner_tables(spec)[table]
+    return a * k[0] + b * k[1]
 
 
-_CASE_OBJECTIVES = {CASE_R1: _objective_r1, CASE_R3: _objective_r3, CASE_R4: _objective_r4, CASE_R2: _objective_c2}
+def _solve(spec: ChannelSpec, directions, cfg: OptConfig | None) -> list[tuple[float, np.ndarray]]:
+    """Support value and maximizing input law at each direction (a, b).
 
-
-def _solve_cases(spec: ChannelSpec, keys, cfg: OptConfig | None) -> dict:
-    """Optimizer result for each (case, lambda) key of the support
-    reduction: the weights of R3 in one batch and those of R4 in another,
-    the weight-free R1 and R2 (plain C2) objectives once each."""
-    out = {}
-    for case, objective in _CASE_OBJECTIVES.items():
-        lams = list(dict.fromkeys(lam for c, lam in keys if c == case))
-        if case in (CASE_R3, CASE_R4):
-            results = maximize_simplex_weights(objective(spec), spec.input_size, lams, cfg)
-        else:
-            results = [maximize_simplex(objective(spec), spec.input_size, cfg)] * len(lams) if lams else []
-        out.update(zip([(case, lam) for lam in lams], results))
-    return out
-
-
-def _support_value(key, res) -> float:
-    """The support at a (case, lambda) key from its optimizer result; the
-    R2 case scales C2 by lambda."""
-    case, lam = key
-    return lam * res.value if case == CASE_R2 else res.value
+    Directions that share a coefficient row are solved once, and the rows
+    of each table are solved in one batch.
+    """
+    keys = [_support_row(spec, a, b) for a, b in directions]
+    features = lambda P: component_entropies(spec, P)
+    opt = {}
+    for table in (0, 1):
+        dirs = list(dict.fromkeys(key[:3] for key in keys if key[0] == table))
+        rows = [_coefficient_row(spec, *d) for d in dirs]
+        opt.update(zip(dirs, maximize_simplex_weights(features, spec.input_size, rows, cfg)))
+    return [(key[3] * opt[key[:3]].value, opt[key[:3]].argmax) for key in keys]
 
 
 def support_inner(spec: ChannelSpec, lam: float, cfg: OptConfig | None = None):
@@ -307,20 +285,21 @@ def support_inner(spec: ChannelSpec, lam: float, cfg: OptConfig | None = None):
     Uses the exact piecewise reduction to a single-letter maximization over
     the input law; returns (value, case_id, argmax_px).
     """
-    key = (case_of(spec, lam), lam)
-    res = _solve_cases(spec, [key], cfg)[key]
-    return _support_value(key, res), key[0], res.argmax
+    case = case_of(spec, lam)
+    ((value, px),) = _solve(spec, [(1.0, lam)], cfg)
+    return value, case, px
 
 
 def support_curve(spec: ChannelSpec, lambdas, cfg: OptConfig | None = None) -> SupportCurve:
-    """Sample the support function at the given weights, solving the
-    weights of each case in one batch."""
-    keys = [(case_of(spec, float(lam)), float(lam)) for lam in lambdas]
-    opt = _solve_cases(spec, keys, cfg)
-    samples = []
-    for case, lam in keys:
-        res = opt[case, lam]
-        samples.append(SupportSample(lam, _support_value((case, lam), res), case, tuple(float(v) for v in res.argmax)))
+    """Sample the support function at the given weights, solving all of
+    them in one _solve."""
+    lams = [float(lam) for lam in lambdas]
+    cases = [case_of(spec, lam) for lam in lams]
+    sols = _solve(spec, [(1.0, lam) for lam in lams], cfg)
+    samples = [
+        SupportSample(lam, value, case, tuple(float(v) for v in px))
+        for lam, case, (value, px) in zip(lams, cases, sols)
+    ]
     return SupportCurve(tuple(samples))
 
 
@@ -375,7 +354,7 @@ def _mu_grid(spec: ChannelSpec, n: int) -> np.ndarray:
 
 def capacity_polygon(spec: ChannelSpec, n_lambda: int = 64, cfg: OptConfig | None = None) -> RegionPolygon:
     """Capacity region polygon from supporting half-planes in both axis
-    weightings.
+    weightings: (1, lambda) and (mu, 1) for lambda, mu in [0, 1].
 
     Accepts any valid spec: the computation canonicalizes internally and
     swaps the rate axes back when the receivers were relabeled.
@@ -383,39 +362,21 @@ def capacity_polygon(spec: ChannelSpec, n_lambda: int = 64, cfg: OptConfig | Non
     if n_lambda < 3:
         raise ValueError("n_lambda must be >= 3")
     canon, swapped = canonicalize(spec)
-    lams = _lambda_grid(canon, n_lambda).tolist()
-    mus = _mu_grid(canon, n_lambda).tolist()
-    lam_keys = [(case_of(canon, lam), lam) for lam in lams]
-    # The (mu, 1) half-plane is mu times the support at lambda = 1/mu; at
-    # mu = 0 (infinite weight) it is R2 <= C2, the plain R2 optimum.
-    mu_keys = [(case_of(canon, 1.0 / mu), 1.0 / mu) if mu > 0.0 else (CASE_R2, math.inf) for mu in mus]
-    opt = _solve_cases(canon, lam_keys + mu_keys, cfg)
+    directions = [(1.0, lam) for lam in _lambda_grid(canon, n_lambda).tolist()]
+    directions += [(mu, 1.0) for mu in _mu_grid(canon, n_lambda).tolist()]
+    sols = _solve(canon, directions, cfg)
     cons = [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
-    cons += [(1.0, lam, _support_value(key, opt[key])) for lam, key in zip(lams, lam_keys)]
-    cons += [
-        (mu, 1.0, mu * _support_value(key, opt[key]) if mu > 0.0 else opt[key].value)
-        for mu, key in zip(mus, mu_keys)
-    ]
+    cons += [(a, b, value) for (a, b), (value, _) in zip(directions, sols)]
     verts = halfplane_vertices(cons)
     poly = make_polygon(verts, "capacity")
     return transpose_polygon(poly) if swapped else poly
 
 
 def corner_values(spec: ChannelSpec, px_batch):
-    """Rate-rectangle corners at each input law, clamped to the non-negative
-    quadrant. Returns (a3, b3, a4, b4):
-
-        a3 = p1 H(f1) + q1 I(f1;f2)     b3 = q2 H(f2|f1)
-        a4 = p1 H(f1|f2)                b4 = p2 I(f1;f2) + q2 H(f2)
-    """
-    h1, h2, hj = component_entropies(spec, px_batch)
-    mi = h1 + h2 - hj
-    a3 = spec.p1 * h1 + spec.q1 * mi
-    b3 = spec.q2 * (hj - h1)
-    a4 = spec.p1 * (hj - h2)
-    b4 = spec.p2 * mi + spec.q2 * h2
-    clamp = lambda v: np.maximum(v, 0.0)
-    return clamp(a3), clamp(b3), clamp(a4), clamp(b4)
+    """Rate-rectangle corners (a3, b3, a4, b4) at each input law, from
+    corner_tables, clamped to the non-negative quadrant."""
+    features = component_entropies(spec, px_batch)
+    return tuple(np.maximum(combine(features, row), 0.0) for k in corner_tables(spec) for row in k)
 
 
 def proposition_regions(
@@ -423,31 +384,33 @@ def proposition_regions(
 ) -> list[RegionPolygon]:
     """The four-region decomposition whose union's hull is the capacity
     region: two single-user axis segments plus the two corner regions swept
-    over the argmax input laws of the weighted-sum objectives.
+    over the argmax input laws of the support objectives, (1, lambda) for R3
+    and (mu, 1) for R4.
     """
     require_canonical(spec)
-    n = spec.input_size
     lo, hi = thresholds(spec)
-    c1 = maximize_simplex(_objective_r1(spec), n, cfg).value
-    c2 = maximize_simplex(_objective_c2(spec), n, cfg).value
-    r1 = make_polygon([(0.0, 0.0), (c1, 0.0)], "R1")
-    r2 = make_polygon([(0.0, 0.0), (0.0, c2)], "R2")
-
-    pts3 = [(0.0, 0.0)]
-    lams = np.unique(_open_segment(min(lo, 1.0), 1.0, n_lambda))
-    for res in maximize_simplex_weights(_objective_r3(spec), n, lams, cfg):
-        a3, b3, _, _ = corner_values(spec, res.argmax)
-        pts3 += [(float(a3), 0.0), (0.0, float(b3)), (float(a3), float(b3))]
-    r3 = make_polygon(pts3, "R3")
-
     mu_lo = 0.0 if math.isinf(hi) else 1.0 / hi
-    pts4 = [(0.0, 0.0)]
+    lams = np.unique(_open_segment(min(lo, 1.0), 1.0, n_lambda))
     mus = np.unique(_open_segment(mu_lo, 1.0, n_lambda))
-    for res in maximize_simplex_weights(_objective_r4_scaled(spec), n, mus, cfg):
-        _, _, a4, b4 = corner_values(spec, res.argmax)
-        pts4 += [(float(a4), 0.0), (0.0, float(b4)), (float(a4), float(b4))]
-    r4 = make_polygon(pts4, "R4")
-    return [r1, r2, r3, r4]
+    directions = [(1.0, 0.0), (0.0, 1.0)] + [(1.0, lam) for lam in lams.tolist()] + [(mu, 1.0) for mu in mus.tolist()]
+    sols = _solve(spec, directions, cfg)
+    (c1, _), (c2, _) = sols[:2]
+    argmax = np.array([px for _, px in sols[2:]])
+    a3, b3, _, _ = corner_values(spec, argmax[: lams.size])
+    _, _, a4, b4 = corner_values(spec, argmax[lams.size :])
+    return [
+        make_polygon([(0.0, 0.0), (c1, 0.0)], "R1"),
+        make_polygon([(0.0, 0.0), (0.0, c2)], "R2"),
+        _rectangle_hull(a3, b3, "R3"),
+        _rectangle_hull(a4, b4, "R4"),
+    ]
+
+
+def _rectangle_hull(a: np.ndarray, b: np.ndarray, label: str) -> RegionPolygon:
+    """Hull of the rectangles [0, a_i] x [0, b_i]."""
+    zero = np.zeros_like(a)
+    corners = np.column_stack((a, zero)), np.column_stack((zero, b)), np.column_stack((a, b))
+    return make_polygon(np.vstack(((0.0, 0.0),) + corners), label)
 
 
 def _auto_px_grid(dim: int, budget: int = 2_000_000, cap: int = 4096) -> int:
@@ -469,18 +432,21 @@ def primed_regions(spec: ChannelSpec, px_grid: int | None = None) -> list[Region
     m = int(px_grid) if px_grid else _auto_px_grid(n)
     if m < 2:
         raise ValueError("px_grid must be >= 2")
+    # The corner rows, then the single-user objectives C1 and C2: the
+    # clamped rows at (1, 0) and (0, 1).
+    rows = list(np.vstack(corner_tables(spec)))
+    rows += [_coefficient_row(spec, *_support_row(spec, a, b)[:3]) for a, b in ((1.0, 0.0), (0.0, 1.0))]
     c1p = 0.0
     c2p = 0.0
     front3 = np.zeros((1, 2))
     front4 = np.zeros((1, 2))
     for block in iter_lattice(m, n):
-        P = block.astype(float) / m
-        h1, h2, _ = component_entropies(spec, P)
-        c1p = max(c1p, float((spec.p1 * h1 + spec.q1 * h2).max()))
-        c2p = max(c2p, float((spec.p2 * h1 + spec.q2 * h2).max()))
-        a3, b3, a4, b4 = corner_values(spec, P)
-        front3 = pareto_front(np.vstack([front3, np.column_stack([a3, b3])]))
-        front4 = pareto_front(np.vstack([front4, np.column_stack([a4, b4])]))
+        features = component_entropies(spec, block.astype(float) / m)
+        a3, b3, a4, b4, c1, c2 = (combine(features, row) for row in rows)
+        c1p = max(c1p, float(c1.max()))
+        c2p = max(c2p, float(c2.max()))
+        front3 = pareto_front(np.vstack([front3, np.maximum(np.column_stack([a3, b3]), 0.0)]))
+        front4 = pareto_front(np.vstack([front4, np.maximum(np.column_stack([a4, b4]), 0.0)]))
     r1 = make_polygon([(0.0, 0.0), (c1p, 0.0)], "R1'")
     r2 = make_polygon([(0.0, 0.0), (0.0, c2p)], "R2'")
     # Tight collinearity tolerance: these hulls are the reference side of the

@@ -13,9 +13,9 @@ comparisons elsewhere use first-maximum semantics.
 Objectives must be vectorized: they take an array whose trailing axis (for
 maximize_simplex) or trailing two axes (for maximize_joint) hold the
 distribution, and return values over the leading axes. A bare 1-D (or 2-D
-joint) input must yield a scalar. maximize_simplex_weights solves one
-objective at many weights at once; its objective takes the weights as a
-second argument that broadcasts against those leading axes.
+joint) input must yield a scalar. maximize_simplex_weights solves many
+linear objectives c . F(P) over one feature map F at once, one per
+coefficient row c.
 """
 
 from __future__ import annotations
@@ -168,9 +168,21 @@ def iter_lattice(denominator: int, dim: int):
     yield from _lattice_blocks(denominator, dim, max(1, _BLOCK_BYTES // row_bytes))
 
 
+def combine(features, coeffs):
+    """sum_k coeffs[..., k] * features[k], added elementwise in k order.
+
+    No BLAS reduction is involved, so a value depends only on its own
+    features and coefficients, never on the batch around it."""
+    out = coeffs[..., 0] * features[0]
+    for k in range(1, len(features)):
+        out = out + coeffs[..., k] * features[k]
+    return out
+
+
 class _Weighted:
     """An objective(P, w) solved at a batch of weights at once.
 
+    weights holds one weight (a scalar or a coefficient row) per entry.
     Each leading row of P belongs to one weight: a call passes `own`, the
     position of each row's weight, and the objective gets that weight
     broadcast over the row's candidate axes. Evaluations are tallied per
@@ -180,12 +192,12 @@ class _Weighted:
     def __init__(self, objective, weights: np.ndarray):
         self.objective = objective
         self.weights = weights
-        self.evals = np.zeros(weights.size, dtype=np.int64)
+        self.evals = np.zeros(len(weights), dtype=np.int64)
 
     def __call__(self, P: np.ndarray, own: np.ndarray) -> np.ndarray:
-        w = self.weights[own].reshape(own.shape + (1,) * (P.ndim - 2))
+        w = self.weights[own].reshape(own.shape + (1,) * (P.ndim - 2) + self.weights.shape[1:])
         vals = np.asarray(self.objective(P, w), dtype=float)
-        self.evals += np.bincount(own, minlength=self.weights.size) * (vals.size // max(own.size, 1))
+        self.evals += np.bincount(own, minlength=len(self.weights)) * (vals.size // max(own.size, 1))
         return vals
 
 
@@ -221,18 +233,18 @@ def _scan_lattice(f: _Weighted, dim: int, m: int, top_k: int):
     picks among a block's points tied at the k-th value repeatably but not
     by generation index; the kept points are ranked by value, ties toward
     the earlier generation index."""
-    tops = [(np.empty(0), np.empty((0, dim)), np.empty(0, dtype=np.int64))] * f.weights.size
+    tops = [(np.empty(0), np.empty((0, dim)), np.empty(0, dtype=np.int64))] * len(f.weights)
     offset = 0
     for block in iter_lattice(m, dim):
         pts = block.astype(float) / m
         n = pts.shape[0]
         group = max(1, _SCAN_BYTES // (8 * n))
-        for lo in range(0, f.weights.size, group):
+        for lo in range(0, len(f.weights), group):
             w = f.weights[lo : lo + group]
             vals = np.asarray(f.objective(pts, w[:, None]), dtype=float)
             _check_values(vals, pts)
             f.evals[lo : lo + group] += n
-            for j, v in enumerate(np.broadcast_to(vals, (w.size, n)), lo):
+            for j, v in enumerate(np.broadcast_to(vals, (len(w), n)), lo):
                 tops[j] = _keep_top(tops[j], v, pts, offset, top_k)
         offset += n
     return tops
@@ -432,13 +444,16 @@ def _ascend(f: _Weighted, starts: np.ndarray, own: np.ndarray, step_tolerance: f
     return S, V
 
 
-def _dedupe_rows(rows: list[np.ndarray]) -> list[np.ndarray]:
+def _dedupe_rows(rows: list[np.ndarray], key=None) -> list[np.ndarray]:
+    """The rows in order, dropping each row whose key an earlier row has;
+    the key defaults to the row's bytes rounded to 12 digits."""
+    key = key or (lambda r: np.round(r, 12).tobytes())
     seen = set()
     out = []
     for r in rows:
-        key = np.round(r, 12).tobytes()
-        if key not in seen:
-            seen.add(key)
+        k = key(r)
+        if k not in seen:
+            seen.add(k)
             out.append(r)
     return out
 
@@ -446,7 +461,10 @@ def _dedupe_rows(rows: list[np.ndarray]) -> list[np.ndarray]:
 def _maximize_flat(objective, dim: int, cfg: OptConfig, weights, extra_starts=(), orbit_key=None) -> list[OptResult]:
     """One OptResult per weight for objective(P, w): the lattice scan and
     the start selection run per weight, and every weight's starts ascend in
-    one lockstep batch. weights is a 1-D float array."""
+    one lockstep batch. weights is a float array with one weight (a scalar
+    or a coefficient row) per entry. Starts are the lattice tops, then the
+    extra starts, less those whose orbit_key (by default their rounded
+    bytes) an earlier start has."""
     if dim == 1:
         return [OptResult(np.ones(1), float(objective(np.ones(1), w)), 1) for w in weights]
     extras = []
@@ -459,20 +477,10 @@ def _maximize_flat(objective, dim: int, cfg: OptConfig, weights, extra_starts=()
     tops = _scan_lattice(f, dim, cfg.grid_denominator, cfg.refine_starts)
     starts, counts = [], []
     for _, top_pts, _ in tops:
-        kept = list(top_pts)
-        if orbit_key is not None:
-            seen = set()
-            orbits = []
-            for p in kept:
-                key = orbit_key(p)
-                if key not in seen:
-                    seen.add(key)
-                    orbits.append(p)
-            kept = orbits
-        kept = _dedupe_rows(kept + extras)
+        kept = _dedupe_rows(list(top_pts) + extras, orbit_key)
         starts += kept
         counts.append(len(kept))
-    own = np.repeat(np.arange(weights.size), counts)
+    own = np.repeat(np.arange(len(weights)), counts)
     S, V = _refine(f, np.array(starts), own, cfg)
     ends = np.cumsum(counts)
     points, values = [], []
@@ -481,7 +489,7 @@ def _maximize_flat(objective, dim: int, cfg: OptConfig, weights, extra_starts=()
         best = int(np.argmax(cand_vals))
         points.append(top_pts[0] if best == 0 else S[lo + best - 1])
         values.append(float(cand_vals[best]))
-    checks = f(np.array(points), np.arange(weights.size))
+    checks = f(np.array(points), np.arange(len(weights)))
     for value, check in zip(values, checks):
         if abs(check - value) > 1e-12:
             raise AssertionError(f"optimizer value {value} failed re-evaluation ({check})")
@@ -502,23 +510,24 @@ def maximize_simplex(objective, dim: int, cfg: OptConfig | None = None, extra_st
     return res
 
 
-def maximize_simplex_weights(objective, dim: int, weights, cfg: OptConfig | None = None) -> list[OptResult]:
-    """maximize_simplex of P -> objective(P, w) at every weight w, solved in
-    one batch; one OptResult per weight, in order.
+def maximize_simplex_weights(features, dim: int, coeffs, cfg: OptConfig | None = None) -> list[OptResult]:
+    """maximize_simplex of P -> c . features(P) at every coefficient row c
+    of coeffs (W x k), solved in one batch; one OptResult per row, in order.
 
-    The objective takes the distribution batch and an array of weights that
-    broadcasts against its leading axes (one weight per leading row, or a
-    column of weights against the lattice), and evaluates elementwise in
-    the weight. Each result, evaluation count included, equals that of a
-    one-weight call, because the lattice scan and the start selection run
-    per weight and each start ascends on its own path.
+    features maps a distribution batch to k arrays over its leading axes
+    (as channel.component_entropies does), and each value is their
+    combine() with the row. Each result, evaluation count included, equals
+    that of a one-row call, because the lattice scan and the start
+    selection run per row, each start ascends on its own path, and a row's
+    value does not depend on its batch.
     """
     if dim < 1:
         raise ValueError("dim must be a positive integer")
-    weights = np.asarray(weights, dtype=float).reshape(-1)
-    if weights.size == 0:
+    coeffs = np.asarray(coeffs, dtype=float)
+    if len(coeffs) == 0:
         return []
-    return _maximize_flat(objective, dim, cfg or default_config(dim), weights)
+    objective = lambda P, c: combine(features(P), c)
+    return _maximize_flat(objective, dim, cfg or default_config(dim), coeffs)
 
 
 def maximize_joint(

@@ -258,3 +258,18 @@ class TestComponentEntropiesKernel:
             else:
                 assert type(g) is float
                 assert g == w
+
+    def test_lone_row_equals_its_row_in_a_batch(self):
+        # Five of the nine inputs share f1 = 0. BLAS rounds such a sum
+        # differently for a lone row (matrix-vector) than inside a product
+        # of many rows, unless the kernel keeps every row on one path.
+        spec = ChannelSpec(9, (0, 0, 0, 0, 0, 1, 2, 3, 1), (0, 1, 2, 0, 1, 2, 0, 1, 2), 0.7, 0.3)
+        P = np.random.default_rng(0).dirichlet(np.ones(9), size=600)
+        batch = component_entropies(spec, P)
+        for i in range(600):
+            lone = component_entropies(spec, P[i])
+            row = component_entropies(spec, P[i : i + 1])
+            assert lone == tuple(b[i] for b in batch)
+            assert tuple(r[0] for r in row) == lone
+        for b, s in zip(batch, component_entropies(spec, P[:, None, :])):
+            assert np.array_equal(s[:, 0], b)

@@ -21,7 +21,8 @@ from statebc import (
     thresholds,
     verify_converse,
 )
-from statebc.outerbound import converse_to_csv, outer_objective, structure_seeds
+from statebc.channel import indicator_matrices
+from statebc.outerbound import converse_to_csv, outer_objective, outer_table, structure_seeds
 from statebc.infotheory import entropy
 from conftest import random_spec
 
@@ -110,6 +111,47 @@ class TestSupportOuter:
             bigger = support_outer(spec, lam, u_size=n + 1, cfg=cfg)
             assert small <= base + 1e-9
             assert bigger >= base - 1e-9
+
+
+def case_coefficients(spec, lam):
+    """The outer objective's weights (w1, w2, c1, c2) by case, the
+    reference for the outer corner table."""
+    p1, p2, q1, q2 = spec.p1, spec.p2, spec.q1, spec.q2
+    if lam <= 1.0:
+        return p1, q1, lam * p2 - p1, lam * q2 - q1
+    return lam * p2, lam * q2, p1 - lam * p2, q1 - lam * q2
+
+
+_TABLE_SPECS = (
+    blackwell_channel(0.7, 0.3),
+    ChannelSpec(4, (0, 1, 1, 0), (0, 0, 1, 1), 0.7, 0.4),
+    ChannelSpec(5, (1, 3, 0, 3, 2), (0, 2, 2, 1, 3), 0.65, 0.25),
+    ChannelSpec(3, (0, 1, 1), (0, 0, 1), 0.6, 0.0),
+    ChannelSpec(3, (0, 1, 1), (0, 0, 1), 1.0, 1.0),
+    ChannelSpec(3, (0, 1, 1), (0, 0, 1), 0.45, 0.45),
+)
+
+
+class TestOuterTable:
+    @pytest.mark.parametrize("spec", _TABLE_SPECS, ids=("blackwell", "gf2", "random5", "hi-inf", "lo-zero", "p1-eq-p2"))
+    def test_rows_reproduce_case_coefficients_bit_for_bit(self, spec):
+        lo, hi = thresholds(spec)
+        for lam in [0.0, 0.2, lo, 0.7, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.6, min(hi, 9.0), 11.0]:
+            table = outer_table(spec, 1.0, lam)
+            assert (1.0 * table[0] + lam * table[1]).tolist() == list(case_coefficients(spec, lam))
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 1.7])
+    def test_objective_matches_case_formula_bit_for_bit(self, blackwell_07_03, lam):
+        spec, u_size = blackwell_07_03, 4
+        e1, e2, _ = indicator_matrices(spec)
+        P = np.random.default_rng(41).dirichlet(np.ones(u_size * 3), size=50).reshape(50, u_size, 3)
+        w1, w2, c1, c2 = case_coefficients(spec, lam)
+        hu = entropy(P.sum(axis=-1))
+        h_f1_u = entropy((P @ e1).reshape(50, -1)) - hu
+        h_f2_u = entropy((P @ e2).reshape(50, -1)) - hu
+        px = P.sum(axis=-2)
+        want = w1 * entropy(px @ e1) + w2 * entropy(px @ e2) + c1 * h_f1_u + c2 * h_f2_u
+        assert np.array_equal(outer_objective(spec, lam, u_size)(P), want)
 
 
 class TestStructureSeeds:

@@ -22,6 +22,7 @@ from statebc import (
     primed_regions,
     proposition_regions,
     support_curve,
+    regions,
     support_inner,
     thresholds,
     transpose_polygon,
@@ -35,7 +36,8 @@ from statebc.regions import (
     polygon_to_csv,
     support_curve_to_csv,
 )
-from statebc.simplexopt import iter_lattice
+from statebc.channel import component_entropies
+from statebc.simplexopt import combine, iter_lattice
 from conftest import random_spec
 
 FAST = OptConfig(grid_denominator=12, refine_starts=3, refine_iters=150)
@@ -181,8 +183,6 @@ class TestWeightBatching:
 
     @pytest.mark.parametrize("name", list(_BATCH_SPECS))
     def test_capacity_polygon_offsets_match_support_inner(self, name, monkeypatch):
-        from statebc import regions
-
         spec = _BATCH_SPECS[name]
         seen = []
 
@@ -192,16 +192,93 @@ class TestWeightBatching:
 
         monkeypatch.setattr(regions, "halfplane_vertices", record)
         capacity_polygon(spec, n_lambda=8, cfg=FAST)
-        c2 = maximize_simplex(regions._objective_c2(spec), spec.input_size, FAST).value
+        c2_row = regions._coefficient_row(spec, 1, 1.0 / thresholds(spec)[1], 1.0)
+        c2 = maximize_simplex(lambda p: combine(component_entropies(spec, p), c2_row), spec.input_size, FAST).value
         halfplanes = seen[2:]
         assert len(halfplanes) > 8
         for a, b, c in halfplanes:
             if a == 1.0:
                 assert c == support_inner(spec, b, FAST)[0]
             elif a > 0.0:
-                assert b == 1.0 and c == a * support_inner(spec, 1.0 / a, FAST)[0]
+                assert b == 1.0 and c == regions._solve(spec, [(a, 1.0)], FAST)[0][0]
             else:
                 assert (a, b, c) == (0.0, 1.0, c2)
+
+
+# The per-case support objectives as the paper states them, the reference
+# for the corner tables.
+def ref_r1(spec, h1, h2, hj):
+    return spec.p1 * h1 + spec.q1 * h2
+
+
+def ref_r3(spec, h1, h2, hj, lam):
+    return spec.p1 * h1 + spec.q1 * h2 + (lam * spec.q2 - spec.q1) * (hj - h1)
+
+
+def ref_r4(spec, h1, h2, hj, lam):
+    return spec.p1 * (hj - h2) + lam * (spec.p2 * (h1 + h2 - hj) + spec.q2 * h2)
+
+
+def ref_r4_scaled(spec, h1, h2, hj, mu):
+    return mu * spec.p1 * (hj - h2) + spec.p2 * (h1 + h2 - hj) + spec.q2 * h2
+
+
+def ref_c2(spec, h1, h2, hj):
+    return spec.p2 * h1 + spec.q2 * h2
+
+
+def ref_support(spec, a, b, F):
+    """The support objective in direction (a, b) by the case formulas."""
+    lo, hi = thresholds(spec)
+    if b > a:  # mu * support at lambda = 1/mu
+        mu = a / b
+        return b * (ref_c2(spec, *F) if mu <= 1.0 / hi else ref_r4_scaled(spec, *F, mu))
+    lam = b / a
+    return a * (ref_r1(spec, *F) if lam <= lo else ref_r3(spec, *F, lam))
+
+
+def table_support(spec, a, b, F):
+    table, a2, b2, scale = regions._support_row(spec, a, b)
+    return scale * combine(F, regions._coefficient_row(spec, table, a2, b2))
+
+
+class TestCornerTables:
+    """(a', b') K F reproduces the paper's per-case objectives and corners."""
+
+    @pytest.mark.parametrize("name", list(_BATCH_SPECS))
+    def test_matches_case_formulas(self, name):
+        spec = _BATCH_SPECS[name]
+        _, hi = thresholds(spec)
+        P = np.random.default_rng(31).dirichlet(np.ones(spec.input_size), size=200)
+        F = component_entropies(spec, P)
+        for lam in case_spanning_lambdas(spec, 32):
+            # (1, lam) above 1 keeps the unscaled R4 objective, then lam * C2.
+            if lam <= 1.0:
+                want = ref_support(spec, 1.0, lam, F)
+            else:
+                want = ref_r4(spec, *F, lam) if lam <= hi else lam * ref_c2(spec, *F)
+            np.testing.assert_allclose(table_support(spec, 1.0, lam, F), want, rtol=0, atol=1e-12)
+        for a, b in [(mu, 1.0) for mu in np.linspace(0.0, 1.0, 17)] + [(2.0, 0.5), (0.5, 2.0)]:
+            np.testing.assert_allclose(table_support(spec, a, b, F), ref_support(spec, a, b, F), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", list(_BATCH_SPECS))
+    def test_corner_values_match_corner_formulas(self, name):
+        spec = _BATCH_SPECS[name]
+        P = np.random.default_rng(32).dirichlet(np.ones(spec.input_size), size=200)
+        h1, h2, hj = component_entropies(spec, P)
+        mi = h1 + h2 - hj
+        want = (spec.p1 * h1 + spec.q1 * mi, spec.q2 * (hj - h1), spec.p1 * (hj - h2), spec.p2 * mi + spec.q2 * h2)
+        for got, w in zip(corner_values(spec, P), want):
+            np.testing.assert_allclose(got, np.maximum(w, 0.0), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p1, p2", [(0.6, 0.0), (1.0, 1.0), (0.45, 0.45)], ids=("hi-inf", "lo-zero", "p1-eq-p2"))
+    def test_degenerate_specs(self, p1, p2):
+        spec = ChannelSpec(4, (0, 1, 1, 2), (1, 0, 2, 2), p1, p2)
+        P = np.random.default_rng(33).dirichlet(np.ones(4), size=50)
+        F = component_entropies(spec, P)
+        np.testing.assert_allclose(table_support(spec, 1.0, 0.0, F), ref_r1(spec, *F), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(table_support(spec, 0.0, 1.0, F), ref_c2(spec, *F), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(table_support(spec, 1.0, 1.0, F), ref_r3(spec, *F, 1.0), rtol=0, atol=1e-12)
 
 
 class TestPropositionRegions:

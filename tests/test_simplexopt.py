@@ -402,14 +402,15 @@ def test_pattern_step_gain_lines_up_with_rows():
     assert np.array_equal(gain, V[rows] - V_before[rows])
 
 
-# Each inner case's objective, taking the weight as an argument (the
-# weight-free R1 and R2 objectives ignore it).
-_CASE_OBJECTIVES = {
-    "R1": lambda spec: (lambda p, w: regions._objective_r1(spec)(p)),
-    "R3": regions._objective_r3,
-    "R4": regions._objective_r4,
-    "R4-scaled": regions._objective_r4_scaled,
-    "R2": lambda spec: (lambda p, w: regions._objective_c2(spec)(p)),
+# Each inner case's coefficient rows over (H(f1), H(f2), H(f1,f2)) at the
+# given weights, from the corner tables; the clamped R1 and R2 rows do not
+# depend on the weight.
+_CASE_ROWS = {
+    "R1": lambda spec, w: regions._coefficient_row(spec, 0, 1.0, regions.thresholds(spec)[0]),
+    "R3": lambda spec, w: regions._coefficient_row(spec, 0, 1.0, w),
+    "R4": lambda spec, w: regions._coefficient_row(spec, 1, 1.0, w),
+    "R4-scaled": lambda spec, w: regions._coefficient_row(spec, 1, w, 1.0),
+    "R2": lambda spec, w: regions._coefficient_row(spec, 1, 1.0 / regions.thresholds(spec)[1], 1.0),
 }
 _BATCH_SPECS = {
     "blackwell": blackwell_channel(0.7, 0.3),
@@ -418,9 +419,17 @@ _BATCH_SPECS = {
 }
 
 
-def one_weight(objective, dim, w, cfg=None):
-    """The plain one-weight run at weight w."""
-    return maximize_simplex(lambda p: objective(p, w), dim, cfg)
+def case_rows(spec, case, weights):
+    return np.array([_CASE_ROWS[case](spec, float(w)) for w in weights])
+
+
+def features(spec):
+    return lambda p: component_entropies(spec, p)
+
+
+def one_row(spec, row, cfg=None):
+    """The plain one-objective run of one coefficient row."""
+    return maximize_simplex(lambda p: simplexopt.combine(component_entropies(spec, p), row), spec.input_size, cfg)
 
 
 def assert_same_result(got, want):
@@ -429,29 +438,32 @@ def assert_same_result(got, want):
     assert got.evaluations == want.evaluations
 
 
-@pytest.mark.parametrize("case", list(_CASE_OBJECTIVES))
+@pytest.mark.parametrize("case", list(_CASE_ROWS))
 @pytest.mark.parametrize("name", list(_BATCH_SPECS))
 def test_weight_batch_matches_one_weight_runs(name, case):
+    # Each row of a batch gets the result of its one-row batch and of a
+    # plain run of its objective: argmax bytes, value and evaluations.
     spec = _BATCH_SPECS[name]
     n = spec.input_size
-    objective = _CASE_OBJECTIVES[case](spec)
-    # Weights across all four cases, so every objective sees weights from
-    # its own segment and beyond it.
+    # Weights across all four cases, so every table sees rows from its own
+    # segment and beyond it.
     weights = np.array(case_spanning_lambdas(spec, 12)) if case != "R4-scaled" else np.linspace(0.0, 1.0, 9)
     assert weights.size >= 8
-    batch = simplexopt.maximize_simplex_weights(objective, n, weights)
+    rows = case_rows(spec, case, weights)
+    batch = simplexopt.maximize_simplex_weights(features(spec), n, rows)
     assert len(batch) == weights.size
-    for w, got in zip(weights, batch):
-        assert_same_result(got, one_weight(objective, n, w))
+    for row, got in zip(rows, batch):
+        (alone,) = simplexopt.maximize_simplex_weights(features(spec), n, row[None])
+        assert_same_result(got, alone)
+        assert_same_result(got, one_row(spec, row))
 
 
 def test_weight_batch_permuted_and_duplicated_weights():
     spec = _BATCH_SPECS["gf2"]
-    objective = regions._objective_r3(spec)
-    weights = np.array([0.9, 0.55, 1.0, 0.7, 0.55, 0.62, 1.0, 0.8])
-    base = simplexopt.maximize_simplex_weights(objective, 4, weights)
-    perm = np.random.default_rng(3).permutation(weights.size)
-    for got, i in zip(simplexopt.maximize_simplex_weights(objective, 4, weights[perm]), perm):
+    rows = case_rows(spec, "R3", [0.9, 0.55, 1.0, 0.7, 0.55, 0.62, 1.0, 0.8])
+    base = simplexopt.maximize_simplex_weights(features(spec), 4, rows)
+    perm = np.random.default_rng(3).permutation(len(rows))
+    for got, i in zip(simplexopt.maximize_simplex_weights(features(spec), 4, rows[perm]), perm):
         assert_same_result(got, base[i])
     assert_same_result(base[1], base[4])
     assert_same_result(base[2], base[6])
@@ -459,23 +471,34 @@ def test_weight_batch_permuted_and_duplicated_weights():
 
 def test_weight_batch_single_weight_and_unit_alphabet():
     spec = _BATCH_SPECS["blackwell"]
-    objective = regions._objective_r4(spec)
-    (got,) = simplexopt.maximize_simplex_weights(objective, 3, [1.7])
-    assert_same_result(got, one_weight(objective, 3, 1.7))
+    rows = case_rows(spec, "R4", [1.7])
+    (got,) = simplexopt.maximize_simplex_weights(features(spec), 3, rows)
+    assert_same_result(got, one_row(spec, rows[0]))
     unit = ChannelSpec(1, (0,), (0,), 0.6, 0.3)
-    objective = regions._objective_r3(unit)
-    batch = simplexopt.maximize_simplex_weights(objective, 1, [0.2, 0.9])
-    for w, got in zip([0.2, 0.9], batch):
-        assert_same_result(got, one_weight(objective, 1, w))
-    assert simplexopt.maximize_simplex_weights(objective, 1, []) == []
+    rows = case_rows(unit, "R3", [0.2, 0.9])
+    batch = simplexopt.maximize_simplex_weights(features(unit), 1, rows)
+    for row, got in zip(rows, batch):
+        assert_same_result(got, one_row(unit, row))
+    assert simplexopt.maximize_simplex_weights(features(unit), 1, np.zeros((0, 3))) == []
 
 
 def test_weight_batch_scans_in_groups(monkeypatch):
-    # Weights scanned a few per objective call pick the same starts.
+    # Rows scanned a few per objective call pick the same starts.
     spec = _BATCH_SPECS["blackwell"]
-    objective = regions._objective_r3(spec)
-    weights = np.linspace(0.45, 1.0, 7)
-    whole = simplexopt.maximize_simplex_weights(objective, 3, weights)
+    rows = case_rows(spec, "R3", np.linspace(0.45, 1.0, 7))
+    whole = simplexopt.maximize_simplex_weights(features(spec), 3, rows)
     monkeypatch.setattr(simplexopt, "_SCAN_BYTES", 2 * 8 * lattice_size(default_grid(3), 3))
-    for got, want in zip(simplexopt.maximize_simplex_weights(objective, 3, weights), whole):
+    for got, want in zip(simplexopt.maximize_simplex_weights(features(spec), 3, rows), whole):
         assert_same_result(got, want)
+
+
+def test_combine_is_independent_of_the_batch():
+    # The combined value of a row is the same alone, in a batch, and with
+    # a broadcast coefficient row.
+    rng = np.random.default_rng(8)
+    F = tuple(rng.uniform(0.0, 3.0, (3, 40)))
+    C = rng.uniform(-2.0, 2.0, (40, 3))
+    batch = simplexopt.combine(F, C)
+    for i in range(40):
+        assert simplexopt.combine(tuple(f[i] for f in F), C[i]) == batch[i]
+        assert simplexopt.combine(tuple(f[i : i + 1] for f in F), C[i])[0] == batch[i]
