@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .infotheory import entropy, xlogx
+from .infotheory import block_entropies, entropy, pushforward
 
 PMF_ATOL = 1e-12
 
@@ -160,36 +160,21 @@ def induced_joint(spec: ChannelSpec, px) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _stacked_indicator(spec: ChannelSpec) -> np.ndarray:
-    """The indicator matrices side by side, [e1 | e2 | ej]."""
+def stacked_indicator(spec: ChannelSpec) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """The indicator matrices side by side, [e1 | e2 | ej], and the column
+    range (start, stop) of each."""
     stacked = np.hstack(indicator_matrices(spec))
     stacked.setflags(write=False)
-    return stacked
+    m = spec.output_size
+    return stacked, ((0, m), (m, 2 * m), (2 * m, stacked.shape[1]))
 
 
 def component_entropies(spec: ChannelSpec, px_batch):
-    """Entropies (H(f1), H(f2), H(f1,f2)) of the pushforwards of the input law.
-
-    Vectorized over leading axes of px_batch; the trailing axis must have
-    length input_size. A 1-D input gives three floats.
-
-    One matmul against the stacked indicator and one xlogx pass serve all
-    three laws. Each matmul column is the same 0/1 selection of input
-    masses as in p @ e_k, and each entropy sums the same contiguous cells
-    in the same order as entropy(p @ e_k), so the values are those of the
-    separate entropies of a many-row batch.
-
-    The batch is multiplied as one matrix of at least two rows. BLAS sends
-    a lone row through its matrix-vector routine, which can round a large
-    preimage's sum differently; with two or more rows every row takes the
-    matrix-matrix path, so a law's entropies do not depend on its batch.
-    """
-    m = spec.output_size
-    px = np.asarray(px_batch, dtype=float)
-    flat = px.reshape(-1, spec.input_size)
-    rows = flat if flat.shape[0] > 1 else np.vstack((flat, flat))
-    t = xlogx(rows @ _stacked_indicator(spec))[: flat.shape[0]].reshape(px.shape[:-1] + (-1,))
-    hs = (-t[..., a:b].sum(axis=-1) for a, b in ((0, m), (m, 2 * m), (2 * m, t.shape[-1])))
+    """Entropies (H(f1), H(f2), H(f1,f2)) of the pushforwards of the input law
+    over the leading axes of px_batch (three floats for a 1-D input), equal
+    to entropy(p @ e_k) in a batch and independent of the batch."""
+    stacked, blocks = stacked_indicator(spec)
+    hs = block_entropies(pushforward(px_batch, stacked), blocks)
     return tuple(float(h) if np.ndim(h) == 0 else h for h in hs)
 
 

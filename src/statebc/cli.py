@@ -51,7 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--channel", required=True, help="channel spec JSON file")
         sp.add_argument("--p1", type=float, default=None, help="override p1 from the file")
         sp.add_argument("--p2", type=float, default=None, help="override p2 from the file")
-        sp.add_argument("--grid", type=int, default=0, help="lattice denominator override")
         if with_out:
             sp.add_argument("--out", required=True, help="output CSV path")
 
@@ -69,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambdas", type=int, default=32, help="number of lambda samples")
     sp.add_argument("--u-size", type=int, default=0, help="auxiliary alphabet size (default |X|+1)")
     sp.add_argument("--tol", type=float, default=5e-3, help="gap tolerance in bits")
+    sp.add_argument("--grid", type=int, default=0, help="joint lattice denominator override")
 
     sp = sub.add_parser("regions4", help="four-region decomposition and its sweep cross-check")
     channel_opts(sp)
@@ -95,12 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _opt_config(args: argparse.Namespace) -> OptConfig | None:
-    if args.grid > 0:
-        return OptConfig(grid_denominator=args.grid)
-    return None
-
-
 def _header(p1: float, p2: float, extra: str = "") -> str:
     line = f"# p1={format_number(p1)} p2={format_number(p2)}"
     if extra:
@@ -120,7 +114,7 @@ def run(args: argparse.Namespace) -> int:
     """Run one parsed command line; flags override channel-file values."""
     if args.command == "region":
         spec = load_channel(args.channel, args.p1, args.p2)
-        poly = capacity_polygon(spec, n_lambda=args.n_lambda, cfg=_opt_config(args))
+        poly = capacity_polygon(spec, n_lambda=args.n_lambda)
         _write(args.out, _header(spec.p1, spec.p2) + polygon_to_csv(poly))
         return 0
 
@@ -128,7 +122,7 @@ def run(args: argparse.Namespace) -> int:
         spec = load_channel(args.channel, args.p1, args.p2)
         canon, swapped = canonicalize(spec)
         lambdas = case_spanning_lambdas(canon, args.lambdas)
-        curve = support_curve(canon, lambdas, _opt_config(args))
+        curve = support_curve(canon, lambdas)
         extra = "note=receivers-swapped" if swapped else ""
         lines = ["lambda,value,case"]
         for s in curve.samples:
@@ -141,7 +135,8 @@ def run(args: argparse.Namespace) -> int:
         canon, _ = canonicalize(spec)
         lambdas = case_spanning_lambdas(canon, args.lambdas)
         u_size = args.u_size if args.u_size > 0 else None
-        report = verify_converse(canon, lambdas, u_size=u_size, tol=args.tol, cfg=_opt_config(args))
+        cfg = OptConfig(grid_denominator=args.grid) if args.grid > 0 else None
+        report = verify_converse(canon, lambdas, u_size=u_size, tol=args.tol, cfg=cfg)
         if args.out:
             _write(args.out, _header(canon.p1, canon.p2) + converse_to_csv(report))
         verdict = "pass" if report.passed else "fail"
@@ -154,7 +149,7 @@ def run(args: argparse.Namespace) -> int:
     if args.command == "regions4":
         spec = load_channel(args.channel, args.p1, args.p2)
         canon, _ = canonicalize(spec)
-        polys = proposition_regions(canon, n_lambda=args.n_lambda, cfg=_opt_config(args))
+        polys = proposition_regions(canon, n_lambda=args.n_lambda)
         polys += primed_regions(canon, px_grid=args.px_grid or None)
         header = _header(canon.p1, canon.p2)
         for poly in polys:

@@ -34,6 +34,22 @@ def entropy(p, axis: int = -1):
     return float(h) if np.ndim(h) == 0 else h
 
 
+def pushforward(p, indicator):
+    """p @ indicator over the leading axes of p, as one matrix product of at
+    least two rows: BLAS rounds a lone row's matrix-vector product
+    differently, and with two rows a law's pushforward is batch-independent."""
+    p = np.asarray(p, dtype=float)
+    flat = p.reshape(-1, indicator.shape[0])
+    rows = flat if flat.shape[0] > 1 else np.vstack((flat, flat))
+    return (rows @ indicator)[: flat.shape[0]].reshape(p.shape[:-1] + indicator.shape[1:])
+
+
+def block_entropies(q, blocks):
+    """Entropies of the column blocks (start, stop) of q, cells summed in order."""
+    t = xlogx(q)
+    return tuple(-t[..., a:b].sum(axis=-1) for a, b in blocks)
+
+
 def binary_entropy(q):
     """Entropy in bits of a {q, 1-q} distribution; q may be an array."""
     arr = np.asarray(q, dtype=float)

@@ -125,7 +125,7 @@ def support_outer_result(
     if u < 1:
         raise ValueError("u_size must be a positive integer")
     if seed_px is None:
-        _, _, seed_px = support_inner(spec, lam, cfg)
+        _, _, seed_px = support_inner(spec, lam)
     px = np.asarray(seed_px, dtype=float)
     seeds = structure_seeds(spec, u, px)
     obj = outer_objective(spec, lam, u)
@@ -163,7 +163,7 @@ def verify_converse(
     if tol < 0.0:
         raise ValueError("tolerance must be non-negative")
     samples = []
-    for lam, inner, case, px in support_curve(spec, lambdas, cfg).samples:
+    for lam, inner, case, px in support_curve(spec, lambdas).samples:
         outer = support_outer(spec, lam, u_size, cfg, seed_px=px)
         gap = outer - inner
         if gap < -1e-9:

@@ -25,8 +25,9 @@ from .channel import (
     canonicalize,
     component_entropies,
     require_canonical,
+    stacked_indicator,
 )
-from .simplexopt import OptConfig, combine, iter_lattice, lattice_size, maximize_simplex_weights
+from .simplexopt import combine, iter_lattice, lattice_size, maximize_pushforward_entropies
 
 CASE_R1 = "R1"
 CASE_R2 = "R2"
@@ -244,17 +245,15 @@ def _support_row(spec: ChannelSpec, a: float, b: float) -> tuple[int, float, flo
     """The support of the capacity region in direction (a, b) as
     scale * max over p(x) of (a', b') K F; returns (table, a', b', scale).
 
-    K is K3 (table 0) when b <= a and K4 (table 1) otherwise, and (a', b')
-    is the direction clamped to (max(a, b/hi), max(b, lo*a)). Where the
-    clamp binds, the R3 corner's direction sticks at a * (1, lo), the
-    single-user C1 objective, and the R4 corner's at b * (1/hi, 1), C2;
-    those directions are solved at (1, lo) or (1/hi, 1) and scaled back, so
-    they all share one row.
+    K is K3 (table 0) when b <= a and K4 (table 1) otherwise; (a', b') is
+    the direction scaled to a larger weight of 1 and clamped to
+    (1, max(b/a, lo)) or (max(a/b, 1/hi), 1), so clamped directions share
+    C1 = (1, lo) K3 or C2 = (1/hi, 1) K4, and the certified gap is relative.
     """
     lo, hi = thresholds(spec)
     if b <= a:
-        return (0, 1.0, lo, a) if b < lo * a else (0, a, b, 1.0)
-    return (1, 1.0 / hi, 1.0, b) if a < b / hi else (1, a, b, 1.0)
+        return 0, 1.0, max(b / a, lo), a
+    return 1, max(a / b, 1.0 / hi), 1.0, b
 
 
 def _coefficient_row(spec: ChannelSpec, table: int, a: float, b: float) -> np.ndarray:
@@ -263,39 +262,30 @@ def _coefficient_row(spec: ChannelSpec, table: int, a: float, b: float) -> np.nd
     return a * k[0] + b * k[1]
 
 
-def _solve(spec: ChannelSpec, directions, cfg: OptConfig | None) -> list[tuple[float, np.ndarray]]:
-    """Support value and maximizing input law at each direction (a, b).
-
-    Directions that share a coefficient row are solved once, and the rows
-    of each table are solved in one batch.
-    """
+def _solve(spec: ChannelSpec, directions) -> list[tuple[float, np.ndarray]]:
+    """Support value and maximizing input law at each direction (a, b);
+    directions that share a coefficient row are solved once, all rows in
+    one certified batch (every row is non-negative)."""
     keys = [_support_row(spec, a, b) for a, b in directions]
-    features = lambda P: component_entropies(spec, P)
-    opt = {}
-    for table in (0, 1):
-        dirs = list(dict.fromkeys(key[:3] for key in keys if key[0] == table))
-        rows = [_coefficient_row(spec, *d) for d in dirs]
-        opt.update(zip(dirs, maximize_simplex_weights(features, spec.input_size, rows, cfg)))
+    dirs = list(dict.fromkeys(key[:3] for key in keys))
+    rows = [_coefficient_row(spec, *d) for d in dirs]
+    opt = dict(zip(dirs, maximize_pushforward_entropies(*stacked_indicator(spec), rows)))
     return [(key[3] * opt[key[:3]].value, opt[key[:3]].argmax) for key in keys]
 
 
-def support_inner(spec: ChannelSpec, lam: float, cfg: OptConfig | None = None):
-    """Maximum of R1 + lam*R2 over the capacity region.
-
-    Uses the exact piecewise reduction to a single-letter maximization over
-    the input law; returns (value, case_id, argmax_px).
-    """
+def support_inner(spec: ChannelSpec, lam: float):
+    """Maximum of R1 + lam*R2 over the capacity region, by the exact
+    reduction to a maximization over the input law: (value, case, argmax_px)."""
     case = case_of(spec, lam)
-    ((value, px),) = _solve(spec, [(1.0, lam)], cfg)
+    ((value, px),) = _solve(spec, [(1.0, lam)])
     return value, case, px
 
 
-def support_curve(spec: ChannelSpec, lambdas, cfg: OptConfig | None = None) -> SupportCurve:
-    """Sample the support function at the given weights, solving all of
-    them in one _solve."""
+def support_curve(spec: ChannelSpec, lambdas) -> SupportCurve:
+    """Sample the support function at the given weights, all in one _solve."""
     lams = [float(lam) for lam in lambdas]
     cases = [case_of(spec, lam) for lam in lams]
-    sols = _solve(spec, [(1.0, lam) for lam in lams], cfg)
+    sols = _solve(spec, [(1.0, lam) for lam in lams])
     samples = [
         SupportSample(lam, value, case, tuple(float(v) for v in px))
         for lam, case, (value, px) in zip(lams, cases, sols)
@@ -352,7 +342,7 @@ def _mu_grid(spec: ChannelSpec, n: int) -> np.ndarray:
     return np.unique(np.concatenate([seg_a, seg_b]))
 
 
-def capacity_polygon(spec: ChannelSpec, n_lambda: int = 64, cfg: OptConfig | None = None) -> RegionPolygon:
+def capacity_polygon(spec: ChannelSpec, n_lambda: int = 64) -> RegionPolygon:
     """Capacity region polygon from supporting half-planes in both axis
     weightings: (1, lambda) and (mu, 1) for lambda, mu in [0, 1].
 
@@ -364,7 +354,7 @@ def capacity_polygon(spec: ChannelSpec, n_lambda: int = 64, cfg: OptConfig | Non
     canon, swapped = canonicalize(spec)
     directions = [(1.0, lam) for lam in _lambda_grid(canon, n_lambda).tolist()]
     directions += [(mu, 1.0) for mu in _mu_grid(canon, n_lambda).tolist()]
-    sols = _solve(canon, directions, cfg)
+    sols = _solve(canon, directions)
     cons = [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
     cons += [(a, b, value) for (a, b), (value, _) in zip(directions, sols)]
     verts = halfplane_vertices(cons)
@@ -379,9 +369,7 @@ def corner_values(spec: ChannelSpec, px_batch):
     return tuple(np.maximum(combine(features, row), 0.0) for k in corner_tables(spec) for row in k)
 
 
-def proposition_regions(
-    spec: ChannelSpec, n_lambda: int = 64, cfg: OptConfig | None = None
-) -> list[RegionPolygon]:
+def proposition_regions(spec: ChannelSpec, n_lambda: int = 64) -> list[RegionPolygon]:
     """The four-region decomposition whose union's hull is the capacity
     region: two single-user axis segments plus the two corner regions swept
     over the argmax input laws of the support objectives, (1, lambda) for R3
@@ -393,7 +381,7 @@ def proposition_regions(
     lams = np.unique(_open_segment(min(lo, 1.0), 1.0, n_lambda))
     mus = np.unique(_open_segment(mu_lo, 1.0, n_lambda))
     directions = [(1.0, 0.0), (0.0, 1.0)] + [(1.0, lam) for lam in lams.tolist()] + [(mu, 1.0) for mu in mus.tolist()]
-    sols = _solve(spec, directions, cfg)
+    sols = _solve(spec, directions)
     (c1, _), (c2, _) = sols[:2]
     argmax = np.array([px for _, px in sols[2:]])
     a3, b3, _, _ = corner_values(spec, argmax[: lams.size])

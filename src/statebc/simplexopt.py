@@ -1,10 +1,14 @@
-"""Deterministic global maximization over probability simplices.
+"""Deterministic maximization over probability simplices.
 
-Strategy: exhaustive evaluation on the rational lattice {k/m : sum k = m},
-then local ascent seeded from the best lattice points. The ascent repeatedly
-moves mass between one pair of coordinates: a vectorized scan over all pairs
-and a geometric step grid picks the most promising move, and a golden-section
-line search polishes its size, so simplex feasibility is preserved exactly.
+maximize_simplex and maximize_joint take any vectorized objective: an
+exhaustive evaluation on the rational lattice {k/m : sum k = m}, then local
+ascent seeded from the best lattice points. The ascent repeatedly moves mass
+between one pair of coordinates: a vectorized scan over all pairs and a
+geometric step grid picks the most promising move, and a golden-section line
+search polishes its size, so simplex feasibility is preserved exactly.
+
+maximize_pushforward_entropies solves the concave case, many coefficient rows
+at once, each to a certified gap.
 
 Everything is deterministic. Lattice points are generated in ascending
 lexicographic order (see _scan_lattice for how its ties break); candidate
@@ -13,9 +17,7 @@ comparisons elsewhere use first-maximum semantics.
 Objectives must be vectorized: they take an array whose trailing axis (for
 maximize_simplex) or trailing two axes (for maximize_joint) hold the
 distribution, and return values over the leading axes. A bare 1-D (or 2-D
-joint) input must yield a scalar. maximize_simplex_weights solves many
-linear objectives c . F(P) over one feature map F at once, one per
-coefficient row c.
+joint) input must yield a scalar.
 """
 
 from __future__ import annotations
@@ -26,12 +28,23 @@ from functools import lru_cache
 
 import numpy as np
 
+from .infotheory import block_entropies, pushforward
+
 _BLOCK_BYTES = 256 * 1024
 _MEMO_POINT_LIMIT = 200_000
-_SCAN_BYTES = 256 * 1024
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 24
 _FRACS = np.array([0.03125, 0.125, 0.25, 0.5, 0.75, 1.0])
+
+# maximize_pushforward_entropies: the certified gap (bits) at which a row
+# stops; the shares of uniform mixed into the pushforwards for the dual
+# bounds (the first also gives the scores, the second the gradient); the
+# Newton face; the line search's bisections; the iteration budget.
+GAP_TOLERANCE = 1e-10
+_MIXES = np.array([1e-12, 0.0] + [10.0**-k for k in range(3, 16)])
+_FACE = 1e-8
+_BISECT = 56
+_BUDGET = 2000
 
 
 @dataclass(frozen=True)
@@ -41,15 +54,13 @@ class OptConfig:
     grid_denominator is the lattice resolution m; refine_starts the number of
     top lattice points seeding local ascent; refine_iters the mass-move budget
     per seed; step_tolerance the per-move improvement (bits) below which a
-    seed is considered converged; value_tolerance the advertised accuracy of
-    returned values (bits), used by callers when comparing optima.
+    seed is considered converged.
     """
 
     grid_denominator: int
     refine_starts: int = 8
     refine_iters: int = 300
     step_tolerance: float = 1e-9
-    value_tolerance: float = 1e-4
 
     def __post_init__(self):
         if self.grid_denominator < 2:
@@ -58,8 +69,8 @@ class OptConfig:
             raise ValueError("refine_starts must be a positive integer")
         if self.refine_iters < 1:
             raise ValueError("refine_iters must be a positive integer")
-        if self.step_tolerance <= 0.0 or self.value_tolerance <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.step_tolerance <= 0.0:
+            raise ValueError("step_tolerance must be positive")
 
 
 def default_grid(dim: int) -> int:
@@ -179,25 +190,16 @@ def combine(features, coeffs):
     return out
 
 
-class _Weighted:
-    """An objective(P, w) solved at a batch of weights at once.
+class _Counted:
+    """An objective that counts the points it evaluates."""
 
-    weights holds one weight (a scalar or a coefficient row) per entry.
-    Each leading row of P belongs to one weight: a call passes `own`, the
-    position of each row's weight, and the objective gets that weight
-    broadcast over the row's candidate axes. Evaluations are tallied per
-    weight, so each weight's count is the one a run of that weight alone
-    reports."""
-
-    def __init__(self, objective, weights: np.ndarray):
+    def __init__(self, objective):
         self.objective = objective
-        self.weights = weights
-        self.evals = np.zeros(len(weights), dtype=np.int64)
+        self.evals = 0
 
-    def __call__(self, P: np.ndarray, own: np.ndarray) -> np.ndarray:
-        w = self.weights[own].reshape(own.shape + (1,) * (P.ndim - 2) + self.weights.shape[1:])
-        vals = np.asarray(self.objective(P, w), dtype=float)
-        self.evals += np.bincount(own, minlength=len(self.weights)) * (vals.size // max(own.size, 1))
+    def __call__(self, P: np.ndarray) -> np.ndarray:
+        vals = np.asarray(self.objective(P), dtype=float)
+        self.evals += vals.size
         return vals
 
 
@@ -209,45 +211,23 @@ def _check_values(vals: np.ndarray, pts: np.ndarray) -> None:
         raise ValueError(f"objective returned NaN at point {pts[i].tolist()}")
 
 
-def _keep_top(top, vals: np.ndarray, pts: np.ndarray, offset: int, top_k: int):
-    """Merge one block's values into one weight's running top_k (values,
-    points, generation indices)."""
-    top_vals, top_pts, top_ord = top
-    k_here = min(top_k, vals.shape[0])
-    if k_here < vals.shape[0]:
-        idx = np.argpartition(-vals, k_here - 1)[:k_here]
-    else:
-        idx = np.arange(vals.shape[0])
-    cand_vals = np.concatenate([top_vals, vals[idx]])
-    cand_pts = np.vstack([top_pts, pts[idx]])
-    cand_ord = np.concatenate([top_ord, offset + idx])
-    order = np.lexsort((cand_ord, -cand_vals))[:top_k]
-    return cand_vals[order], cand_pts[order], cand_ord[order]
-
-
-def _scan_lattice(f: _Weighted, dim: int, m: int, top_k: int):
+def _scan_lattice(f: _Counted, dim: int, m: int, top_k: int):
     """Evaluate the objective on the full lattice, tracking the top_k points
-    of each weight. One objective call serves a group of weights whose
-    values fit in _SCAN_BYTES (or one weight), which bounds the call's
-    temporaries; the selection runs per weight. np.argpartition
-    picks among a block's points tied at the k-th value repeatably but not
-    by generation index; the kept points are ranked by value, ties toward
-    the earlier generation index."""
-    tops = [(np.empty(0), np.empty((0, dim)), np.empty(0, dtype=np.int64))] * len(f.weights)
-    offset = 0
+    (values, points). np.argpartition picks among a block's points tied at
+    the k-th value repeatably but not by generation index; the kept points
+    are ranked by value, ties toward the earlier generation index."""
+    top_vals, top_pts = np.empty(0), np.empty((0, dim))
     for block in iter_lattice(m, dim):
         pts = block.astype(float) / m
-        n = pts.shape[0]
-        group = max(1, _SCAN_BYTES // (8 * n))
-        for lo in range(0, len(f.weights), group):
-            w = f.weights[lo : lo + group]
-            vals = np.asarray(f.objective(pts, w[:, None]), dtype=float)
-            _check_values(vals, pts)
-            f.evals[lo : lo + group] += n
-            for j, v in enumerate(np.broadcast_to(vals, (len(w), n)), lo):
-                tops[j] = _keep_top(tops[j], v, pts, offset, top_k)
-        offset += n
-    return tops
+        vals = f(pts)
+        _check_values(vals, pts)
+        k_here = min(top_k, vals.shape[0])
+        idx = np.sort(np.argpartition(-vals, k_here - 1)[:k_here]) if k_here < vals.shape[0] else slice(None)
+        cand_vals = np.concatenate([top_vals, vals[idx]])
+        cand_pts = np.vstack([top_pts, pts[idx]])
+        order = np.argsort(-cand_vals, kind="stable")[:top_k]
+        top_vals, top_pts = cand_vals[order], cand_pts[order]
+    return top_vals, top_pts
 
 
 def _pair_deltas(dim: int):
@@ -259,25 +239,24 @@ def _pair_deltas(dim: int):
     return i_idx, delta
 
 
-def _golden_polish(f: _Weighted, base, delta, hi, own, iters: int = _GOLDEN_ITERS):
+def _golden_polish(f: _Counted, base, delta, hi, iters: int = _GOLDEN_ITERS):
     """Per-row golden-section maximum of t -> objective(base + t*delta) on
-    [0, hi], each row at its weight own; returns the best (t, value) seen
-    including the probes. Each step sends both interior probes of every row
-    to the objective in one call on the stacked points; objectives evaluate
-    rows independently, so the values are those of two separate calls."""
+    [0, hi]; returns the best (t, value) seen including the probes. Each
+    step sends both interior probes of every row to the objective in one
+    call on the stacked points; objectives evaluate rows independently, so
+    the values are those of two separate calls."""
     n = base.shape[0]
     a = np.zeros(n)
     b = hi.astype(float).copy()
     base2 = np.concatenate((base, base))
     delta2 = np.concatenate((delta, delta))
-    own2 = np.concatenate((own, own))
     best_t = np.zeros(n)
     best_v = np.full(n, -np.inf)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     for _ in range(iters + 1):
         pts = np.maximum(base2 + np.concatenate((x1, x2))[:, None] * delta2, 0.0)
-        f12 = f(pts, own2)
+        f12 = f(pts)
         f1, f2 = f12[:n], f12[n:]
         better = np.where(f1 >= f2, x1, x2)
         better_v = np.maximum(f1, f2)
@@ -292,17 +271,17 @@ def _golden_polish(f: _Weighted, base, delta, hi, own, iters: int = _GOLDEN_ITER
     return best_t, best_v
 
 
-def _full_pair_polish(f: _Weighted, S, V, rows, own, i_idx, delta, step_tolerance, iters):
+def _full_pair_polish(f: _Counted, S, V, rows, i_idx, delta, step_tolerance, iters):
     """Golden-section line search over every ordered pair for the given state
     rows; the rigorous stall check before a state is frozen. The coarse step
     grid of the main scan can miss pairs whose optimal move is tiny, so a
     state only freezes once no pair improves it. One search runs over every
     (row, live pair) at once, and each row takes its first best pair, as a
-    search of that row alone would. own gives each state's weight. Applies
-    improving moves in place and returns the rescued mask."""
+    search of that row alone would. Applies improving moves in place and
+    returns the rescued mask."""
     hi = S[rows][:, i_idx]
     r, pair = np.nonzero(hi > 0.0)
-    t_g, v_g = _golden_polish(f, S[rows[r]], delta[pair], hi[r, pair], own[rows[r]], iters)
+    t_g, v_g = _golden_polish(f, S[rows[r]], delta[pair], hi[r, pair], iters)
     t_row = np.zeros(hi.shape)
     v_row = np.full(hi.shape, -np.inf)
     t_row[r, pair] = t_g
@@ -317,11 +296,10 @@ def _full_pair_polish(f: _Weighted, S, V, rows, own, i_idx, delta, step_toleranc
     return rescued
 
 
-def _pattern_step(f: _Weighted, S, V, rows, own, snap, step_tolerance, iters):
+def _pattern_step(f: _Counted, S, V, rows, snap, step_tolerance, iters):
     """Line search along the accumulated move direction (current minus
     snapshot) for the given state rows; de-zigzags ridge-shaped objectives.
-    own gives each state's weight. Returns the gain per row; applies
-    improving steps in place."""
+    Returns the gain per row; applies improving steps in place."""
     base = S[rows]
     D = base - snap[rows]
     span = np.abs(D).max(axis=1)
@@ -342,7 +320,7 @@ def _pattern_step(f: _Weighted, S, V, rows, own, snap, step_tolerance, iters):
     base = base[ok]
     D = D[ok]
     t_lim = t_lim[ok]
-    t_g, v_g = _golden_polish(f, base, D, t_lim, own[sub], iters)
+    t_g, v_g = _golden_polish(f, base, D, t_lim, iters)
     improve = v_g > V[sub] + step_tolerance
     tgt = sub[improve]
     S[tgt] = np.maximum(base[improve] + t_g[improve, None] * D[improve], 0.0)
@@ -351,39 +329,35 @@ def _pattern_step(f: _Weighted, S, V, rows, own, snap, step_tolerance, iters):
     return gain
 
 
-def _refine(f: _Weighted, starts: np.ndarray, own: np.ndarray, cfg: OptConfig):
+def _refine(f: _Counted, starts: np.ndarray, cfg: OptConfig):
     """Two-phase refinement: ascend every start at a coarse tolerance, then
-    polish only each weight's leaders (within 1e-4 bits of that weight's
-    best, at most three) at the configured tolerance. Laggard starts cannot
-    win, so the tail cost is spent where it matters. own, the weight of each
-    start, is ascending."""
+    polish only the leaders (within 1e-4 bits of the best, at most three) at
+    the configured tolerance. Laggard starts cannot win, so the tail cost is
+    spent where it matters."""
     coarse_tol = max(cfg.step_tolerance, 1e-6)
-    S, V = _ascend(f, starts, own, coarse_tol, min(cfg.refine_iters, 80), polish=False)
+    S, V = _ascend(f, starts, coarse_tol, min(cfg.refine_iters, 80), polish=False)
     if coarse_tol > cfg.step_tolerance:
-        # Per weight, best first with ties in start order; `first` is where
-        # each start's weight begins in that order.
-        order = np.lexsort((-V, own))
-        first = np.searchsorted(own, own)
-        lead = order[(np.arange(own.size) - first < 3) & (V[order] >= V[order[first]] - 1e-4)]
-        S[lead], V[lead] = _ascend(f, S[lead], own[lead], cfg.step_tolerance, cfg.refine_iters, polish=True)
+        # Best first, ties in start order.
+        order = np.argsort(-V, kind="stable")
+        lead = order[:3][V[order[:3]] >= V[order[0]] - 1e-4]
+        S[lead], V[lead] = _ascend(f, S[lead], cfg.step_tolerance, cfg.refine_iters, polish=True)
     # Renormalize accumulated float drift exactly onto the simplex, then
     # re-evaluate so returned values match returned points.
     S = S / S.sum(axis=1, keepdims=True)
-    return S, f(S, own)
+    return S, f(S)
 
 
-def _ascend(f: _Weighted, starts: np.ndarray, own: np.ndarray, step_tolerance: float, max_iters: int, polish: bool = True):
-    """Greedy pairwise-exchange ascent, batched over start points, each at
-    its weight own. Each iteration applies to every still-active start its
-    single best mass move (pair scan over a geometric step grid, then
-    golden-section polish); a periodic pattern step along the accumulated
-    direction accelerates convergence along ridges where single-pair moves
-    zigzag, and a state only freezes after a full per-pair line search fails
-    to improve it. A start's path depends on its own state alone, so
-    batching starts of many weights changes no start's result."""
+def _ascend(f: _Counted, starts: np.ndarray, step_tolerance: float, max_iters: int, polish: bool = True):
+    """Greedy pairwise-exchange ascent, batched over start points. Each
+    iteration applies to every still-active start its single best mass move
+    (pair scan over a geometric step grid, then golden-section polish); a
+    periodic pattern step along the accumulated direction accelerates
+    convergence along ridges where single-pair moves zigzag, and a state
+    only freezes after a full per-pair line search fails to improve it. A
+    start's path depends on its own state alone."""
     S = np.array(starts, dtype=float)
     k, dim = S.shape
-    V = f(S, own)
+    V = f(S)
     _check_values(V, S)
     if dim == 1 or k == 0:
         return S, V
@@ -406,7 +380,7 @@ def _ascend(f: _Weighted, starts: np.ndarray, own: np.ndarray, step_tolerance: f
         T = t_max[:, :, None] * _FRACS
         C = base[:, None, None, :] + T[..., None] * delta[None, :, None, :]
         np.maximum(C, 0.0, out=C)
-        flat = f(C, own[act]).reshape(len(act), -1)
+        flat = f(C).reshape(len(act), -1)
         pick = flat.argmax(axis=1)
         pair_pick, frac_pick = np.unravel_index(pick, (i_idx.size, _FRACS.size))
         rows = np.arange(len(act))
@@ -414,7 +388,7 @@ def _ascend(f: _Weighted, starts: np.ndarray, own: np.ndarray, step_tolerance: f
         t_grid = t_max[rows, pair_pick] * _FRACS[frac_pick]
         dsel = delta[pair_pick]
         if polish:
-            t_gold, v_gold = _golden_polish(f, base, dsel, t_max[rows, pair_pick], own[act])
+            t_gold, v_gold = _golden_polish(f, base, dsel, t_max[rows, pair_pick])
             take_gold = v_gold > v_grid
             t_new = np.where(take_gold, t_gold, t_grid)
             v_new = np.maximum(v_grid, v_gold)
@@ -429,13 +403,13 @@ def _ascend(f: _Weighted, starts: np.ndarray, own: np.ndarray, step_tolerance: f
         due = act[(age[act] >= dim) | ~improved]
         if due.size:
             g_iters = _GOLDEN_ITERS if polish else 12
-            gain = _pattern_step(f, S, V, due, own, snap, step_tolerance, g_iters)
+            gain = _pattern_step(f, S, V, due, snap, step_tolerance, g_iters)
             snap[due] = S[due]
             age[due] = 0
             pair_failed = np.isin(due, act[~improved])
             stalled = due[pair_failed & (gain <= step_tolerance)]
             if stalled.size:
-                rescued = _full_pair_polish(f, S, V, stalled, own, i_idx, delta, step_tolerance, g_iters)
+                rescued = _full_pair_polish(f, S, V, stalled, i_idx, delta, step_tolerance, g_iters)
                 snap[stalled] = S[stalled]
                 active[stalled[~rescued]] = False
         it_gain = V[act] - v_before
@@ -444,56 +418,30 @@ def _ascend(f: _Weighted, starts: np.ndarray, own: np.ndarray, step_tolerance: f
     return S, V
 
 
-def _dedupe_rows(rows: list[np.ndarray], key=None) -> list[np.ndarray]:
-    """The rows in order, dropping each row whose key an earlier row has;
-    the key defaults to the row's bytes rounded to 12 digits."""
-    key = key or (lambda r: np.round(r, 12).tobytes())
-    seen = set()
-    out = []
-    for r in rows:
-        k = key(r)
-        if k not in seen:
-            seen.add(k)
-            out.append(r)
-    return out
-
-
-def _maximize_flat(objective, dim: int, cfg: OptConfig, weights, extra_starts=(), orbit_key=None) -> list[OptResult]:
-    """One OptResult per weight for objective(P, w): the lattice scan and
-    the start selection run per weight, and every weight's starts ascend in
-    one lockstep batch. weights is a float array with one weight (a scalar
-    or a coefficient row) per entry. Starts are the lattice tops, then the
-    extra starts, less those whose orbit_key (by default their rounded
-    bytes) an earlier start has."""
+def _maximize_flat(objective, dim: int, cfg: OptConfig, extra_starts=(), orbit_key=None) -> OptResult:
+    """The lattice scan, then ascent from its top points and the extra starts,
+    less those whose orbit_key (default: rounded bytes) an earlier start has."""
     if dim == 1:
-        return [OptResult(np.ones(1), float(objective(np.ones(1), w)), 1) for w in weights]
-    extras = []
-    for s in extra_starts:
-        arr = np.asarray(s, dtype=float).reshape(-1)
+        return OptResult(np.ones(1), float(objective(np.ones(1))), 1)
+    extras = [np.asarray(s, dtype=float).reshape(-1) for s in extra_starts]
+    for arr in extras:
         if arr.shape[0] != dim:
             raise ValueError(f"extra start has dimension {arr.shape[0]}, expected {dim}")
-        extras.append(arr)
-    f = _Weighted(objective, weights)
-    tops = _scan_lattice(f, dim, cfg.grid_denominator, cfg.refine_starts)
-    starts, counts = [], []
-    for _, top_pts, _ in tops:
-        kept = _dedupe_rows(list(top_pts) + extras, orbit_key)
-        starts += kept
-        counts.append(len(kept))
-    own = np.repeat(np.arange(len(weights)), counts)
-    S, V = _refine(f, np.array(starts), own, cfg)
-    ends = np.cumsum(counts)
-    points, values = [], []
-    for (top_vals, top_pts, _), lo, hi in zip(tops, ends - counts, ends):
-        cand_vals = np.concatenate([top_vals[:1], V[lo:hi]])
-        best = int(np.argmax(cand_vals))
-        points.append(top_pts[0] if best == 0 else S[lo + best - 1])
-        values.append(float(cand_vals[best]))
-    checks = f(np.array(points), np.arange(len(weights)))
-    for value, check in zip(values, checks):
-        if abs(check - value) > 1e-12:
-            raise AssertionError(f"optimizer value {value} failed re-evaluation ({check})")
-    return [OptResult(p, v, int(e)) for p, v, e in zip(points, values, f.evals)]
+    f = _Counted(objective)
+    top_vals, top_pts = _scan_lattice(f, dim, cfg.grid_denominator, cfg.refine_starts)
+    key = orbit_key or (lambda r: np.round(r, 12).tobytes())
+    starts = {}
+    for r in list(top_pts) + extras:
+        starts.setdefault(key(r), r)
+    S, V = _refine(f, np.array(list(starts.values())), cfg)
+    cand_vals = np.concatenate([top_vals[:1], V])
+    best = int(np.argmax(cand_vals))
+    point = top_pts[0] if best == 0 else S[best - 1]
+    value = float(cand_vals[best])
+    check = float(f(point[None])[0])
+    if abs(check - value) > 1e-12:
+        raise AssertionError(f"optimizer value {value} failed re-evaluation ({check})")
+    return OptResult(point, value, f.evals)
 
 
 def maximize_simplex(objective, dim: int, cfg: OptConfig | None = None, extra_starts=()) -> OptResult:
@@ -505,29 +453,7 @@ def maximize_simplex(objective, dim: int, cfg: OptConfig | None = None, extra_st
     """
     if dim < 1:
         raise ValueError("dim must be a positive integer")
-    cfg = cfg or default_config(dim)
-    (res,) = _maximize_flat(lambda P, w: objective(P), dim, cfg, np.zeros(1), extra_starts)
-    return res
-
-
-def maximize_simplex_weights(features, dim: int, coeffs, cfg: OptConfig | None = None) -> list[OptResult]:
-    """maximize_simplex of P -> c . features(P) at every coefficient row c
-    of coeffs (W x k), solved in one batch; one OptResult per row, in order.
-
-    features maps a distribution batch to k arrays over its leading axes
-    (as channel.component_entropies does), and each value is their
-    combine() with the row. Each result, evaluation count included, equals
-    that of a one-row call, because the lattice scan and the start
-    selection run per row, each start ascends on its own path, and a row's
-    value does not depend on its batch.
-    """
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
-    coeffs = np.asarray(coeffs, dtype=float)
-    if len(coeffs) == 0:
-        return []
-    objective = lambda P, c: combine(features(P), c)
-    return _maximize_flat(objective, dim, cfg or default_config(dim), coeffs)
+    return _maximize_flat(objective, dim, cfg or default_config(dim), extra_starts)
 
 
 def maximize_joint(
@@ -550,7 +476,7 @@ def maximize_joint(
     dim = u_size * x_size
     cfg = cfg or default_config(dim)
 
-    def flat_obj(arr, w):
+    def flat_obj(arr):
         a = np.asarray(arr, dtype=float)
         return objective(a.reshape(a.shape[:-1] + (u_size, x_size)))
 
@@ -560,6 +486,96 @@ def maximize_joint(
             rows = np.round(pt.reshape(u_size, x_size), 12)
             return tuple(sorted(map(tuple, rows.tolist())))
 
-    (res,) = _maximize_flat(flat_obj, dim, cfg, np.zeros(1), extra_starts, orbit_key=orbit_key)
+    res = _maximize_flat(flat_obj, dim, cfg, extra_starts, orbit_key=orbit_key)
     res.argmax = res.argmax.reshape(u_size, x_size)
     return res
+
+
+def _slope(q, dq, C, blocks, t):
+    """d/dt of sum_k c_k H(q_k + t dq_k) in bits, dq summing to 0 per block."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = np.where(dq != 0.0, -np.log2(np.maximum(q + t[:, None] * dq, 0.0)) * dq, 0.0)
+        return sum(np.where(C[:, k] > 0.0, C[:, k] * term[:, a:b].sum(axis=1), 0.0) for k, (a, b) in enumerate(blocks))
+
+
+def _newton_directions(p, g, cells, C, same):
+    """Newton directions d with sum d = 0 on the face {p_x > _FACE}, for the
+    gradient g there. The Hessian -sum_k c_k [f_k(x) = f_k(x')] / (q_k ln 2)
+    is scaled to a unit diagonal, whose pseudo-inverse skips only the flat
+    directions of inputs with equal images."""
+    W, n = p.shape
+    face = p > _FACE
+    hess = -sum(same[k] * (C[:, k, None] / np.where(face, cells[..., k], 1.0))[:, :, None] for k in range(C.shape[1]))
+    u = np.where(face, 1.0 / np.sqrt(-np.diagonal(hess, axis1=1, axis2=2)), 0.0)
+    kkt = np.zeros((W, n + 1, n + 1))
+    kkt[:, :n, :n] = u[:, :, None] * hess / math.log(2.0) * u[:, None, :]
+    kkt[:, :n, n] = kkt[:, n, :n] = u
+    rhs = np.append(-u * g, np.zeros((W, 1)), axis=1)
+    d = u * (np.linalg.pinv(kkt, hermitian=True) @ rhs[..., None])[:, :n, 0]
+    # The solve meets sum d = 0 only to its conditioning; keep the mass.
+    d[np.arange(W), p.argmax(axis=1)] -= d.sum(axis=1)
+    return d
+
+
+def maximize_pushforward_entropies(indicator, blocks, coeffs) -> list[OptResult]:
+    """Maximum over input laws p of sum_k c_k H(p @ A_k) at each row c of
+    coeffs (W x K), one OptResult per row; A_k is the column block
+    blocks[k] = (start, stop) of the 0/1 indicator, one 1 per row in each.
+
+    Coefficients must be non-negative (above -1e-12, which counts as 0), so
+    the objective is concave and bounded, for any full-support q_k, by
+    max_x sum_k c_k (-log2 q_k[f_k(x)]) (Gallager's dual bound). A row stops
+    once the least such bound, q its pushforwards mixed with a share of
+    uniform in _MIXES, exceeds its value by at most GAP_TOLERANCE. From the
+    uniform law it takes Newton steps, or pairwise Frank-Wolfe steps (from
+    the lowest-scoring input with mass to the highest-scoring one) when
+    either is off the Newton face or Newton does not ascend, each with an
+    exact line search. Each result, evaluation count included, is that of
+    a one-row call; a row not certified in _BUDGET iterations raises
+    RuntimeError.
+    """
+    C = np.asarray(coeffs, dtype=float).reshape(-1, len(blocks))
+    if (C < -1e-12).any():
+        raise ValueError(f"coefficients must be non-negative, min entry {C.min()}")
+    C = np.maximum(C, 0.0)
+    idx = np.stack([a + np.argmax(indicator[:, a:b], axis=1) for a, b in blocks], axis=1)
+    same = [idx[:, k, None] == idx[:, k] for k in range(len(blocks))]
+    share = _MIXES[:, None, None, None]
+    uniform = share / np.array([b - a for a, b in blocks])
+    P = np.full((len(C), len(indicator)), 1.0 / len(indicator))
+    value, evals, live = np.zeros(len(C)), np.zeros(len(C), dtype=np.int64), np.arange(len(C))
+    for it in range(_BUDGET + 1):
+        p, c = P[live], C[live]
+        q = pushforward(p, indicator)
+        value[live] = v = combine(block_entropies(q, blocks), c)
+        evals[live] += 1
+        # sum_k c_k (-log2 q_k[f_k(x)]) per share, row and input x; an empty
+        # cell adds +inf where c_k > 0 and nothing where c_k = 0.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(c[:, None] > 0.0, c[:, None] * -np.log2((1.0 - share) * q[:, idx] + uniform), 0.0)
+        scores = sum(terms[..., k] for k in range(len(blocks)))
+        open_ = ~(scores.max(axis=2).min(axis=0) - v <= GAP_TOLERANCE)
+        live, p, c, q, s, s0 = live[open_], p[open_], c[open_], q[open_], scores[0, open_], scores[1, open_]
+        if live.size == 0:
+            break
+        if it == _BUDGET:
+            raise RuntimeError(f"coefficient rows {C[live].tolist()} not certified within {_BUDGET} iterations")
+        best, worst = s.argmax(axis=1), np.where(p > 0.0, s0, np.inf).argmin(axis=1)
+        g = np.where(p > _FACE, s0, 0.0)
+        d = _newton_directions(p, g, q[:, idx], c, same)
+        ends = np.take_along_axis(p, np.stack((best, worst), axis=1), axis=1)
+        fw = (ends <= _FACE).any(axis=1) | ((g * d).sum(axis=1) <= 0.0)
+        d[fw] = np.eye(len(indicator))[best[fw]] - np.eye(len(indicator))[worst[fw]]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_max = np.where(d < 0.0, p / -d, np.inf).min(axis=1)
+        dq = pushforward(d, indicator)
+        lo, hi = np.zeros(live.size), t_max
+        for _ in range(_BISECT):
+            mid = 0.5 * (lo + hi)
+            up = _slope(q, dq, c, blocks, mid) > 0.0
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        evals[live] += _BISECT
+        # A root within resolution of t_max is t_max: no cell keeps a sliver.
+        step = np.maximum(p + np.where(hi == t_max, t_max, lo)[:, None] * d, 0.0)
+        P[live] = step / step.sum(axis=1, keepdims=True)
+    return [OptResult(P[w], float(value[w]), int(evals[w])) for w in range(len(C))]

@@ -37,7 +37,7 @@ class TestRegionCommand:
         out = tmp_path / "region.csv"
         rc = main(
             ["region", "--channel", bw_json, "--p1", "0.7", "--p2", "0.3",
-             "--n-lambda", "8", "--grid", "12", "--out", str(out)]
+             "--n-lambda", "8", "--out", str(out)]
         )
         assert rc == 0
         text = out.read_text()
@@ -55,7 +55,7 @@ class TestRegionCommand:
             out = tmp_path / name
             rc = main(
                 ["region", "--channel", bw_json, "--p1", "0.6", "--p2", "0.4",
-                 "--n-lambda", "6", "--grid", "8", "--out", str(out)]
+                 "--n-lambda", "6", "--out", str(out)]
             )
             assert rc == 0
             outs.append(out.read_bytes())
@@ -67,7 +67,7 @@ class TestSupportCommand:
         out = tmp_path / "supp.csv"
         rc = main(
             ["support", "--channel", bw_json, "--p1", "0.7", "--p2", "0.3",
-             "--lambdas", "8", "--grid", "12", "--out", str(out)]
+             "--lambdas", "8", "--out", str(out)]
         )
         assert rc == 0
         lines = out.read_text().strip().splitlines()
@@ -113,6 +113,13 @@ class TestValidationErrors:
         rc = main(["region", "--channel", bw_json, "--out", str(tmp_path / "o.csv")])
         assert rc == 2
         assert "p1 and p2" in capsys.readouterr().err
+
+    def test_grid_is_a_verify_option_only(self, bw_json, tmp_path, capsys):
+        # The inner solver has no lattice; only verify's joint search does.
+        with pytest.raises(SystemExit) as exc:
+            main(["region", "--channel", bw_json, "--p1", "0.7", "--p2", "0.3", "--grid", "12", "--out", str(tmp_path / "o.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid 12" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         rc = main(["region", "--channel", str(tmp_path / "nope.json"), "--p1", "0.7", "--p2", "0.3", "--out", str(tmp_path / "o.csv")])
@@ -167,7 +174,7 @@ class TestRegions4Command:
         prefix = str(tmp_path / "bw-")
         rc = main(
             ["regions4", "--channel", bw_json, "--p1", "0.7", "--p2", "0.3",
-             "--n-lambda", "6", "--grid", "12", "--px-grid", "60", "--out", prefix]
+             "--n-lambda", "6", "--px-grid", "60", "--out", prefix]
         )
         assert rc == 0
         names = sorted(p.name for p in tmp_path.glob("bw-*.csv"))

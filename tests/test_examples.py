@@ -22,10 +22,8 @@ from statebc import (
 )
 from statebc.channel import induced_joint
 from statebc.infotheory import report
-from statebc.regions import OptConfig, corner_values, make_polygon
+from statebc.regions import corner_values, make_polygon
 from statebc.simplexopt import iter_lattice
-
-FAST = OptConfig(grid_denominator=12, refine_starts=3, refine_iters=150)
 
 
 class TestBlackwellChannel:
@@ -46,7 +44,7 @@ class TestBlackwellChannel:
         # With states pinned the support curve is the classic no-state one;
         # cross-check the region against the closed-form sweep.
         hull = blackwell_sweep_hull(1.0, 0.0, grid=201)
-        poly = capacity_polygon(blackwell_channel(1.0, 0.0), n_lambda=24, cfg=FAST)
+        poly = capacity_polygon(blackwell_channel(1.0, 0.0), n_lambda=24)
         from statebc.regions import polygon_support
 
         for lam in np.linspace(0.0, 1.0, 16):

@@ -5,11 +5,18 @@ objectives or the optimizer that moves a result shows up here: region
 polygons must keep their support function within 1e-7 bits over 256
 directions, and the support and verify tables must print the same values,
 case ids and verdicts.
+
+To re-record after an intended move, rerun the commands into tests/data:
+
+    PYTHONPATH=src python tests/test_golden.py [file ...]
+
+which rewrites the named recorded files (all of them by default).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,11 +37,14 @@ SUPPORT_TOL = 1e-7
 GAP_TOL = 1e-12
 
 
-def rerun(argv, tmp_path) -> str:
-    out = tmp_path / "out.csv"
+def run(argv, out) -> None:
     argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
     assert main(argv + ["--out", str(out)]) in (0, 1)
-    return out.read_text(encoding="utf-8")
+
+
+def rerun(argv, tmp_path) -> str:
+    run(argv, tmp_path / "out.csv")
+    return (tmp_path / "out.csv").read_text(encoding="utf-8")
 
 
 def recorded(name: str) -> str:
@@ -77,3 +87,10 @@ def test_tables_print_the_same_values(name, tmp_path):
             assert abs(float(g[3]) - float(w[3])) <= GAP_TOL
         else:
             assert g == w
+
+
+if __name__ == "__main__":
+    runs = {**REGION_RUNS, **TABLE_RUNS}
+    for name in sys.argv[1:] or runs:
+        run(runs[name], DATA / name)
+        print(f"recorded {DATA / name}")

@@ -6,17 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statebc import (
     ChannelSpec,
     FiniteFieldSpec,
-    OptConfig,
     blackwell_channel,
     capacity_polygon,
     case_spanning_lambdas,
     convex_hull,
     finite_field_channel,
-    maximize_simplex,
     polygon_contains,
     polygon_support,
     primed_regions,
@@ -36,12 +35,9 @@ from statebc.regions import (
     polygon_to_csv,
     support_curve_to_csv,
 )
-from statebc.channel import component_entropies
-from statebc.simplexopt import combine, iter_lattice
+from statebc.channel import component_entropies, stacked_indicator
+from statebc.simplexopt import combine, iter_lattice, maximize_pushforward_entropies
 from conftest import random_spec
-
-FAST = OptConfig(grid_denominator=12, refine_starts=3, refine_iters=150)
-
 
 def vertices_close(poly, expected, tol):
     """Every expected point has a vertex within tol and every vertex lies
@@ -112,7 +108,7 @@ class TestSupportInner:
 
     def test_curve_monotone(self, blackwell_07_03):
         lams = np.linspace(0.0, 3.0, 13)
-        curve = support_curve(blackwell_07_03, lams, FAST)
+        curve = support_curve(blackwell_07_03, lams)
         vals = [s.value for s in curve.samples]
         for a, b in zip(vals, vals[1:]):
             assert b >= a - 1e-8
@@ -121,21 +117,21 @@ class TestSupportInner:
 class TestCapacityPolygon:
     def test_finite_field_full_square(self):
         spec = finite_field_channel(FiniteFieldSpec(2, ((1, 1), (1, 0))), 1.0, 0.0)
-        poly = capacity_polygon(spec, n_lambda=16, cfg=FAST)
+        poly = capacity_polygon(spec, n_lambda=16)
         vertices_close(poly, [(0, 0), (1, 0), (1, 1), (0, 1)], tol=5e-3)
 
     def test_finite_field_generic(self, ff2_07_04):
-        poly = capacity_polygon(ff2_07_04, n_lambda=16, cfg=FAST)
+        poly = capacity_polygon(ff2_07_04, n_lambda=16)
         vertices_close(poly, [(0, 0), (1, 0), (0.7, 0.6), (0, 1)], tol=5e-3)
 
     def test_blackwell_time_division_triangle(self):
-        poly = capacity_polygon(blackwell_channel(0.5, 0.5), n_lambda=16, cfg=FAST)
+        poly = capacity_polygon(blackwell_channel(0.5, 0.5), n_lambda=16)
         vertices_close(poly, [(0, 0), (1, 0), (0, 1)], tol=1e-3)
 
     def test_swapped_input_transposes(self):
         spec = ChannelSpec(3, (0, 1, 1), (0, 0, 1), 0.3, 0.7)
-        direct = capacity_polygon(spec, n_lambda=8, cfg=FAST)
-        canon = capacity_polygon(ChannelSpec(3, (0, 1, 1), (0, 0, 1), 0.7, 0.3), n_lambda=8, cfg=FAST)
+        direct = capacity_polygon(spec, n_lambda=8)
+        canon = capacity_polygon(ChannelSpec(3, (0, 1, 1), (0, 0, 1), 0.7, 0.3), n_lambda=8)
         expected = transpose_polygon(canon)
         assert len(direct.vertices) == len(expected.vertices)
         for a, b in zip(direct.vertices, expected.vertices):
@@ -147,9 +143,9 @@ class TestCapacityPolygon:
         # corresponding half-plane and some vertex attains it.
         from statebc.regions import _lambda_grid
 
-        poly = capacity_polygon(blackwell_07_03, n_lambda=16, cfg=FAST)
+        poly = capacity_polygon(blackwell_07_03, n_lambda=16)
         for lam in _lambda_grid(blackwell_07_03, 16):
-            value, _, _ = support_inner(blackwell_07_03, float(lam), FAST)
+            value, _, _ = support_inner(blackwell_07_03, float(lam))
             reached = polygon_support(poly, 1.0, float(lam))
             assert reached <= value + 1e-6
             assert reached >= value - 1e-3
@@ -191,18 +187,18 @@ class TestWeightBatching:
             return halfplane_vertices(constraints, *args, **kwargs)
 
         monkeypatch.setattr(regions, "halfplane_vertices", record)
-        capacity_polygon(spec, n_lambda=8, cfg=FAST)
+        capacity_polygon(spec, n_lambda=8)
         c2_row = regions._coefficient_row(spec, 1, 1.0 / thresholds(spec)[1], 1.0)
-        c2 = maximize_simplex(lambda p: combine(component_entropies(spec, p), c2_row), spec.input_size, FAST).value
+        (c2,) = maximize_pushforward_entropies(*stacked_indicator(spec), [c2_row])
         halfplanes = seen[2:]
         assert len(halfplanes) > 8
         for a, b, c in halfplanes:
             if a == 1.0:
-                assert c == support_inner(spec, b, FAST)[0]
+                assert c == support_inner(spec, b)[0]
             elif a > 0.0:
-                assert b == 1.0 and c == regions._solve(spec, [(a, 1.0)], FAST)[0][0]
+                assert b == 1.0 and c == regions._solve(spec, [(a, 1.0)])[0][0]
             else:
-                assert (a, b, c) == (0.0, 1.0, c2)
+                assert (a, b, c) == (0.0, 1.0, c2.value)
 
 
 # The per-case support objectives as the paper states them, the reference
@@ -252,7 +248,7 @@ class TestCornerTables:
         P = np.random.default_rng(31).dirichlet(np.ones(spec.input_size), size=200)
         F = component_entropies(spec, P)
         for lam in case_spanning_lambdas(spec, 32):
-            # (1, lam) above 1 keeps the unscaled R4 objective, then lam * C2.
+            # (1, lam) above 1 gives the R4 objective, then lam * C2.
             if lam <= 1.0:
                 want = ref_support(spec, 1.0, lam, F)
             else:
@@ -281,9 +277,39 @@ class TestCornerTables:
         np.testing.assert_allclose(table_support(spec, 1.0, 1.0, F), ref_r3(spec, *F, 1.0), rtol=0, atol=1e-12)
 
 
+# Canonical state probabilities: generic pairs and the degenerate p2 = 0,
+# p1 = p2, (1, 1), (1, 0) and (0, 0).
+_PROBS = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(lambda p: tuple(sorted(p, reverse=True))),
+    st.floats(0.0, 1.0).map(lambda p: (p, 0.0)),
+    st.floats(0.0, 1.0).map(lambda p: (p, p)),
+    st.sampled_from([(1.0, 1.0), (1.0, 0.0), (0.0, 0.0)]),
+)
+
+
+@st.composite
+def canonical_specs(draw):
+    n = draw(st.integers(2, 9))
+    maps = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return ChannelSpec(n, tuple(draw(maps)), tuple(draw(maps)), *draw(_PROBS))
+
+
+_WEIGHTS = st.floats(0.0, 1e3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(canonical_specs(), st.tuples(_WEIGHTS, _WEIGHTS).filter(lambda d: max(d) > 0.0))
+def test_clamped_rows_are_non_negative(spec, direction):
+    # The solver's precondition: every clamped coefficient row is
+    # non-negative up to rounding, which makes the inner objective concave
+    # and its dual bound sound.
+    row = regions._coefficient_row(spec, *regions._support_row(spec, *direction)[:3])
+    assert row.min() >= -1e-12
+
+
 class TestPropositionRegions:
     def test_finite_field_rectangles(self, ff2_07_04):
-        r1, r2, r3, r4 = proposition_regions(ff2_07_04, n_lambda=16, cfg=FAST)
+        r1, r2, r3, r4 = proposition_regions(ff2_07_04, n_lambda=16)
         assert r1.label == "R1" and r4.label == "R4"
         vertices_close(r3, [(0, 0), (0.7, 0), (0.7, 0.6), (0, 0.6)], tol=5e-3)
         vertices_close(r4, [(0, 0), (0.7, 0), (0.7, 0.6), (0, 0.6)], tol=5e-3)
@@ -305,7 +331,7 @@ class TestPropositionRegions:
                 nz = arr > 0
                 out[:] = -np.where(nz, arr * np.log2(np.where(nz, arr, 1.0)), 0.0).sum(axis=1)
             best = max(best, float((0.7 * h1 + 0.3 * h2).max()))
-        r1 = proposition_regions(blackwell_07_03, n_lambda=8, cfg=FAST)[0]
+        r1 = proposition_regions(blackwell_07_03, n_lambda=8)[0]
         c1 = max(v.r1 for v in r1.vertices)
         assert c1 >= best - 1e-9
         assert c1 == pytest.approx(best, abs=1e-3)
@@ -313,7 +339,7 @@ class TestPropositionRegions:
 
 class TestPrimedRegions:
     def test_containment(self, ff2_07_04):
-        regs = proposition_regions(ff2_07_04, n_lambda=16, cfg=FAST)
+        regs = proposition_regions(ff2_07_04, n_lambda=16)
         primes = primed_regions(ff2_07_04, px_grid=48)
         for a, b in ((regs[2], primes[2]), (regs[3], primes[3])):
             for v in a.vertices:
@@ -332,7 +358,7 @@ class TestPrimedRegions:
         primes = primed_regions(spec, px_grid=200)
         pts = [(v.r1, v.r2) for poly in primes for v in poly.vertices]
         hull = make_polygon(pts, "union")
-        cap = capacity_polygon(spec, n_lambda=16, cfg=FAST)
+        cap = capacity_polygon(spec, n_lambda=16)
         for lam in np.linspace(0.0, 1.0, 8):
             assert polygon_support(hull, 1.0, float(lam)) == pytest.approx(
                 polygon_support(cap, 1.0, float(lam)), abs=1e-3
@@ -401,7 +427,7 @@ class TestGeometry:
 
 class TestCsv:
     def test_polygon_round_trip(self, ff2_07_04):
-        poly = capacity_polygon(ff2_07_04, n_lambda=8, cfg=FAST)
+        poly = capacity_polygon(ff2_07_04, n_lambda=8)
         text = polygon_to_csv(poly)
         lines = text.strip().splitlines()
         assert lines[0] == "r1,r2"
@@ -413,7 +439,7 @@ class TestCsv:
         assert hull.shape[0] >= len(reparsed) - 1
 
     def test_support_curve_csv(self, blackwell_07_03):
-        curve = support_curve(blackwell_07_03, [0.0, 0.5, 1.0], FAST)
+        curve = support_curve(blackwell_07_03, [0.0, 0.5, 1.0])
         text = support_curve_to_csv(curve)
         lines = text.strip().splitlines()
         assert lines[0] == "lambda,value,case,px0,px1,px2"
