@@ -55,7 +55,7 @@ from .regions import (
     thresholds,
     transpose_polygon,
 )
-from .simplexopt import OptConfig, OptResult, default_config, maximize_joint, maximize_simplex
+from .simplexopt import OptResult, maximize_joint, maximize_simplex
 
 __version__ = "0.1.0"
 
@@ -66,7 +66,6 @@ __all__ = [
     "ConverseSample",
     "EntropyReport",
     "FiniteFieldSpec",
-    "OptConfig",
     "OptResult",
     "RatePair",
     "RegionPolygon",
@@ -85,7 +84,6 @@ __all__ = [
     "channel_from_dict",
     "component_entropies",
     "convex_hull",
-    "default_config",
     "dof",
     "entropy",
     "finite_field_channel",

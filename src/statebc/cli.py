@@ -26,7 +26,6 @@ from .regions import (
     support_curve,
     transpose_polygon,
 )
-from .simplexopt import OptConfig
 
 
 def _parse_h(text: str) -> tuple[int, int, int, int]:
@@ -68,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambdas", type=int, default=32, help="number of lambda samples")
     sp.add_argument("--u-size", type=int, default=0, help="auxiliary alphabet size (default |X|+1)")
     sp.add_argument("--tol", type=float, default=5e-3, help="gap tolerance in bits")
-    sp.add_argument("--grid", type=int, default=0, help="joint lattice denominator override")
 
     sp = sub.add_parser("regions4", help="four-region decomposition and its sweep cross-check")
     channel_opts(sp)
@@ -135,8 +133,7 @@ def run(args: argparse.Namespace) -> int:
         canon, _ = canonicalize(spec)
         lambdas = case_spanning_lambdas(canon, args.lambdas)
         u_size = args.u_size if args.u_size > 0 else None
-        cfg = OptConfig(grid_denominator=args.grid) if args.grid > 0 else None
-        report = verify_converse(canon, lambdas, u_size=u_size, tol=args.tol, cfg=cfg)
+        report = verify_converse(canon, lambdas, u_size=u_size, tol=args.tol)
         if args.out:
             _write(args.out, _header(canon.p1, canon.p2) + converse_to_csv(report))
         verdict = "pass" if report.passed else "fail"

@@ -25,7 +25,6 @@ from .channel import ChannelSpec, indicator_matrices, require_canonical
 from .infotheory import binary_entropy, entropy
 from .regions import format_number, support_curve, support_inner, thresholds
 from .simplexopt import (
-    OptConfig,
     OptResult,
     combine,
     iter_lattice,
@@ -107,7 +106,6 @@ def support_outer_result(
     spec: ChannelSpec,
     lam: float,
     u_size: int | None = None,
-    cfg: OptConfig | None = None,
     seed_px=None,
 ) -> OptResult:
     """Outer-bound support maximization returning the full optimizer result.
@@ -129,18 +127,17 @@ def support_outer_result(
     px = np.asarray(seed_px, dtype=float)
     seeds = structure_seeds(spec, u, px)
     obj = outer_objective(spec, lam, u)
-    return maximize_joint(obj, (u, n), cfg, extra_starts=seeds, symmetric_u=True)
+    return maximize_joint(obj, (u, n), extra_starts=seeds)
 
 
 def support_outer(
     spec: ChannelSpec,
     lam: float,
     u_size: int | None = None,
-    cfg: OptConfig | None = None,
     seed_px=None,
 ) -> float:
     """Outer-bound support value max(R1 + lam*R2) in bits."""
-    return support_outer_result(spec, lam, u_size, cfg, seed_px=seed_px).value
+    return support_outer_result(spec, lam, u_size, seed_px=seed_px).value
 
 
 def verify_converse(
@@ -148,7 +145,6 @@ def verify_converse(
     lambdas,
     u_size: int | None = None,
     tol: float = 5e-3,
-    cfg: OptConfig | None = None,
 ) -> ConverseReport:
     """Match inner and outer supports at each weight and report the gaps.
 
@@ -164,7 +160,7 @@ def verify_converse(
         raise ValueError("tolerance must be non-negative")
     samples = []
     for lam, inner, case, px in support_curve(spec, lambdas).samples:
-        outer = support_outer(spec, lam, u_size, cfg, seed_px=px)
+        outer = support_outer(spec, lam, u_size, seed_px=px)
         gap = outer - inner
         if gap < -1e-9:
             raise RuntimeError(

@@ -3,9 +3,8 @@
 maximize_simplex and maximize_joint take any vectorized objective: an
 exhaustive evaluation on the rational lattice {k/m : sum k = m}, then local
 ascent seeded from the best lattice points. The ascent repeatedly moves mass
-between one pair of coordinates: a vectorized scan over all pairs and a
-geometric step grid picks the most promising move, and a golden-section line
-search polishes its size, so simplex feasibility is preserved exactly.
+between one pair of coordinates: a golden-section line search on every pair
+picks the best move, so simplex feasibility is preserved exactly.
 
 maximize_pushforward_entropies solves the concave case, many coefficient rows
 at once, each to a certified gap.
@@ -34,7 +33,13 @@ _BLOCK_BYTES = 256 * 1024
 _MEMO_POINT_LIMIT = 200_000
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 24
-_FRACS = np.array([0.03125, 0.125, 0.25, 0.5, 0.75, 1.0])
+
+# maximize_simplex and maximize_joint: the lattice points that seed the
+# ascent, its iteration budget, and the gain (bits) below which a start
+# stops moving.
+_STARTS = 8
+_ASCENT_BUDGET = 300
+_STEP_TOLERANCE = 1e-9
 
 # maximize_pushforward_entropies: the certified gap (bits) at which a row
 # stops; the shares of uniform mixed into the pushforwards for the dual
@@ -45,32 +50,6 @@ _MIXES = np.array([1e-12, 0.0] + [10.0**-k for k in range(3, 16)])
 _FACE = 1e-8
 _BISECT = 56
 _BUDGET = 2000
-
-
-@dataclass(frozen=True)
-class OptConfig:
-    """Search resolution knobs.
-
-    grid_denominator is the lattice resolution m; refine_starts the number of
-    top lattice points seeding local ascent; refine_iters the mass-move budget
-    per seed; step_tolerance the per-move improvement (bits) below which a
-    seed is considered converged.
-    """
-
-    grid_denominator: int
-    refine_starts: int = 8
-    refine_iters: int = 300
-    step_tolerance: float = 1e-9
-
-    def __post_init__(self):
-        if self.grid_denominator < 2:
-            raise ValueError("grid_denominator must be >= 2")
-        if self.refine_starts < 1:
-            raise ValueError("refine_starts must be a positive integer")
-        if self.refine_iters < 1:
-            raise ValueError("refine_iters must be a positive integer")
-        if self.step_tolerance <= 0.0:
-            raise ValueError("step_tolerance must be positive")
 
 
 def default_grid(dim: int) -> int:
@@ -87,10 +66,6 @@ def default_grid(dim: int) -> int:
     if dim <= 16:
         return 5
     return 4
-
-
-def default_config(dim: int) -> OptConfig:
-    return OptConfig(grid_denominator=default_grid(dim))
 
 
 @dataclass
@@ -191,7 +166,9 @@ def combine(features, coeffs):
 
 
 class _Counted:
-    """An objective that counts the points it evaluates."""
+    """An objective, called on a stack of points, that counts the points it
+    evaluates. It raises unless the objective returns one value per point,
+    none of them NaN."""
 
     def __init__(self, objective):
         self.objective = objective
@@ -199,16 +176,13 @@ class _Counted:
 
     def __call__(self, P: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.objective(P), dtype=float)
+        if vals.shape != P.shape[:1]:
+            raise ValueError("objective must return one value per input point")
+        nan = np.isnan(vals)
+        if nan.any():
+            raise ValueError(f"objective returned NaN at point {P[nan.argmax()].tolist()}")
         self.evals += vals.size
         return vals
-
-
-def _check_values(vals: np.ndarray, pts: np.ndarray) -> None:
-    if vals.shape[-1:] != pts.shape[:1]:
-        raise ValueError("objective must return one value per input point")
-    if np.isnan(vals).any():
-        i = int(np.flatnonzero(np.isnan(vals))[0]) % pts.shape[0]
-        raise ValueError(f"objective returned NaN at point {pts[i].tolist()}")
 
 
 def _scan_lattice(f: _Counted, dim: int, m: int, top_k: int):
@@ -220,7 +194,6 @@ def _scan_lattice(f: _Counted, dim: int, m: int, top_k: int):
     for block in iter_lattice(m, dim):
         pts = block.astype(float) / m
         vals = f(pts)
-        _check_values(vals, pts)
         k_here = min(top_k, vals.shape[0])
         idx = np.sort(np.argpartition(-vals, k_here - 1)[:k_here]) if k_here < vals.shape[0] else slice(None)
         cand_vals = np.concatenate([top_vals, vals[idx]])
@@ -272,13 +245,11 @@ def _golden_polish(f: _Counted, base, delta, hi, iters: int = _GOLDEN_ITERS):
 
 
 def _full_pair_polish(f: _Counted, S, V, rows, i_idx, delta, step_tolerance, iters):
-    """Golden-section line search over every ordered pair for the given state
-    rows; the rigorous stall check before a state is frozen. The coarse step
-    grid of the main scan can miss pairs whose optimal move is tiny, so a
-    state only freezes once no pair improves it. One search runs over every
+    """One ascent step for the given state rows: a golden-section line search
+    over every ordered pair with mass to move. One search runs over every
     (row, live pair) at once, and each row takes its first best pair, as a
-    search of that row alone would. Applies improving moves in place and
-    returns the rescued mask."""
+    search of that row alone would. Applies moves that gain more than
+    step_tolerance in place and returns the mask of rows that moved."""
     hi = S[rows][:, i_idx]
     r, pair = np.nonzero(hi > 0.0)
     t_g, v_g = _golden_polish(f, S[rows[r]], delta[pair], hi[r, pair], iters)
@@ -289,138 +260,50 @@ def _full_pair_polish(f: _Counted, S, V, rows, i_idx, delta, step_tolerance, ite
     b = v_row.argmax(axis=1)
     pos = np.arange(len(rows))
     t_b, v_b = t_row[pos, b], v_row[pos, b]
-    rescued = v_b > V[rows] + step_tolerance
-    s = rows[rescued]
-    S[s] = np.maximum(S[s] + t_b[rescued, None] * delta[b[rescued]], 0.0)
-    V[s] = v_b[rescued]
-    return rescued
+    moved = v_b > V[rows] + step_tolerance
+    s = rows[moved]
+    S[s] = np.maximum(S[s] + t_b[moved, None] * delta[b[moved]], 0.0)
+    V[s] = v_b[moved]
+    return moved
 
 
-def _pattern_step(f: _Counted, S, V, rows, snap, step_tolerance, iters):
-    """Line search along the accumulated move direction (current minus
-    snapshot) for the given state rows; de-zigzags ridge-shaped objectives.
-    Returns the gain per row; applies improving steps in place."""
-    base = S[rows]
-    D = base - snap[rows]
-    span = np.abs(D).max(axis=1)
-    live = span > 1e-15
-    gain = np.zeros(len(rows))
-    if not live.any():
-        return gain
-    sub = rows[live]
-    base = S[sub]
-    D = D[live]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(D < -1e-18, base / np.maximum(-D, 1e-300), np.inf)
-    t_lim = np.minimum(ratio.min(axis=1), 8.0)
-    ok = t_lim > 0.0
-    if not ok.any():
-        return gain
-    sub = sub[ok]
-    base = base[ok]
-    D = D[ok]
-    t_lim = t_lim[ok]
-    t_g, v_g = _golden_polish(f, base, D, t_lim, iters)
-    improve = v_g > V[sub] + step_tolerance
-    tgt = sub[improve]
-    S[tgt] = np.maximum(base[improve] + t_g[improve, None] * D[improve], 0.0)
-    gain[np.flatnonzero(live)[ok][improve]] = v_g[improve] - V[tgt]
-    V[tgt] = v_g[improve]
-    return gain
-
-
-def _refine(f: _Counted, starts: np.ndarray, cfg: OptConfig):
-    """Two-phase refinement: ascend every start at a coarse tolerance, then
-    polish only the leaders (within 1e-4 bits of the best, at most three) at
-    the configured tolerance. Laggard starts cannot win, so the tail cost is
-    spent where it matters."""
-    coarse_tol = max(cfg.step_tolerance, 1e-6)
-    S, V = _ascend(f, starts, coarse_tol, min(cfg.refine_iters, 80), polish=False)
-    if coarse_tol > cfg.step_tolerance:
-        # Best first, ties in start order.
-        order = np.argsort(-V, kind="stable")
-        lead = order[:3][V[order[:3]] >= V[order[0]] - 1e-4]
-        S[lead], V[lead] = _ascend(f, S[lead], cfg.step_tolerance, cfg.refine_iters, polish=True)
+def _refine(f: _Counted, starts: np.ndarray):
+    """Two-phase refinement: ascend every start at a coarse tolerance with
+    short line searches, then only the leaders (within 1e-4 bits of the best,
+    at most three) at _STEP_TOLERANCE. Laggard starts cannot win, so the tail
+    cost is spent where it matters."""
+    S, V = _ascend(f, starts, 1e-6, 12)
+    # Best first, ties in start order.
+    order = np.argsort(-V, kind="stable")
+    lead = order[:3][V[order[:3]] >= V[order[0]] - 1e-4]
+    S[lead], V[lead] = _ascend(f, S[lead], _STEP_TOLERANCE, _GOLDEN_ITERS)
     # Renormalize accumulated float drift exactly onto the simplex, then
     # re-evaluate so returned values match returned points.
     S = S / S.sum(axis=1, keepdims=True)
     return S, f(S)
 
 
-def _ascend(f: _Counted, starts: np.ndarray, step_tolerance: float, max_iters: int, polish: bool = True):
-    """Greedy pairwise-exchange ascent, batched over start points. Each
-    iteration applies to every still-active start its single best mass move
-    (pair scan over a geometric step grid, then golden-section polish); a
-    periodic pattern step along the accumulated direction accelerates
-    convergence along ridges where single-pair moves zigzag, and a state
-    only freezes after a full per-pair line search fails to improve it. A
-    start's path depends on its own state alone."""
+def _ascend(f: _Counted, starts: np.ndarray, step_tolerance: float, golden_iters: int):
+    """Pairwise-exchange ascent, batched over start points: each iteration
+    moves every active start along its best pair (_full_pair_polish), and a
+    start stops once no pair gains more than step_tolerance. A start's path
+    depends on its own state alone. A start still moving after
+    _ASCENT_BUDGET iterations raises RuntimeError."""
     S = np.array(starts, dtype=float)
-    k, dim = S.shape
     V = f(S)
-    _check_values(V, S)
-    if dim == 1 or k == 0:
-        return S, V
-    i_idx, delta = _pair_deltas(dim)
-    active = np.ones(k, dtype=bool)
-    snap = S.copy()
-    age = np.zeros(k, dtype=int)
-    # Near-tied landscapes can sustain microscopic gains for hundreds of
-    # moves; a state that stops making appreciable progress is cut off after
-    # a bounded number of such iterations.
-    stall = np.zeros(k, dtype=int)
-    stall_budget = 3 * dim + 8
-    for _ in range(max_iters):
-        if not active.any():
-            break
-        act = np.flatnonzero(active)
-        v_before = V[act].copy()
-        base = S[act]
-        t_max = base[:, i_idx]
-        T = t_max[:, :, None] * _FRACS
-        C = base[:, None, None, :] + T[..., None] * delta[None, :, None, :]
-        np.maximum(C, 0.0, out=C)
-        flat = f(C).reshape(len(act), -1)
-        pick = flat.argmax(axis=1)
-        pair_pick, frac_pick = np.unravel_index(pick, (i_idx.size, _FRACS.size))
-        rows = np.arange(len(act))
-        v_grid = flat[rows, pick]
-        t_grid = t_max[rows, pair_pick] * _FRACS[frac_pick]
-        dsel = delta[pair_pick]
-        if polish:
-            t_gold, v_gold = _golden_polish(f, base, dsel, t_max[rows, pair_pick])
-            take_gold = v_gold > v_grid
-            t_new = np.where(take_gold, t_gold, t_grid)
-            v_new = np.maximum(v_grid, v_gold)
-        else:
-            t_new = t_grid
-            v_new = v_grid
-        improved = v_new > V[act] + step_tolerance
-        moved = np.maximum(base + t_new[:, None] * dsel, 0.0)
-        S[act[improved]] = moved[improved]
-        V[act[improved]] = v_new[improved]
-        age[act] += 1
-        due = act[(age[act] >= dim) | ~improved]
-        if due.size:
-            g_iters = _GOLDEN_ITERS if polish else 12
-            gain = _pattern_step(f, S, V, due, snap, step_tolerance, g_iters)
-            snap[due] = S[due]
-            age[due] = 0
-            pair_failed = np.isin(due, act[~improved])
-            stalled = due[pair_failed & (gain <= step_tolerance)]
-            if stalled.size:
-                rescued = _full_pair_polish(f, S, V, stalled, i_idx, delta, step_tolerance, g_iters)
-                snap[stalled] = S[stalled]
-                active[stalled[~rescued]] = False
-        it_gain = V[act] - v_before
-        stall[act] = np.where(it_gain > 1e3 * step_tolerance, 0, stall[act] + 1)
-        active[act[stall[act] > stall_budget]] = False
-    return S, V
+    i_idx, delta = _pair_deltas(S.shape[1])
+    active = np.arange(S.shape[0])
+    for _ in range(_ASCENT_BUDGET):
+        active = active[_full_pair_polish(f, S, V, active, i_idx, delta, step_tolerance, golden_iters)]
+        if active.size == 0:
+            return S, V
+    start = starts[active[0]].tolist()
+    raise RuntimeError(f"ascent from {start} still moving after {_ASCENT_BUDGET} iterations")
 
 
-def _maximize_flat(objective, dim: int, cfg: OptConfig, extra_starts=(), orbit_key=None) -> OptResult:
+def _maximize_flat(objective, dim: int, extra_starts, orbit_key) -> OptResult:
     """The lattice scan, then ascent from its top points and the extra starts,
-    less those whose orbit_key (default: rounded bytes) an earlier start has."""
+    less those whose orbit_key an earlier start has."""
     if dim == 1:
         return OptResult(np.ones(1), float(objective(np.ones(1))), 1)
     extras = [np.asarray(s, dtype=float).reshape(-1) for s in extra_starts]
@@ -428,12 +311,11 @@ def _maximize_flat(objective, dim: int, cfg: OptConfig, extra_starts=(), orbit_k
         if arr.shape[0] != dim:
             raise ValueError(f"extra start has dimension {arr.shape[0]}, expected {dim}")
     f = _Counted(objective)
-    top_vals, top_pts = _scan_lattice(f, dim, cfg.grid_denominator, cfg.refine_starts)
-    key = orbit_key or (lambda r: np.round(r, 12).tobytes())
+    top_vals, top_pts = _scan_lattice(f, dim, default_grid(dim), _STARTS)
     starts = {}
     for r in list(top_pts) + extras:
-        starts.setdefault(key(r), r)
-    S, V = _refine(f, np.array(list(starts.values())), cfg)
+        starts.setdefault(orbit_key(r), r)
+    S, V = _refine(f, np.array(list(starts.values())))
     cand_vals = np.concatenate([top_vals[:1], V])
     best = int(np.argmax(cand_vals))
     point = top_pts[0] if best == 0 else S[best - 1]
@@ -444,49 +326,43 @@ def _maximize_flat(objective, dim: int, cfg: OptConfig, extra_starts=(), orbit_k
     return OptResult(point, value, f.evals)
 
 
-def maximize_simplex(objective, dim: int, cfg: OptConfig | None = None, extra_starts=()) -> OptResult:
+def maximize_simplex(objective, dim: int, extra_starts=()) -> OptResult:
     """Global maximum of a vectorized objective over the dim-simplex.
 
-    Returns the best of (a) an exhaustive lattice scan at cfg.grid_denominator
-    and (b) pairwise-exchange ascent from the cfg.refine_starts best lattice
-    points plus any extra_starts. Deterministic for a fixed cfg.
+    Returns the best of (a) an exhaustive lattice scan at default_grid(dim)
+    and (b) pairwise-exchange ascent from the 8 best lattice points plus any
+    extra_starts (less duplicates). Deterministic. Raises ValueError on a NaN
+    objective value and RuntimeError on an ascent that exhausts its budget.
     """
     if dim < 1:
         raise ValueError("dim must be a positive integer")
-    return _maximize_flat(objective, dim, cfg or default_config(dim), extra_starts)
+    return _maximize_flat(objective, dim, extra_starts, lambda r: np.round(r, 12).tobytes())
 
 
 def maximize_joint(
     objective,
     dims: tuple[int, int],
-    cfg: OptConfig | None = None,
     extra_starts=(),
-    symmetric_u: bool = False,
 ) -> OptResult:
     """Global maximum over joint mass functions on a u_size x x_size grid.
 
-    Same search strategy as maximize_simplex on the flattened simplex. With
-    symmetric_u=True (declaring the objective invariant under relabeling of
-    the first coordinate) refinement starts are deduplicated up to row
-    permutation, which removes redundant ascent runs.
+    Same search strategy as maximize_simplex on the flattened simplex. The
+    objective must be invariant under relabeling of the first coordinate:
+    ascent starts are deduplicated up to a permutation of its rows.
     """
     u_size, x_size = int(dims[0]), int(dims[1])
     if u_size < 1 or x_size < 1:
         raise ValueError("joint dims must be positive integers")
-    dim = u_size * x_size
-    cfg = cfg or default_config(dim)
 
     def flat_obj(arr):
         a = np.asarray(arr, dtype=float)
         return objective(a.reshape(a.shape[:-1] + (u_size, x_size)))
 
-    orbit_key = None
-    if symmetric_u:
-        def orbit_key(pt):
-            rows = np.round(pt.reshape(u_size, x_size), 12)
-            return tuple(sorted(map(tuple, rows.tolist())))
+    def orbit_key(pt):
+        rows = np.round(pt.reshape(u_size, x_size), 12)
+        return tuple(sorted(map(tuple, rows.tolist())))
 
-    res = _maximize_flat(flat_obj, dim, cfg, extra_starts, orbit_key=orbit_key)
+    res = _maximize_flat(flat_obj, u_size * x_size, extra_starts, orbit_key)
     res.argmax = res.argmax.reshape(u_size, x_size)
     return res
 

@@ -14,7 +14,6 @@ import pytest
 
 from statebc import (
     FiniteFieldSpec,
-    OptConfig,
     blackwell_channel,
     blackwell_sweep_hull,
     brute_force_support,
@@ -276,14 +275,13 @@ def test_criterion_7d_support_curve_monotone_and_continuous():
 def test_criterion_7e_auxiliary_size_monotonicity():
     failures = []
     rng = np.random.default_rng(11)
-    cfg = OptConfig(grid_denominator=4, refine_starts=2, step_tolerance=1e-12)
     for i in range(100):
         spec = random_spec(rng, sizes=(3, 4))
         lam = float(rng.uniform(0.0, 2.5))
         n = spec.input_size
-        base = support_outer(spec, lam, u_size=n, cfg=cfg)
-        bigger = support_outer(spec, lam, u_size=n + 1, cfg=cfg)
-        smaller = support_outer(spec, lam, u_size=2, cfg=cfg)
+        base = support_outer(spec, lam, u_size=n)
+        bigger = support_outer(spec, lam, u_size=n + 1)
+        smaller = support_outer(spec, lam, u_size=2)
         if bigger < base - 1e-9:
             failures.append(f"instance {i}: u={n + 1} value below u={n} by {base - bigger:.2e}")
         if smaller > base + 1e-9:

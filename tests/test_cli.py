@@ -91,11 +91,11 @@ class TestVerifyCommand:
         assert lines[-1].endswith(",pass")
 
     def test_zero_tolerance_exit_one(self, bw_json, capsys):
-        # gaps are non-negative and generically a few ulps positive, so a
-        # zero tolerance fails the certification
+        # the largest gap is generically a few ulps positive, so a zero
+        # tolerance fails the certification
         rc = main(
             ["verify", "--channel", bw_json, "--p1", "0.7", "--p2", "0.3",
-             "--lambdas", "8", "--tol", "0", "--grid", "6"]
+             "--lambdas", "8", "--tol", "0"]
         )
         assert rc == 1
         assert "result=fail" in capsys.readouterr().out
@@ -115,11 +115,16 @@ class TestValidationErrors:
         assert "p1 and p2" in capsys.readouterr().err
 
     def test_grid_is_a_verify_option_only(self, bw_json, tmp_path, capsys):
-        # The inner solver has no lattice; only verify's joint search does.
+        # No command takes a lattice setting: the inner solver has no lattice
+        # and the joint search's is fixed by its dimension.
         with pytest.raises(SystemExit) as exc:
             main(["region", "--channel", bw_json, "--p1", "0.7", "--p2", "0.3", "--grid", "12", "--out", str(tmp_path / "o.csv")])
         assert exc.value.code == 2
         assert "unrecognized arguments: --grid 12" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--channel", bw_json, "--p1", "0.7", "--p2", "0.3", "--grid", "6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --grid 6" in capsys.readouterr().err
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         rc = main(["region", "--channel", str(tmp_path / "nope.json"), "--p1", "0.7", "--p2", "0.3", "--out", str(tmp_path / "o.csv")])

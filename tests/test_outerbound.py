@@ -10,7 +10,6 @@ import pytest
 from statebc import (
     ChannelSpec,
     ConverseReport,
-    OptConfig,
     blackwell_channel,
     brute_force_support,
     case_spanning_lambdas,
@@ -25,8 +24,6 @@ from statebc.channel import indicator_matrices
 from statebc.outerbound import converse_to_csv, outer_objective, outer_table, structure_seeds
 from statebc.infotheory import entropy
 from conftest import random_spec
-
-FAST = OptConfig(grid_denominator=6, refine_starts=2, refine_iters=120)
 
 
 class TestSupportOuter:
@@ -101,14 +98,13 @@ class TestSupportOuter:
 
     def test_u_size_monotone(self):
         rng = np.random.default_rng(23)
-        cfg = OptConfig(grid_denominator=4, refine_starts=2, step_tolerance=1e-12)
         for _ in range(6):
             spec = random_spec(rng)
             lam = float(rng.uniform(0.0, 2.0))
             n = spec.input_size
-            small = support_outer(spec, lam, u_size=2, cfg=cfg)
-            base = support_outer(spec, lam, u_size=n, cfg=cfg)
-            bigger = support_outer(spec, lam, u_size=n + 1, cfg=cfg)
+            small = support_outer(spec, lam, u_size=2)
+            base = support_outer(spec, lam, u_size=n)
+            bigger = support_outer(spec, lam, u_size=n + 1)
             assert small <= base + 1e-9
             assert bigger >= base - 1e-9
 
@@ -189,9 +185,7 @@ class TestVerifyConverse:
             assert report.passed
 
     def test_zero_tolerance_reports_rather_than_raises(self, blackwell_07_03):
-        report = verify_converse(
-            blackwell_07_03, [0.3, 0.8, 1.5], tol=0.0, cfg=OptConfig(grid_denominator=3, refine_starts=1)
-        )
+        report = verify_converse(blackwell_07_03, [0.3, 0.8, 1.5], tol=0.0)
         assert isinstance(report, ConverseReport)
         assert report.passed == (report.max_gap <= 0.0)
 
@@ -200,7 +194,7 @@ class TestVerifyConverse:
             verify_converse(blackwell_07_03, [])
 
     def test_case_labels_recorded(self, ff2_07_04):
-        report = verify_converse(ff2_07_04, [0.2, 0.8, 1.3, 3.0], tol=5e-3, cfg=FAST)
+        report = verify_converse(ff2_07_04, [0.2, 0.8, 1.3, 3.0], tol=5e-3)
         assert [s.case_id for s in report.samples] == ["R1", "R3", "R4", "R2"]
 
 
@@ -265,7 +259,7 @@ class TestCaseSpanningLambdas:
 
 class TestConverseCsv:
     def test_layout(self, ff2_07_04):
-        report = verify_converse(ff2_07_04, [0.5, 1.5], tol=5e-3, cfg=FAST)
+        report = verify_converse(ff2_07_04, [0.5, 1.5], tol=5e-3)
         text = converse_to_csv(report)
         lines = text.strip().splitlines()
         assert lines[0] == "lambda,inner,outer,gap,case"

@@ -11,7 +11,6 @@ import pytest
 from statebc import (
     ChannelSpec,
     FiniteFieldSpec,
-    OptConfig,
     blackwell_channel,
     case_spanning_lambdas,
     finite_field_channel,
@@ -80,15 +79,6 @@ def test_conditional_penalty_maximized_by_deterministic_u():
     # the argmax makes X a function of U
     j = res.argmax
     assert entropy(j.reshape(-1)) - entropy(j.sum(axis=1)) <= 1e-6
-
-
-def test_finer_grid_never_worse():
-    def obj(j):
-        return entropy(j.reshape(j.shape[:-2] + (-1,)))
-
-    coarse = maximize_joint(obj, (2, 3), OptConfig(grid_denominator=6))
-    fine = maximize_joint(obj, (2, 3), OptConfig(grid_denominator=12))
-    assert fine.value >= coarse.value - 1e-12
 
 
 def test_lattice_enumeration_counts_and_order():
@@ -202,22 +192,10 @@ def test_global_lattice_dominance():
     def obj(p):
         return entropy(p) + np.asarray(p, dtype=float) @ coeff
 
-    cfg = OptConfig(grid_denominator=12)
-    res = maximize_simplex(obj, 4, cfg)
+    res = maximize_simplex(obj, 4)
     for block in iter_lattice(12, 4):
         vals = obj(block.astype(float) / 12)
         assert res.value >= vals.max() - 1e-12
-
-
-def test_doubling_denominator_monotone():
-    def obj(p):
-        h1 = entropy(p)
-        return h1 - 0.5 * entropy(p[..., :2] + p[..., 2:])
-
-    for m in (6, 12, 24):
-        lo = maximize_simplex(obj, 4, OptConfig(grid_denominator=m)).value
-        hi = maximize_simplex(obj, 4, OptConfig(grid_denominator=2 * m)).value
-        assert hi >= lo - 1e-12
 
 
 def test_concave_closed_form_match():
@@ -246,21 +224,35 @@ def test_extra_starts_participate():
         p = np.asarray(p, dtype=float)
         return -np.abs(p - target).sum(axis=-1)
 
-    cfg = OptConfig(grid_denominator=4)
-    plain = maximize_simplex(obj, 3, cfg)
-    seeded = maximize_simplex(obj, 3, cfg, extra_starts=[target])
+    plain = maximize_simplex(obj, 3)
+    seeded = maximize_simplex(obj, 3, extra_starts=[target])
     assert seeded.value >= plain.value
     assert seeded.value == pytest.approx(0.0, abs=1e-9)
 
 
-def test_nan_objective_reports_point():
-    def obj(p):
-        p = np.asarray(p, dtype=float)
-        vals = entropy(p)
-        return np.where(np.asarray(p)[..., 0] > 0.9, np.nan, vals)
+def _nan_near_vertex(p):
+    p = np.asarray(p, dtype=float)
+    return np.where(p[..., 0] > 0.9, np.nan, entropy(p))
 
-    with pytest.raises(ValueError, match="NaN"):
-        maximize_simplex(obj, 3)
+
+def _nan_between_lattice_points(p):
+    # NaN only where p_0 is off the default 48-lattice, so the lattice scan
+    # sees none and only the ascent's line searches meet it.
+    p = np.asarray(p, dtype=float)
+    off = np.abs(48.0 * p[..., 0] - np.round(48.0 * p[..., 0])) > 0.25
+    return np.where(off, np.nan, entropy(p))
+
+
+def test_nan_objective_reports_point():
+    for obj in (_nan_near_vertex, _nan_between_lattice_points):
+        with pytest.raises(ValueError, match="NaN at point"):
+            maximize_simplex(obj, 3)
+
+
+def test_exhausted_ascent_budget_names_the_start(monkeypatch):
+    monkeypatch.setattr(simplexopt, "_ASCENT_BUDGET", 1)
+    with pytest.raises(RuntimeError, match=r"ascent from \[.*\] still moving after 1 iterations"):
+        maximize_simplex(entropy, 3)
 
 
 def test_invalid_dims_rejected():
@@ -268,15 +260,6 @@ def test_invalid_dims_rejected():
         maximize_simplex(entropy, 0)
     with pytest.raises(ValueError):
         maximize_joint(lambda j: 0.0, (0, 2))
-
-
-def test_optconfig_validation():
-    with pytest.raises(ValueError):
-        OptConfig(grid_denominator=1)
-    with pytest.raises(ValueError):
-        OptConfig(grid_denominator=8, refine_starts=0)
-    with pytest.raises(ValueError):
-        OptConfig(grid_denominator=8, step_tolerance=0.0)
 
 
 def test_default_grid_shrinks_with_dimension():
@@ -375,25 +358,6 @@ def test_golden_polish_stacked_matches_row_by_row(spec):
         t_r, v_r = simplexopt._golden_polish(f_r, base[r : r + 1], delta[pick[r : r + 1]], hi[r : r + 1])
         assert t_r[0] == t[r] and v_r[0] == v[r]
         assert f_r.evals * 9 == f.evals
-
-
-def test_pattern_step_gain_lines_up_with_rows():
-    # gain[i] belongs to rows[i], including for unsorted rows and rows
-    # without a live direction.
-    rng = np.random.default_rng(2)
-    spec = _POLISH_SPECS[1]
-    obj = _r3_objective(spec, 0.8)
-    S = rng.dirichlet(np.ones(5), size=6)
-    # The accumulated direction S - snap points toward the maximizer.
-    snap = S - 0.1 * (maximize_simplex(obj, 5).argmax - S)
-    snap[3] = S[3]
-    V = np.asarray(obj(S), dtype=float)
-    V_before = V.copy()
-    rows = np.array([5, 3, 0, 2])
-    f = counted(obj)
-    gain = simplexopt._pattern_step(f, S, V, rows, snap, 1e-9, 12)
-    assert f.evals > 0 and gain[1] == 0.0 and (gain > 0.0).sum() == 3
-    assert np.array_equal(gain, V[rows] - V_before[rows])
 
 
 # Directions in each inner case's segment of weights; the clamped R1 and R2
