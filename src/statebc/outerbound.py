@@ -67,7 +67,10 @@ def outer_table(spec: ChannelSpec, a: float, b: float) -> np.ndarray:
 
 def outer_objective(spec: ChannelSpec, lam: float, u_size: int):
     """Vectorized objective over joint laws p(u, x), trailing axes (u, x):
-    the row (1, lam) outer_table over (H(f1), H(f2), H(f1|U), H(f2|U))."""
+    the row (1, lam) outer_table over (H(f1), H(f2), H(f1|U), H(f2|U)). It
+    carries the same sum as coeffs @ (H(f1), H(f2), H(U,f1), H(U,f2), H(U)),
+    with `cells` (u_size * x_size by 5) each flat coordinate's cell in those
+    pushforwards, numbered across blocks."""
     e1, e2, _ = indicator_matrices(spec)
     table = outer_table(spec, 1.0, lam)
     coeffs = table[0] + lam * table[1]
@@ -78,6 +81,10 @@ def outer_objective(spec: ChannelSpec, lam: float, u_size: int):
         cond = [entropy((P @ e).reshape(P.shape[:-2] + (-1,))) - hu for e in (e1, e2)]
         return combine((entropy(px @ e1), entropy(px @ e2), *cond), coeffs)
 
+    u, x = np.divmod(np.arange(u_size * spec.input_size), spec.input_size)
+    f1, f2, m = np.array(spec.f1)[x], np.array(spec.f2)[x], spec.output_size
+    obj.cells = np.stack((f1, f2, u * m + f1, u * m + f2, u), axis=1) + np.cumsum([0, m, m, u_size * m, u_size * m])
+    obj.coeffs = np.append(coeffs, -(coeffs[2] + coeffs[3]))
     return obj
 
 

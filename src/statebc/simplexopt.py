@@ -16,7 +16,7 @@ comparisons elsewhere use first-maximum semantics.
 Objectives must be vectorized: they take an array whose trailing axis (for
 maximize_simplex) or trailing two axes (for maximize_joint) hold the
 distribution, and return values over the leading axes. A bare 1-D (or 2-D
-joint) input must yield a scalar.
+joint) input must yield a scalar. One with `cells` is probed by _cell_probe.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .infotheory import block_entropies, pushforward
+from .infotheory import block_entropies, pushforward, xlogx
 
 _BLOCK_BYTES = 256 * 1024
 _MEMO_POINT_LIMIT = 200_000
@@ -212,24 +212,42 @@ def _pair_deltas(dim: int):
     return i_idx, delta
 
 
-def _golden_polish(f: _Counted, base, delta, hi, iters: int = _GOLDEN_ITERS):
+def _cell_probe(f: _Counted, S, V, r, i, j):
+    """Values of moving mass t from coordinate i to j of row r of S (value V)
+    for an objective sum_k coeffs[k] H(q_k) with `cells` and `coeffs`, as
+    _golden_polish stacks them: only cells[i, k] and cells[j, k] of each q_k
+    change. Counts one evaluation per probe."""
+    cells, coeffs = f.objective.cells, f.objective.coeffs
+    q = pushforward(S, (cells[..., None] == np.arange(cells.max() + 1)).sum(axis=1, dtype=float))
+    qa, qb, w = q[r[:, None], cells[i]], q[r[:, None], cells[j]], np.where(cells[i] != cells[j], coeffs, 0.0)
+    v, before = V[r], xlogx(qa) + xlogx(qb)
+
+    def probe(t):
+        f.evals += t.size
+        t = t.reshape(2, -1, 1)
+        return (v - (w * (xlogx(qa - t) + xlogx(qb + t) - before)).sum(axis=-1)).ravel()
+
+    return probe
+
+
+def _golden_polish(f: _Counted, base, delta, hi, iters: int = _GOLDEN_ITERS, probe=None):
     """Per-row golden-section maximum of t -> objective(base + t*delta) on
     [0, hi]; returns the best (t, value) seen including the probes. Each
-    step sends both interior probes of every row to the objective in one
-    call on the stacked points; objectives evaluate rows independently, so
-    the values are those of two separate calls."""
-    n = base.shape[0]
+    step values both interior probes of every row in one call, probe(t) or
+    by default f on the stacked points; objectives evaluate rows
+    independently, so the values are those of two separate calls."""
+    n = hi.shape[0]
     a = np.zeros(n)
     b = hi.astype(float).copy()
-    base2 = np.concatenate((base, base))
-    delta2 = np.concatenate((delta, delta))
+    if probe is None:
+        base2, delta2 = np.concatenate((base, base)), np.concatenate((delta, delta))
+        probe = lambda t: f(np.maximum(base2 + t[:, None] * delta2, 0.0))
     best_t = np.zeros(n)
     best_v = np.full(n, -np.inf)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     for _ in range(iters + 1):
-        pts = np.maximum(base2 + np.concatenate((x1, x2))[:, None] * delta2, 0.0)
-        f12 = f(pts)
+        f12 = probe(np.concatenate((x1, x2)))
         f1, f2 = f12[:n], f12[n:]
         better = np.where(f1 >= f2, x1, x2)
         better_v = np.maximum(f1, f2)
@@ -249,10 +267,16 @@ def _full_pair_polish(f: _Counted, S, V, rows, i_idx, delta, step_tolerance, ite
     over every ordered pair with mass to move. One search runs over every
     (row, live pair) at once, and each row takes its first best pair, as a
     search of that row alone would. Applies moves that gain more than
-    step_tolerance in place and returns the mask of rows that moved."""
+    step_tolerance in place and returns the mask of rows that moved. With
+    objective `cells`, _cell_probe values the probes and a move is kept on
+    its full value; one more than 1e-9 off its probe raises RuntimeError."""
     hi = S[rows][:, i_idx]
     r, pair = np.nonzero(hi > 0.0)
-    t_g, v_g = _golden_polish(f, S[rows[r]], delta[pair], hi[r, pair], iters)
+    if cells := hasattr(f.objective, "cells"):
+        probe = _cell_probe(f, S[rows], V[rows], r, i_idx[pair], delta.argmax(axis=1)[pair])
+        t_g, v_g = _golden_polish(f, None, None, hi[r, pair], iters, probe)
+    else:
+        t_g, v_g = _golden_polish(f, S[rows[r]], delta[pair], hi[r, pair], iters)
     t_row = np.zeros(hi.shape)
     v_row = np.full(hi.shape, -np.inf)
     t_row[r, pair] = t_g
@@ -262,8 +286,14 @@ def _full_pair_polish(f: _Counted, S, V, rows, i_idx, delta, step_tolerance, ite
     t_b, v_b = t_row[pos, b], v_row[pos, b]
     moved = v_b > V[rows] + step_tolerance
     s = rows[moved]
-    S[s] = np.maximum(S[s] + t_b[moved, None] * delta[b[moved]], 0.0)
-    V[s] = v_b[moved]
+    step, v_s = np.maximum(S[s] + t_b[moved, None] * delta[b[moved]], 0.0), v_b[moved]
+    if cells and s.size:
+        full = f(step)
+        if (off := np.abs(full - v_s)).max() > 1e-9:
+            raise RuntimeError(f"move to {step[off.argmax()].tolist()} scores {full[off.argmax()]}, probe {v_s[off.argmax()]}")
+        moved[moved] = keep = full > V[s] + step_tolerance
+        s, step, v_s = s[keep], step[keep], full[keep]
+    S[s], V[s] = step, v_s
     return moved
 
 
@@ -357,6 +387,9 @@ def maximize_joint(
     def flat_obj(arr):
         a = np.asarray(arr, dtype=float)
         return objective(a.reshape(a.shape[:-1] + (u_size, x_size)))
+
+    if hasattr(objective, "cells"):
+        flat_obj.cells, flat_obj.coeffs = objective.cells, objective.coeffs
 
     def orbit_key(pt):
         rows = np.round(pt.reshape(u_size, x_size), 12)

@@ -33,6 +33,7 @@ TABLE_RUNS = {
     "support-gf2.csv": ["support", "--channel", "gf2.json"],
     "verify-blackwell.csv": ["verify", "--channel", "blackwell.json", "--lambdas", "16"],
     "verify-gf2.csv": ["verify", "--channel", "gf2.json", "--lambdas", "16"],
+    "verify-random5.csv": ["verify", "--channel", "random5.json", "--lambdas", "8"],
 }
 SUPPORT_TOL = 1e-7
 GAP_TOL = 1e-12

@@ -13,6 +13,8 @@ from statebc import (
     blackwell_channel,
     brute_force_support,
     case_spanning_lambdas,
+    maximize_joint,
+    simplexopt,
     support_gap_bound,
     support_inner,
     support_outer,
@@ -148,6 +150,72 @@ class TestOuterTable:
         px = P.sum(axis=-2)
         want = w1 * entropy(px @ e1) + w2 * entropy(px @ e2) + c1 * h_f1_u + c2 * h_f2_u
         assert np.array_equal(outer_objective(spec, lam, u_size)(P), want)
+
+
+_PROBE_SPECS = (
+    blackwell_channel(0.7, 0.3),
+    ChannelSpec(4, (0, 1, 1, 0), (0, 0, 1, 1), 0.7, 0.4),
+    ChannelSpec(5, (1, 2, 1, 1, 0), (2, 1, 1, 0, 2), 0.75, 0.4),
+    ChannelSpec(3, (0, 1, 1), (0, 0, 1), 0.6, 0.0),
+    ChannelSpec(3, (0, 1, 1), (0, 0, 1), 0.45, 0.45),
+    ChannelSpec(3, (0, 1, 1), (0, 0, 1), 1.0, 1.0),
+    ChannelSpec(3, (0, 1, 1), (0, 0, 1), 1.0, 0.0),
+)
+
+
+class TestCellProbe:
+    """simplexopt._cell_probe on the outer objective's cells against the
+    full objective at base + t*delta."""
+
+    @pytest.mark.parametrize(
+        "spec", _PROBE_SPECS, ids=("blackwell", "gf2", "random5", "p2-zero", "p1-eq-p2", "p-1-1", "p-1-0")
+    )
+    def test_two_cell_update_matches_full_objective(self, spec):
+        rng = np.random.default_rng(61)
+        n = spec.input_size
+        kinds = {"same-u": 0, "across-u": 0, "shared-cell": 0}
+        for u_size in range(1, n + 2):
+            dim = u_size * n
+            S = rng.dirichlet(np.ones(dim), size=3)
+            S[1, rng.permutation(dim)[: dim // 2]] = 0.0  # a row on a face
+            S[1] /= S[1].sum()
+            i_idx, delta = simplexopt._pair_deltas(dim)
+            j_idx = delta.argmax(axis=1)
+            for lam in (0.0, 0.4, 1.0, 1.7, 4.0):
+                obj = outer_objective(spec, lam, u_size)
+                V = obj(S.reshape(-1, u_size, n))
+                r, pair = np.nonzero(S[:, i_idx] > 0.0)
+                i, j, hi = i_idx[pair], j_idx[pair], S[r, i_idx[pair]]
+                t = np.concatenate((rng.uniform(0.0, 1.0, r.size) * hi, hi))
+                f = simplexopt._Counted(obj)
+                got = simplexopt._cell_probe(f, S, V, r, i, j)(t)
+                pts = np.maximum(np.tile(S[r], (2, 1)) + t[:, None] * np.tile(delta[pair], (2, 1)), 0.0)
+                want = obj(pts.reshape(-1, u_size, n))
+                assert np.abs(got - want).max() <= 1e-12
+                assert f.evals == t.size
+            kinds["same-u"] += int((i // n == j // n).sum())
+            kinds["across-u"] += int((i // n != j // n).sum())
+            kinds["shared-cell"] += int((obj.cells[i] == obj.cells[j]).any(axis=1).sum())
+        assert min(kinds.values()) > 0
+
+    def test_cells_and_coefficients_restate_the_objective(self, ff2_07_04):
+        # sum_k coeffs[k] H(q_k) over the cells is the objective itself.
+        u_size, n = 3, ff2_07_04.input_size
+        obj = outer_objective(ff2_07_04, 1.3, u_size)
+        P = np.random.default_rng(67).dirichlet(np.ones(u_size * n), size=20)
+        ind = (obj.cells[..., None] == np.arange(obj.cells.max() + 1)).sum(axis=1)
+        q = P @ ind
+        h = [entropy(q[:, np.unique(obj.cells[:, k])]) for k in range(5)]
+        want = sum(c * hk for c, hk in zip(obj.coeffs, h))
+        assert np.abs(want - obj(P.reshape(-1, u_size, n))).max() <= 1e-12
+
+    def test_probe_mismatch_raises(self, blackwell_07_03):
+        # Coefficients that no longer restate the objective make a chosen
+        # move's full value disagree with its two-cell value.
+        obj = outer_objective(blackwell_07_03, 0.8, 4)
+        obj.coeffs = obj.coeffs + 1e-3
+        with pytest.raises(RuntimeError, match="probe"):
+            maximize_joint(obj, (4, 3))
 
 
 class TestStructureSeeds:
