@@ -37,7 +37,10 @@ def entropy(p, axis: int = -1):
 def pushforward(p, indicator):
     """p @ indicator over the leading axes of p, as one matrix product of at
     least two rows: BLAS rounds a lone row's matrix-vector product
-    differently, and with two rows a law's pushforward is batch-independent."""
+    differently. With two rows or more, a law's pushforward through an
+    inner indicator (n <= 9 rows) does not depend on the batch; through a
+    one-hot table of 16 or more rows it can, so such sums are not made
+    here."""
     p = np.asarray(p, dtype=float)
     flat = p.reshape(-1, indicator.shape[0])
     rows = flat if flat.shape[0] > 1 else np.vstack((flat, flat))

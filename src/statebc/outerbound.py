@@ -10,7 +10,11 @@ beat the inner-bound support function.
 The joint search is seeded with the structured choices the theory singles
 out (auxiliary equal to the input, either component, or a constant) lifted
 to the inner argmax law, which guarantees outer >= inner numerically; the
-lattice scan and ascent then hunt for anything better.
+lattice scan and ascent then hunt for anything better. The objective is a
+weight's row of the outer table applied to four lambda-free entropies, so
+verify_converse searches all its weights together: one lattice scan scores
+those entropies once and serves every weight, and each weight then ascends
+alone, with the result a one-weight search would give.
 """
 
 from __future__ import annotations
@@ -22,14 +26,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelSpec, indicator_matrices, require_canonical
-from .infotheory import binary_entropy, entropy
+from .infotheory import binary_entropy, entropy, pushforward
 from .regions import format_number, support_curve, support_inner, thresholds
 from .simplexopt import (
     OptResult,
+    _Counted,
+    _scan_lattice,
     combine,
-    iter_lattice,
     lattice_size,
-    maximize_joint,
+    maximize_joints,
 )
 
 ENUMERATION_BUDGET = 100_000_000
@@ -67,25 +72,40 @@ def outer_table(spec: ChannelSpec, a: float, b: float) -> np.ndarray:
 
 def outer_objective(spec: ChannelSpec, lam: float, u_size: int):
     """Vectorized objective over joint laws p(u, x), trailing axes (u, x):
-    the row (1, lam) outer_table over (H(f1), H(f2), H(f1|U), H(f2|U)). It
-    carries the same sum as coeffs @ (H(f1), H(f2), H(U,f1), H(U,f2), H(U)),
-    with `cells` (u_size * x_size by 5) each flat coordinate's cell in those
+    combine(features(P), row), the row (1, lam) outer_table over the
+    lambda-free features (H(f1), H(f2), H(f1|U), H(f2|U)). It carries the
+    same sum as coeffs @ (H(f1), H(f2), H(U,f1), H(U,f2), H(U)), with
+    `cells` (u_size * x_size by 5) each flat coordinate's cell in those
     pushforwards, numbered across blocks."""
-    e1, e2, _ = indicator_matrices(spec)
-    table = outer_table(spec, 1.0, lam)
-    coeffs = table[0] + lam * table[1]
+    return _outer_objectives(spec, [lam], u_size)[0]
 
-    def obj(P):
+
+def _outer_objectives(spec: ChannelSpec, lams, u_size: int) -> list:
+    """outer_objective at each weight, all sharing one `features` callable."""
+    e1, e2, _ = indicator_matrices(spec)
+
+    def features(P):
         P = np.asarray(P, dtype=float)
         px, hu = P.sum(axis=-2), entropy(P.sum(axis=-1))
         cond = [entropy((P @ e).reshape(P.shape[:-2] + (-1,))) - hu for e in (e1, e2)]
-        return combine((entropy(px @ e1), entropy(px @ e2), *cond), coeffs)
+        return (entropy(pushforward(px, e1)), entropy(pushforward(px, e2)), *cond)
 
     u, x = np.divmod(np.arange(u_size * spec.input_size), spec.input_size)
     f1, f2, m = np.array(spec.f1)[x], np.array(spec.f2)[x], spec.output_size
-    obj.cells = np.stack((f1, f2, u * m + f1, u * m + f2, u), axis=1) + np.cumsum([0, m, m, u_size * m, u_size * m])
-    obj.coeffs = np.append(coeffs, -(coeffs[2] + coeffs[3]))
-    return obj
+    cells = np.stack((f1, f2, u * m + f1, u * m + f2, u), axis=1) + np.cumsum([0, m, m, u_size * m, u_size * m])
+
+    def at(lam):
+        table = outer_table(spec, 1.0, lam)
+        row = table[0] + lam * table[1]
+
+        def obj(P):
+            return combine(features(P), row)
+
+        obj.features, obj.row, obj.cells = features, row, cells
+        obj.coeffs = np.append(row, -(row[2] + row[3]))
+        return obj
+
+    return [at(lam) for lam in lams]
 
 
 def _lift(px: np.ndarray, assign: np.ndarray, u_size: int) -> np.ndarray:
@@ -125,16 +145,21 @@ def support_outer_result(
     require_canonical(spec)
     if lam < 0.0:
         raise ValueError("lambda must be non-negative")
+    if seed_px is None:
+        _, _, seed_px = support_inner(spec, lam)
+    return _outer_results(spec, [lam], u_size, [seed_px])[0]
+
+
+def _outer_results(spec: ChannelSpec, lams, u_size: int | None, seed_pxs) -> list[OptResult]:
+    """The outer search at each weight, its structured seeds lifted at the
+    matching seed law, in one maximize_joints call: one lattice scan serves
+    every weight, and each result equals that weight's search alone."""
     n = spec.input_size
     u = int(u_size) if u_size is not None else n + 1
     if u < 1:
         raise ValueError("u_size must be a positive integer")
-    if seed_px is None:
-        _, _, seed_px = support_inner(spec, lam)
-    px = np.asarray(seed_px, dtype=float)
-    seeds = structure_seeds(spec, u, px)
-    obj = outer_objective(spec, lam, u)
-    return maximize_joint(obj, (u, n), extra_starts=seeds)
+    seeds = [structure_seeds(spec, u, np.asarray(px, dtype=float)) for px in seed_pxs]
+    return maximize_joints(_outer_objectives(spec, lams, u), (u, n), seeds)
 
 
 def support_outer(
@@ -165,15 +190,16 @@ def verify_converse(
         raise ValueError("at least one lambda sample is required")
     if tol < 0.0:
         raise ValueError("tolerance must be non-negative")
+    curve = support_curve(spec, lambdas).samples
+    outers = _outer_results(spec, [s.lam for s in curve], u_size, [s.argmax_px for s in curve])
     samples = []
-    for lam, inner, case, px in support_curve(spec, lambdas).samples:
-        outer = support_outer(spec, lam, u_size, seed_px=px)
-        gap = outer - inner
+    for (lam, inner, case, _), res in zip(curve, outers):
+        gap = res.value - inner
         if gap < -1e-9:
             raise RuntimeError(
-                f"outer bound fell below inner bound at lambda={lam}: {outer} < {inner}"
+                f"outer bound fell below inner bound at lambda={lam}: {res.value} < {inner}"
             )
-        samples.append(ConverseSample(lam, inner, outer, gap, case))
+        samples.append(ConverseSample(lam, inner, res.value, gap, case))
     max_gap = max(s.gap for s in samples)
     return ConverseReport(tuple(samples), max_gap, tol, max_gap <= tol)
 
@@ -197,16 +223,9 @@ def brute_force_support(spec: ChannelSpec, lam: float, u_size: int, grid: int) -
         raise ValueError(
             f"lattice of {total} points exceeds the enumeration budget of {ENUMERATION_BUDGET}"
         )
-    obj = outer_objective(spec, lam, u_size)
-    best = -math.inf
-    for block in iter_lattice(grid, dim):
-        P = (block.astype(float) / grid).reshape(-1, u_size, spec.input_size)
-        vals = np.asarray(obj(P), dtype=float)
-        if np.isnan(vals).any():
-            i = int(np.flatnonzero(np.isnan(vals))[0])
-            raise ValueError(f"objective returned NaN at lattice point {P[i].tolist()}")
-        best = max(best, float(vals.max()))
-    return best
+    f = _Counted(outer_objective(spec, lam, u_size), (u_size, spec.input_size))
+    ((top_vals, _),) = _scan_lattice([f], dim, grid, 1)
+    return float(top_vals[0])
 
 
 def support_gap_bound(spec: ChannelSpec, lam: float, u_size: int, grid: int) -> float:

@@ -6,6 +6,12 @@ ascent seeded from the best lattice points. The ascent repeatedly moves mass
 between one pair of coordinates: a golden-section line search on every pair
 picks the best move, so simplex feasibility is preserved exactly.
 
+maximize_joints searches many objectives that share one `features` callable,
+each value being combine(features(P), row) for its own coefficient row: one
+lattice scan computes the features once per block and keeps every row's top
+points, then each objective ascends alone. A plain objective is the
+one-feature case with row (1.0,), so every search takes the same scan.
+
 maximize_pushforward_entropies solves the concave case, many coefficient rows
 at once, each to a certified gap.
 
@@ -17,6 +23,8 @@ Objectives must be vectorized: they take an array whose trailing axis (for
 maximize_simplex) or trailing two axes (for maximize_joint) hold the
 distribution, and return values over the leading axes. A bare 1-D (or 2-D
 joint) input must yield a scalar. One with `cells` is probed by _cell_probe.
+A start's path and each objective's result depend on that start or
+objective alone, never on the batch it is searched in.
 """
 
 from __future__ import annotations
@@ -166,16 +174,26 @@ def combine(features, coeffs):
 
 
 class _Counted:
-    """An objective, called on a stack of points, that counts the points it
-    evaluates. It raises unless the objective returns one value per point,
+    """An objective over points of `shape`, called on a flat stack of them,
+    that counts the points it evaluates. Its values are also
+    combine(features(P), row): the objective's own `features` and `row`
+    when it has them, else the objective itself as one feature with row
+    (1.0,). It raises unless the objective returns one value per point,
     none of them NaN."""
 
-    def __init__(self, objective):
-        self.objective = objective
-        self.evals = 0
+    def __init__(self, objective, shape: tuple):
+        self.objective, self.shape, self.evals = objective, shape, 0
+        self.row = getattr(objective, "row", np.ones(1))
+        self._features = getattr(objective, "features", lambda P: (np.asarray(objective(P), dtype=float),))
+
+    def features(self, P: np.ndarray):
+        return self._features(P.reshape(P.shape[:-1] + self.shape))
 
     def __call__(self, P: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self.objective(P), dtype=float)
+        return self.count(self.objective(P.reshape(P.shape[:-1] + self.shape)), P)
+
+    def count(self, vals, P: np.ndarray) -> np.ndarray:
+        vals = np.asarray(vals, dtype=float)
         if vals.shape != P.shape[:1]:
             raise ValueError("objective must return one value per input point")
         nan = np.isnan(vals)
@@ -185,22 +203,26 @@ class _Counted:
         return vals
 
 
-def _scan_lattice(f: _Counted, dim: int, m: int, top_k: int):
-    """Evaluate the objective on the full lattice, tracking the top_k points
-    (values, points). np.argpartition picks among a block's points tied at
-    the k-th value repeatably but not by generation index; the kept points
-    are ranked by value, ties toward the earlier generation index."""
-    top_vals, top_pts = np.empty(0), np.empty((0, dim))
+def _scan_lattice(fs: list, dim: int, m: int, top_k: int):
+    """Evaluate every objective of fs on the full lattice and track each
+    one's top_k points as (values, points). The objectives share their
+    features, computed once per block; each takes its values as
+    combine(features, row). np.argpartition picks among a block's points
+    tied at the k-th value repeatably but not by generation index; the kept
+    points are ranked by value, ties toward the earlier generation index."""
+    tops = [(np.empty(0), np.empty((0, dim)))] * len(fs)
     for block in iter_lattice(m, dim):
         pts = block.astype(float) / m
-        vals = f(pts)
-        k_here = min(top_k, vals.shape[0])
-        idx = np.sort(np.argpartition(-vals, k_here - 1)[:k_here]) if k_here < vals.shape[0] else slice(None)
-        cand_vals = np.concatenate([top_vals, vals[idx]])
-        cand_pts = np.vstack([top_pts, pts[idx]])
-        order = np.argsort(-cand_vals, kind="stable")[:top_k]
-        top_vals, top_pts = cand_vals[order], cand_pts[order]
-    return top_vals, top_pts
+        F = fs[0].features(pts)
+        for w, f in enumerate(fs):
+            vals = f.count(combine(F, f.row), pts)
+            k_here = min(top_k, vals.shape[0])
+            idx = np.sort(np.argpartition(-vals, k_here - 1)[:k_here]) if k_here < vals.shape[0] else slice(None)
+            cand_vals = np.concatenate([tops[w][0], vals[idx]])
+            cand_pts = np.vstack([tops[w][1], pts[idx]])
+            order = np.argsort(-cand_vals, kind="stable")[:top_k]
+            tops[w] = cand_vals[order], cand_pts[order]
+    return tops
 
 
 def _pair_deltas(dim: int):
@@ -216,9 +238,13 @@ def _cell_probe(f: _Counted, S, V, r, i, j):
     """Values of moving mass t from coordinate i to j of row r of S (value V)
     for an objective sum_k coeffs[k] H(q_k) with `cells` and `coeffs`, as
     _golden_polish stacks them: only cells[i, k] and cells[j, k] of each q_k
-    change. Counts one evaluation per probe."""
+    change. Each row's cells are summed in coordinate order, without BLAS,
+    so a row's probe values do not depend on the other rows of S. Counts
+    one evaluation per probe."""
     cells, coeffs = f.objective.cells, f.objective.coeffs
-    q = pushforward(S, (cells[..., None] == np.arange(cells.max() + 1)).sum(axis=1, dtype=float))
+    n_cells = cells.max() + 1
+    bins = np.arange(len(S))[:, None, None] * n_cells + cells
+    q = np.bincount(bins.ravel(), np.repeat(S, cells.shape[1], axis=1).ravel(), len(S) * n_cells).reshape(len(S), n_cells)
     qa, qb, w = q[r[:, None], cells[i]], q[r[:, None], cells[j]], np.where(cells[i] != cells[j], coeffs, 0.0)
     v, before = V[r], xlogx(qa) + xlogx(qb)
 
@@ -331,29 +357,37 @@ def _ascend(f: _Counted, starts: np.ndarray, step_tolerance: float, golden_iters
     raise RuntimeError(f"ascent from {start} still moving after {_ASCENT_BUDGET} iterations")
 
 
-def _maximize_flat(objective, dim: int, extra_starts, orbit_key) -> OptResult:
-    """The lattice scan, then ascent from its top points and the extra starts,
-    less those whose orbit_key an earlier start has."""
+def _maximize_flat(objectives, shape: tuple, extra_starts, orbit_key) -> list[OptResult]:
+    """One lattice scan for all objectives, which share their features (see
+    _scan_lattice); then, per objective, ascent from its top points and its
+    extra starts, less those whose orbit_key an earlier start has. Each
+    result, evaluation count included, is that of a one-objective call."""
+    dim = math.prod(shape)
     if dim == 1:
-        return OptResult(np.ones(1), float(objective(np.ones(1))), 1)
-    extras = [np.asarray(s, dtype=float).reshape(-1) for s in extra_starts]
-    for arr in extras:
+        return [OptResult(np.ones(shape), float(o(np.ones(shape))), 1) for o in objectives]
+    features = [getattr(o, "features", o) for o in objectives]
+    if any(g != features[0] for g in features[1:]):
+        raise ValueError("objectives searched together must share one features callable")
+    extras = [[np.asarray(s, dtype=float).reshape(-1) for s in starts] for starts in extra_starts]
+    for arr in (a for starts in extras for a in starts):
         if arr.shape[0] != dim:
             raise ValueError(f"extra start has dimension {arr.shape[0]}, expected {dim}")
-    f = _Counted(objective)
-    top_vals, top_pts = _scan_lattice(f, dim, default_grid(dim), _STARTS)
-    starts = {}
-    for r in list(top_pts) + extras:
-        starts.setdefault(orbit_key(r), r)
-    S, V = _refine(f, np.array(list(starts.values())))
-    cand_vals = np.concatenate([top_vals[:1], V])
-    best = int(np.argmax(cand_vals))
-    point = top_pts[0] if best == 0 else S[best - 1]
-    value = float(cand_vals[best])
-    check = float(f(point[None])[0])
-    if abs(check - value) > 1e-12:
-        raise AssertionError(f"optimizer value {value} failed re-evaluation ({check})")
-    return OptResult(point, value, f.evals)
+    fs = [_Counted(o, shape) for o in objectives]
+    results = []
+    for f, (top_vals, top_pts), more in zip(fs, _scan_lattice(fs, dim, default_grid(dim), _STARTS), extras):
+        starts = {}
+        for r in list(top_pts) + more:
+            starts.setdefault(orbit_key(r), r)
+        S, V = _refine(f, np.array(list(starts.values())))
+        cand_vals = np.concatenate([top_vals[:1], V])
+        best = int(np.argmax(cand_vals))
+        point = top_pts[0] if best == 0 else S[best - 1]
+        value = float(cand_vals[best])
+        check = float(f(point[None])[0])
+        if abs(check - value) > 1e-12:
+            raise AssertionError(f"optimizer value {value} failed re-evaluation ({check})")
+        results.append(OptResult(point.reshape(shape), value, f.evals))
+    return results
 
 
 def maximize_simplex(objective, dim: int, extra_starts=()) -> OptResult:
@@ -366,7 +400,7 @@ def maximize_simplex(objective, dim: int, extra_starts=()) -> OptResult:
     """
     if dim < 1:
         raise ValueError("dim must be a positive integer")
-    return _maximize_flat(objective, dim, extra_starts, lambda r: np.round(r, 12).tobytes())
+    return _maximize_flat([objective], (dim,), [extra_starts], lambda r: np.round(r, 12).tobytes())[0]
 
 
 def maximize_joint(
@@ -380,24 +414,25 @@ def maximize_joint(
     objective must be invariant under relabeling of the first coordinate:
     ascent starts are deduplicated up to a permutation of its rows.
     """
+    return maximize_joints([objective], dims, [extra_starts])[0]
+
+
+def maximize_joints(objectives, dims: tuple[int, int], extra_starts) -> list[OptResult]:
+    """maximize_joint for each objective, with extra_starts[w] the extra
+    starts of objectives[w], sharing one lattice scan. The objectives share
+    one `features` callable (a tuple of value arrays over a stack of joints)
+    and each has a coefficient `row` with value combine(features(P), row),
+    so the scan evaluates the features once per block. Each result equals
+    that of maximize_joint on its objective alone."""
     u_size, x_size = int(dims[0]), int(dims[1])
     if u_size < 1 or x_size < 1:
         raise ValueError("joint dims must be positive integers")
-
-    def flat_obj(arr):
-        a = np.asarray(arr, dtype=float)
-        return objective(a.reshape(a.shape[:-1] + (u_size, x_size)))
-
-    if hasattr(objective, "cells"):
-        flat_obj.cells, flat_obj.coeffs = objective.cells, objective.coeffs
 
     def orbit_key(pt):
         rows = np.round(pt.reshape(u_size, x_size), 12)
         return tuple(sorted(map(tuple, rows.tolist())))
 
-    res = _maximize_flat(flat_obj, u_size * x_size, extra_starts, orbit_key)
-    res.argmax = res.argmax.reshape(u_size, x_size)
-    return res
+    return _maximize_flat(objectives, (u_size, x_size), extra_starts, orbit_key)
 
 
 def _slope(q, dq, C, blocks, t):

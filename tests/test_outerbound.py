@@ -15,6 +15,7 @@ from statebc import (
     case_spanning_lambdas,
     maximize_joint,
     simplexopt,
+    support_curve,
     support_gap_bound,
     support_inner,
     support_outer,
@@ -23,7 +24,7 @@ from statebc import (
     verify_converse,
 )
 from statebc.channel import indicator_matrices
-from statebc.outerbound import converse_to_csv, outer_objective, outer_table, structure_seeds
+from statebc.outerbound import _outer_results, converse_to_csv, outer_objective, outer_table, structure_seeds
 from statebc.infotheory import entropy
 from conftest import random_spec
 
@@ -187,7 +188,7 @@ class TestCellProbe:
                 r, pair = np.nonzero(S[:, i_idx] > 0.0)
                 i, j, hi = i_idx[pair], j_idx[pair], S[r, i_idx[pair]]
                 t = np.concatenate((rng.uniform(0.0, 1.0, r.size) * hi, hi))
-                f = simplexopt._Counted(obj)
+                f = simplexopt._Counted(obj, (u_size, n))
                 got = simplexopt._cell_probe(f, S, V, r, i, j)(t)
                 pts = np.maximum(np.tile(S[r], (2, 1)) + t[:, None] * np.tile(delta[pair], (2, 1)), 0.0)
                 want = obj(pts.reshape(-1, u_size, n))
@@ -209,6 +210,20 @@ class TestCellProbe:
         want = sum(c * hk for c, hk in zip(obj.coeffs, h))
         assert np.abs(want - obj(P.reshape(-1, u_size, n))).max() <= 1e-12
 
+    def test_ascent_path_does_not_depend_on_its_batch(self):
+        # With each row's cells summed by a BLAS product over a one-hot
+        # table, two of these eight lattice tops ended 0.033 apart in
+        # max-norm, at the same value, when they ascended alone rather than
+        # together.
+        spec, u_size, n = ChannelSpec(5, (1, 0, 0, 1, 1), (1, 0, 0, 0, 0), 0.7, 0.35), 6, 5
+        f = simplexopt._Counted(outer_objective(spec, 1.4, u_size), (u_size, n))
+        ((_, tops),) = simplexopt._scan_lattice([f], u_size * n, simplexopt.default_grid(u_size * n), 8)
+        for tol, iters in ((1e-6, 12), (simplexopt._STEP_TOLERANCE, simplexopt._GOLDEN_ITERS)):
+            S, V = simplexopt._ascend(f, tops, tol, iters)
+            for k in range(len(tops)):
+                s, v = simplexopt._ascend(f, tops[k : k + 1], tol, iters)
+                assert np.array_equal(s[0], S[k]) and v[0] == V[k]
+
     def test_probe_mismatch_raises(self, blackwell_07_03):
         # Coefficients that no longer restate the objective make a chosen
         # move's full value disagree with its two-cell value.
@@ -216,6 +231,44 @@ class TestCellProbe:
         obj.coeffs = obj.coeffs + 1e-3
         with pytest.raises(RuntimeError, match="probe"):
             maximize_joint(obj, (4, 3))
+
+
+_RANDOM5 = ChannelSpec(5, (1, 2, 1, 1, 0), (2, 1, 1, 0, 2), 0.75, 0.4)
+
+
+class TestBatchedOuterSearch:
+    """verify_converse's one search over all weights against one search per
+    weight, bit for bit."""
+
+    @staticmethod
+    def assert_batch_matches_one_weight_searches(spec, n_lambda):
+        curve = support_curve(spec, case_spanning_lambdas(spec, n_lambda)).samples
+        batched = _outer_results(spec, [s.lam for s in curve], None, [s.argmax_px for s in curve])
+        for s, got in zip(curve, batched):
+            want = support_outer_result(spec, s.lam, seed_px=s.argmax_px)
+            assert np.array_equal(got.argmax, want.argmax)
+            assert (got.value, got.evaluations) == (want.value, want.evaluations)
+
+    @pytest.mark.parametrize(
+        "spec, n_lambda",
+        [(blackwell_channel(0.7, 0.3), 16), (ChannelSpec(4, (0, 1, 1, 0), (0, 0, 1, 1), 0.7, 0.4), 16), (_RANDOM5, 8)],
+        ids=("blackwell", "gf2", "random5"),
+    )
+    def test_each_weight_equals_its_one_weight_search(self, spec, n_lambda):
+        self.assert_batch_matches_one_weight_searches(spec, n_lambda)
+
+    def test_streamed_lattice(self, ff2_07_04, monkeypatch):
+        # GF(2)'s 8,855-point joint lattice (u = 5, grid 4) in several
+        # blocks, so the kept tops merge across blocks.
+        monkeypatch.setattr(simplexopt, "_MEMO_POINT_LIMIT", 1000)
+        monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", 20 * 4 * 1500)
+        assert len(list(simplexopt.iter_lattice(4, 20))) == 8
+        self.assert_batch_matches_one_weight_searches(ff2_07_04, 16)
+
+    def test_objectives_must_share_features(self, blackwell_07_03):
+        objs = [outer_objective(blackwell_07_03, lam, 4) for lam in (0.5, 1.5)]
+        with pytest.raises(ValueError, match="share"):
+            simplexopt.maximize_joints(objs, (4, 3), [(), ()])
 
 
 class TestStructureSeeds:

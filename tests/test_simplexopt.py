@@ -269,9 +269,9 @@ def test_default_grid_shrinks_with_dimension():
     assert max(sizes) < 300_000
 
 
-def counted(obj):
-    """obj as an objective that counts its evaluations."""
-    return simplexopt._Counted(obj)
+def counted(obj, dim):
+    """obj, over the dim-simplex, as an objective that counts its evaluations."""
+    return simplexopt._Counted(obj, (dim,))
 
 
 def _full_pair_polish_per_row(f, S, V, rows, i_idx, delta, step_tolerance, iters):
@@ -322,7 +322,7 @@ def test_full_pair_polish_matches_per_row_search(spec, n_rows):
     rows = np.array([6, 1, 2, 3, 0, 5])[:n_rows] if n_rows > 1 else np.array([4])
     i_idx, delta = simplexopt._pair_deltas(dim)
     S_ref, V_ref = S.copy(), V.copy()
-    f_got, f_want = counted(obj), counted(obj)
+    f_got, f_want = counted(obj, dim), counted(obj, dim)
     got = simplexopt._full_pair_polish(f_got, S, V, rows, i_idx, delta, 1e-9, 12)
     want = _full_pair_polish_per_row(f_want, S_ref, V_ref, rows, i_idx, delta, 1e-9, 12)
     assert np.array_equal(got, want) and f_got.evals == f_want.evals
@@ -335,7 +335,7 @@ def test_full_pair_polish_without_live_pairs_is_a_no_op():
     S = np.zeros((2, 3))
     V = np.zeros(2)
     i_idx, delta = simplexopt._pair_deltas(3)
-    f = counted(entropy)
+    f = counted(entropy, 3)
     rescued = simplexopt._full_pair_polish(f, S, V, np.array([0, 1]), i_idx, delta, 1e-9, 12)
     assert not rescued.any() and f.evals == 0
 
@@ -351,10 +351,10 @@ def test_golden_polish_stacked_matches_row_by_row(spec):
     pick = rng.integers(0, i_idx.size, 9)
     base = rng.dirichlet(np.ones(dim), size=9)
     hi = base[np.arange(9), i_idx[pick]]
-    f = counted(obj)
+    f = counted(obj, dim)
     t, v = simplexopt._golden_polish(f, base, delta[pick], hi)
     for r in range(9):
-        f_r = counted(obj)
+        f_r = counted(obj, dim)
         t_r, v_r = simplexopt._golden_polish(f_r, base[r : r + 1], delta[pick[r : r + 1]], hi[r : r + 1])
         assert t_r[0] == t[r] and v_r[0] == v[r]
         assert f_r.evals * 9 == f.evals
