@@ -65,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     channel_opts(sp, with_out=False)
     sp.add_argument("--out", default=None, help="optional gap-table CSV path")
     sp.add_argument("--lambdas", type=int, default=32, help="number of lambda samples")
-    sp.add_argument("--u-size", type=int, default=0, help="auxiliary alphabet size (default |X|+1)")
     sp.add_argument("--tol", type=float, default=5e-3, help="gap tolerance in bits")
 
     sp = sub.add_parser("regions4", help="four-region decomposition and its sweep cross-check")
@@ -132,8 +131,7 @@ def run(args: argparse.Namespace) -> int:
         spec = load_channel(args.channel, args.p1, args.p2)
         canon, _ = canonicalize(spec)
         lambdas = case_spanning_lambdas(canon, args.lambdas)
-        u_size = args.u_size if args.u_size > 0 else None
-        report = verify_converse(canon, lambdas, u_size=u_size, tol=args.tol)
+        report = verify_converse(canon, lambdas, tol=args.tol)
         if args.out:
             _write(args.out, _header(canon.p1, canon.p2) + converse_to_csv(report))
         verdict = "pass" if report.passed else "fail"

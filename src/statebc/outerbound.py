@@ -143,7 +143,7 @@ def support_outer_result(
     construction.
     """
     require_canonical(spec)
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError("lambda must be non-negative")
     if seed_px is None:
         _, _, seed_px = support_inner(spec, lam)
@@ -188,7 +188,7 @@ def verify_converse(
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
         raise ValueError("at least one lambda sample is required")
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ValueError("tolerance must be non-negative")
     curve = support_curve(spec, lambdas).samples
     outers = _outer_results(spec, [s.lam for s in curve], u_size, [s.argmax_px for s in curve])
@@ -211,7 +211,7 @@ def brute_force_support(spec: ChannelSpec, lam: float, u_size: int, grid: int) -
     budget of 1e8 points rather than truncating.
     """
     require_canonical(spec)
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError("lambda must be non-negative")
     if u_size < 1:
         raise ValueError("u_size must be a positive integer")

@@ -213,7 +213,7 @@ def thresholds(spec: ChannelSpec) -> tuple[float, float]:
 
 
 def case_of(spec: ChannelSpec, lam: float) -> str:
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError("lambda must be non-negative")
     lo, hi = thresholds(spec)
     if lam <= lo:
@@ -297,20 +297,13 @@ def support_curve(spec: ChannelSpec, lambdas) -> SupportCurve:
 # region builders
 # ---------------------------------------------------------------------------
 
-def _geom_steps(n: int, span_ratio: float = 1e-3) -> np.ndarray:
+def _geom_steps(n: int) -> np.ndarray:
     """n ascending points in [0, 1] including both ends, clustered near 0."""
     if n <= 1:
         return np.array([0.0])
     if n == 2:
         return np.array([0.0, 1.0])
-    return np.concatenate([[0.0], np.geomspace(span_ratio, 1.0, n - 1)])
-
-
-def _segment(a: float, b: float, n: int, cluster_start: bool = True) -> np.ndarray:
-    g = _geom_steps(n)
-    if not cluster_start:
-        g = 1.0 - g[::-1]
-    return a + (b - a) * g
+    return np.concatenate([[0.0], np.geomspace(1e-3, 1.0, n - 1)])
 
 
 def _open_segment(a: float, b: float, n: int) -> np.ndarray:
@@ -322,24 +315,19 @@ def _open_segment(a: float, b: float, n: int) -> np.ndarray:
     return a + (b - a) * np.geomspace(1e-6, 1.0, n)
 
 
-def _lambda_grid(spec: ChannelSpec, n: int) -> np.ndarray:
-    """Weights in [0, 1] for the (1, lambda) half-planes: n per case segment,
-    clustered near the case switch where the support curve bends fastest."""
-    lo, _ = thresholds(spec)
-    lo = min(lo, 1.0)
-    seg_a = np.linspace(0.0, lo, n) if lo > 0.0 else np.array([0.0])
-    seg_b = _segment(lo, 1.0, n, cluster_start=True)
-    return np.unique(np.concatenate([seg_a, seg_b]))
+def _case_switches(spec: ChannelSpec) -> tuple[float, float]:
+    """The weights in [0, 1] where the support switches case: min(lo, 1) for
+    the (1, lambda) half-planes and 1/hi for the mirrored (mu, 1) ones, since
+    mu = 1/lambda maps the above-1 cases onto a compact range."""
+    lo, hi = thresholds(spec)
+    return min(lo, 1.0), 0.0 if math.isinf(hi) else 1.0 / hi
 
 
-def _mu_grid(spec: ChannelSpec, n: int) -> np.ndarray:
-    """Weights in [0, 1] for the mirrored (mu, 1) half-planes; mu = 1/lambda
-    maps the above-1 cases onto a compact range."""
-    _, hi = thresholds(spec)
-    mu_lo = 0.0 if math.isinf(hi) else 1.0 / hi
-    seg_a = np.linspace(0.0, mu_lo, n) if mu_lo > 0.0 else np.array([0.0])
-    seg_b = _segment(mu_lo, 1.0, n, cluster_start=True)
-    return np.unique(np.concatenate([seg_a, seg_b]))
+def _weight_grid(switch: float, n: int) -> np.ndarray:
+    """Weights in [0, 1]: n on each side of the case switch, those above it
+    clustered near it, where the support curve bends fastest."""
+    below = np.linspace(0.0, switch, n) if switch > 0.0 else np.array([0.0])
+    return np.unique(np.concatenate([below, switch + (1.0 - switch) * _geom_steps(n)]))
 
 
 def capacity_polygon(spec: ChannelSpec, n_lambda: int = 64) -> RegionPolygon:
@@ -352,8 +340,9 @@ def capacity_polygon(spec: ChannelSpec, n_lambda: int = 64) -> RegionPolygon:
     if n_lambda < 3:
         raise ValueError("n_lambda must be >= 3")
     canon, swapped = canonicalize(spec)
-    directions = [(1.0, lam) for lam in _lambda_grid(canon, n_lambda).tolist()]
-    directions += [(mu, 1.0) for mu in _mu_grid(canon, n_lambda).tolist()]
+    lam_switch, mu_switch = _case_switches(canon)
+    directions = [(1.0, lam) for lam in _weight_grid(lam_switch, n_lambda).tolist()]
+    directions += [(mu, 1.0) for mu in _weight_grid(mu_switch, n_lambda).tolist()]
     sols = _solve(canon, directions)
     cons = [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
     cons += [(a, b, value) for (a, b), (value, _) in zip(directions, sols)]
@@ -376,10 +365,9 @@ def proposition_regions(spec: ChannelSpec, n_lambda: int = 64) -> list[RegionPol
     and (mu, 1) for R4.
     """
     require_canonical(spec)
-    lo, hi = thresholds(spec)
-    mu_lo = 0.0 if math.isinf(hi) else 1.0 / hi
-    lams = np.unique(_open_segment(min(lo, 1.0), 1.0, n_lambda))
-    mus = np.unique(_open_segment(mu_lo, 1.0, n_lambda))
+    lam_switch, mu_switch = _case_switches(spec)
+    lams = np.unique(_open_segment(lam_switch, 1.0, n_lambda))
+    mus = np.unique(_open_segment(mu_switch, 1.0, n_lambda))
     directions = [(1.0, 0.0), (0.0, 1.0)] + [(1.0, lam) for lam in lams.tolist()] + [(mu, 1.0) for mu in mus.tolist()]
     sols = _solve(spec, directions)
     (c1, _), (c2, _) = sols[:2]
@@ -457,17 +445,4 @@ def polygon_to_csv(poly: RegionPolygon) -> str:
     for v in poly.vertices:
         lines.append(f"{format_number(v.r1)},{format_number(v.r2)}")
     lines.append(f"{format_number(poly.vertices[0].r1)},{format_number(poly.vertices[0].r2)}")
-    return "\n".join(lines) + "\n"
-
-
-def support_curve_to_csv(curve: SupportCurve) -> str:
-    """Support samples as CSV with the maximizing input law per row."""
-    if not curve.samples:
-        raise ValueError("support curve has no samples")
-    n = len(curve.samples[0].argmax_px)
-    header = "lambda,value,case," + ",".join(f"px{i}" for i in range(n))
-    lines = [header]
-    for s in curve.samples:
-        px = ",".join(format_number(v) for v in s.argmax_px)
-        lines.append(f"{format_number(s.lam)},{format_number(s.value)},{s.case_id},{px}")
     return "\n".join(lines) + "\n"

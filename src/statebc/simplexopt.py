@@ -15,9 +15,11 @@ one-feature case with row (1.0,), so every search takes the same scan.
 maximize_pushforward_entropies solves the concave case, many coefficient rows
 at once, each to a certified gap.
 
-Everything is deterministic. Lattice points are generated in ascending
-lexicographic order (see _scan_lattice for how its ties break); candidate
-comparisons elsewhere use first-maximum semantics.
+Everything is deterministic. Every lattice streams through iter_lattice in
+blocks of at most _BLOCK_BYTES, its points in ascending lexicographic order,
+and the scan keeps its top points by value with ties toward the earlier
+point, whatever the block size; candidate comparisons elsewhere use
+first-maximum semantics.
 
 Objectives must be vectorized: they take an array whose trailing axis (for
 maximize_simplex) or trailing two axes (for maximize_joint) hold the
@@ -31,14 +33,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .infotheory import block_entropies, pushforward, xlogx
 
 _BLOCK_BYTES = 256 * 1024
-_MEMO_POINT_LIMIT = 200_000
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 24
 
@@ -138,26 +138,15 @@ def _lattice_blocks(mass: int, dim: int, cap_rows: float):
     yield join(pending)
 
 
-@lru_cache(maxsize=48)
-def _cached_lattice(denominator: int, dim: int) -> np.ndarray:
-    (block,) = _lattice_blocks(denominator, dim, math.inf)
-    block.setflags(write=False)
-    return block
-
-
 def iter_lattice(denominator: int, dim: int):
     """Yield int32 blocks jointly covering every composition of `denominator`
-    into `dim` parts exactly once, in ascending lexicographic order. A lattice
-    of at most _MEMO_POINT_LIMIT points is one read-only block, cached across
-    calls; a larger one is built as it is consumed, in blocks of at most
-    _BLOCK_BYTES (or one row), so its memory is bounded per block."""
+    into `dim` parts exactly once, in ascending lexicographic order. Blocks
+    are built as they are consumed, each of at most _BLOCK_BYTES (or one
+    row), so a scan's memory is bounded per block whatever the lattice size."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if denominator < 0:
         raise ValueError("denominator must be non-negative")
-    if lattice_size(denominator, dim) <= _MEMO_POINT_LIMIT:
-        yield _cached_lattice(denominator, dim)
-        return
     row_bytes = dim * np.dtype(np.int32).itemsize
     yield from _lattice_blocks(denominator, dim, max(1, _BLOCK_BYTES // row_bytes))
 
@@ -205,19 +194,24 @@ class _Counted:
 
 def _scan_lattice(fs: list, dim: int, m: int, top_k: int):
     """Evaluate every objective of fs on the full lattice and track each
-    one's top_k points as (values, points). The objectives share their
-    features, computed once per block; each takes its values as
-    combine(features, row). np.argpartition picks among a block's points
-    tied at the k-th value repeatably but not by generation index; the kept
-    points are ranked by value, ties toward the earlier generation index."""
+    one's top_k points as (values, points), ranked by value with ties toward
+    the earlier generation index. The objectives share their features,
+    computed once per block; each takes its values as combine(features, row).
+    Each block keeps its top_k in the same (-value, index) order, so the
+    kept points do not depend on where the blocks break."""
     tops = [(np.empty(0), np.empty((0, dim)))] * len(fs)
     for block in iter_lattice(m, dim):
         pts = block.astype(float) / m
         F = fs[0].features(pts)
         for w, f in enumerate(fs):
             vals = f.count(combine(F, f.row), pts)
-            k_here = min(top_k, vals.shape[0])
-            idx = np.sort(np.argpartition(-vals, k_here - 1)[:k_here]) if k_here < vals.shape[0] else slice(None)
+            idx = slice(None)
+            if top_k < vals.size:
+                # Every index above the k-th largest value, then its first ties.
+                kth = np.partition(vals, vals.size - top_k)[vals.size - top_k]
+                idx = np.flatnonzero(vals >= kth)
+                above = vals[idx] > kth
+                idx = idx[above | (np.cumsum(~above) <= top_k - np.count_nonzero(above))]
             cand_vals = np.concatenate([tops[w][0], vals[idx]])
             cand_pts = np.vstack([tops[w][1], pts[idx]])
             order = np.argsort(-cand_vals, kind="stable")[:top_k]

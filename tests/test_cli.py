@@ -126,6 +126,18 @@ class TestValidationErrors:
         assert exc.value.code == 2
         assert "unrecognized arguments: --grid 6" in capsys.readouterr().err
 
+    def test_nan_tolerance_exit_two(self, bw_json, capsys):
+        rc = main(["verify", "--channel", bw_json, "--p1", "0.7", "--p2", "0.3", "--lambdas", "4", "--tol", "nan"])
+        assert rc == 2
+        assert "tolerance must be non-negative" in capsys.readouterr().err
+
+    def test_u_size_is_not_an_option(self, bw_json, capsys):
+        # verify searches the default auxiliary alphabet, |X| + 1.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--channel", bw_json, "--p1", "0.7", "--p2", "0.3", "--u-size", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --u-size 4" in capsys.readouterr().err
+
     def test_missing_file_exit_two(self, tmp_path, capsys):
         rc = main(["region", "--channel", str(tmp_path / "nope.json"), "--p1", "0.7", "--p2", "0.3", "--out", str(tmp_path / "o.csv")])
         assert rc == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from statebc import (
     verify_converse,
 )
 from statebc.channel import indicator_matrices
-from statebc.outerbound import _outer_results, converse_to_csv, outer_objective, outer_table, structure_seeds
+from statebc.outerbound import _outer_objectives, _outer_results, converse_to_csv, outer_objective, outer_table, structure_seeds
 from statebc.infotheory import entropy
 from conftest import random_spec
 
@@ -52,6 +53,8 @@ class TestSupportOuter:
             support_outer(ff2_07_04, -1.0)
         with pytest.raises(ValueError):
             support_outer(ff2_07_04, 1.0, u_size=0)
+        with pytest.raises(ValueError, match="lambda"):
+            support_outer_result(ff2_07_04, math.nan, seed_px=np.full(4, 0.25))
         with pytest.raises(ValueError, match="canonical"):
             support_outer(ChannelSpec(2, (0, 1), (1, 0), 0.2, 0.8), 1.0)
 
@@ -260,7 +263,6 @@ class TestBatchedOuterSearch:
     def test_streamed_lattice(self, ff2_07_04, monkeypatch):
         # GF(2)'s 8,855-point joint lattice (u = 5, grid 4) in several
         # blocks, so the kept tops merge across blocks.
-        monkeypatch.setattr(simplexopt, "_MEMO_POINT_LIMIT", 1000)
         monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", 20 * 4 * 1500)
         assert len(list(simplexopt.iter_lattice(4, 20))) == 8
         self.assert_batch_matches_one_weight_searches(ff2_07_04, 16)
@@ -269,6 +271,59 @@ class TestBatchedOuterSearch:
         objs = [outer_objective(blackwell_07_03, lam, 4) for lam in (0.5, 1.5)]
         with pytest.raises(ValueError, match="share"):
             simplexopt.maximize_joints(objs, (4, 3), [(), ()])
+
+
+class TestLatticeBlocks:
+    """The outer scan against the block size of its lattice."""
+
+    @staticmethod
+    def scan_and_search(spec, curve):
+        u, n = spec.input_size + 1, spec.input_size
+        lams = [s.lam for s in curve]
+        fs = [simplexopt._Counted(o, (u, n)) for o in _outer_objectives(spec, lams, u)]
+        tops = simplexopt._scan_lattice(fs, u * n, simplexopt.default_grid(u * n), simplexopt._STARTS)
+        return fs, tops, _outer_results(spec, lams, None, [s.argmax_px for s in curve])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [blackwell_channel(0.7, 0.3), ChannelSpec(4, (0, 1, 1, 0), (0, 0, 1, 1), 0.7, 0.4)],
+        ids=("blackwell", "gf2"),
+    )
+    def test_tops_and_results_do_not_depend_on_block_size(self, spec, monkeypatch):
+        # Tied lattice values are common on both channels. Each weight keeps
+        # the first top_k of the whole lattice in (-value, index) order,
+        # wherever the blocks break, and so ascends from the same starts.
+        curve = support_curve(spec, case_spanning_lambdas(spec, 16)).samples
+        fs, _, want = self.scan_and_search(spec, curve)
+        dim = fs[0].shape[0] * fs[0].shape[1]
+        m = simplexopt.default_grid(dim)
+        (whole,) = simplexopt._lattice_blocks(m, dim, math.inf)
+        pts = whole.astype(float) / m
+        F = fs[0].features(pts)
+        for cap in (simplexopt._BLOCK_BYTES, 48_000, 4_096, 1_920):
+            monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", cap)
+            _, tops, got = self.scan_and_search(spec, curve)
+            for f, (vals, top_pts) in zip(fs, tops):
+                vals_all = simplexopt.combine(F, f.row)
+                first = np.argsort(-vals_all, kind="stable")[: simplexopt._STARTS]
+                assert np.array_equal(vals, vals_all[first]) and np.array_equal(top_pts, pts[first])
+            for g, w in zip(got, want):
+                assert np.array_equal(g.argmax, w.argmax)
+                assert (g.value, g.evaluations) == (w.value, w.evaluations)
+
+    def test_scan_memory_is_bounded_per_block(self):
+        # RANDOM5's joint lattice, 40,920 points of 30 coordinates, is
+        # 9.8 MB as floats alone; streamed, the scan holds one block.
+        u, n = 6, 5
+        objs = _outer_objectives(_RANDOM5, case_spanning_lambdas(_RANDOM5, 8), u)
+        fs = [simplexopt._Counted(o, (u, n)) for o in objs]
+        tracemalloc.start()
+        try:
+            simplexopt._scan_lattice(fs, u * n, simplexopt.default_grid(u * n), simplexopt._STARTS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestStructureSeeds:
@@ -314,6 +369,12 @@ class TestVerifyConverse:
         with pytest.raises(ValueError):
             verify_converse(blackwell_07_03, [])
 
+    def test_rejects_nan_weight_and_tolerance(self, blackwell_07_03):
+        with pytest.raises(ValueError, match="lambda"):
+            verify_converse(blackwell_07_03, [0.5, math.nan])
+        with pytest.raises(ValueError, match="tolerance"):
+            verify_converse(blackwell_07_03, [0.5], tol=math.nan)
+
     def test_case_labels_recorded(self, ff2_07_04):
         report = verify_converse(ff2_07_04, [0.2, 0.8, 1.3, 3.0], tol=5e-3)
         assert [s.case_id for s in report.samples] == ["R1", "R3", "R4", "R2"]
@@ -323,6 +384,10 @@ class TestBruteForce:
     def test_budget_error(self, blackwell_07_03):
         with pytest.raises(ValueError, match="budget"):
             brute_force_support(blackwell_07_03, 1.0, 8, 48)
+
+    def test_rejects_nan_lambda(self, blackwell_07_03):
+        with pytest.raises(ValueError, match="lambda"):
+            brute_force_support(blackwell_07_03, math.nan, 2, 4)
 
     def test_grid_refinement_monotone(self):
         spec = ChannelSpec(2, (0, 1), (0, 0), 0.8, 0.3)

@@ -27,13 +27,13 @@ from statebc import (
     transpose_polygon,
 )
 from statebc.regions import (
+    case_of,
     corner_values,
     format_number,
     halfplane_vertices,
     make_polygon,
     pareto_front,
     polygon_to_csv,
-    support_curve_to_csv,
 )
 from statebc.channel import component_entropies, stacked_indicator
 from statebc.simplexopt import combine, iter_lattice, maximize_pushforward_entropies
@@ -85,6 +85,12 @@ class TestSupportInner:
     def test_rejects_negative_lambda(self, ff2_07_04):
         with pytest.raises(ValueError):
             support_inner(ff2_07_04, -0.5)
+
+    def test_rejects_nan_lambda(self, ff2_07_04):
+        for call in (lambda: case_of(ff2_07_04, math.nan), lambda: support_inner(ff2_07_04, math.nan),
+                     lambda: support_curve(ff2_07_04, [0.5, math.nan])):
+            with pytest.raises(ValueError, match="non-negative"):
+                call()
 
     def test_rejects_non_canonical(self):
         with pytest.raises(ValueError, match="canonical"):
@@ -141,10 +147,10 @@ class TestCapacityPolygon:
     def test_support_consistency(self, blackwell_07_03):
         # On the weights the polygon actually sampled, every vertex obeys the
         # corresponding half-plane and some vertex attains it.
-        from statebc.regions import _lambda_grid
+        from statebc.regions import _case_switches, _weight_grid
 
         poly = capacity_polygon(blackwell_07_03, n_lambda=16)
-        for lam in _lambda_grid(blackwell_07_03, 16):
+        for lam in _weight_grid(_case_switches(blackwell_07_03)[0], 16):
             value, _, _ = support_inner(blackwell_07_03, float(lam))
             reached = polygon_support(poly, 1.0, float(lam))
             assert reached <= value + 1e-6
@@ -437,13 +443,6 @@ class TestCsv:
         assert len(reparsed) == len(poly.vertices)
         hull = convex_hull(reparsed)
         assert hull.shape[0] >= len(reparsed) - 1
-
-    def test_support_curve_csv(self, blackwell_07_03):
-        curve = support_curve(blackwell_07_03, [0.0, 0.5, 1.0])
-        text = support_curve_to_csv(curve)
-        lines = text.strip().splitlines()
-        assert lines[0] == "lambda,value,case,px0,px1,px2"
-        assert len(lines) == 4
 
     def test_format_number(self):
         assert format_number(-0.0) == "0"

@@ -113,8 +113,7 @@ def test_lattice_matches_stars_and_bars():
 
 
 def stream_small(monkeypatch, cap_bytes):
-    """Force every lattice through the streamed path with a tiny block cap."""
-    monkeypatch.setattr(simplexopt, "_MEMO_POINT_LIMIT", 0)
+    """Stream every lattice with a tiny block cap."""
     monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", cap_bytes)
 
 
