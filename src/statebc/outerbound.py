@@ -13,8 +13,8 @@ to the inner argmax law, which guarantees outer >= inner numerically; the
 lattice scan and ascent then hunt for anything better. The objective is a
 weight's row of the outer table applied to four lambda-free entropies, so
 verify_converse searches all its weights together: one lattice scan scores
-those entropies once and serves every weight, and each weight then ascends
-alone, with the result a one-weight search would give.
+those entropies once and serves every weight, and one ascent runs every
+weight's starts, each with the result a one-weight search would give.
 """
 
 from __future__ import annotations
@@ -204,6 +204,15 @@ def verify_converse(
     return ConverseReport(tuple(samples), max_gap, tol, max_gap <= tol)
 
 
+def _check_lattice_args(lam: float, u_size: int, grid: int) -> None:
+    if not lam >= 0.0:
+        raise ValueError("lambda must be non-negative")
+    if u_size < 1:
+        raise ValueError("u_size must be a positive integer")
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
+
+
 def brute_force_support(spec: ChannelSpec, lam: float, u_size: int, grid: int) -> float:
     """Exhaustive lattice maximum of the outer objective; the slow oracle.
 
@@ -211,20 +220,15 @@ def brute_force_support(spec: ChannelSpec, lam: float, u_size: int, grid: int) -
     budget of 1e8 points rather than truncating.
     """
     require_canonical(spec)
-    if not lam >= 0.0:
-        raise ValueError("lambda must be non-negative")
-    if u_size < 1:
-        raise ValueError("u_size must be a positive integer")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
+    _check_lattice_args(lam, u_size, grid)
     dim = u_size * spec.input_size
     total = lattice_size(grid, dim)
     if total > ENUMERATION_BUDGET:
         raise ValueError(
             f"lattice of {total} points exceeds the enumeration budget of {ENUMERATION_BUDGET}"
         )
-    f = _Counted(outer_objective(spec, lam, u_size), (u_size, spec.input_size))
-    ((top_vals, _),) = _scan_lattice([f], dim, grid, 1)
+    f = _Counted([outer_objective(spec, lam, u_size)], (u_size, spec.input_size))
+    ((top_vals, _),) = _scan_lattice(f, dim, grid, 1)
     return float(top_vals[0])
 
 
@@ -234,8 +238,10 @@ def support_gap_bound(spec: ChannelSpec, lam: float, u_size: int, grid: int) -> 
 
     Uses the entropy continuity bound |H(p) - H(q)| <= eps*log2(n-1) + h(eps)
     at the lattice covering radius eps (total variation), applied term by
-    term with the objective's coefficients.
+    term with the objective's coefficients. Arguments are checked as
+    brute_force_support checks them.
     """
+    _check_lattice_args(lam, u_size, grid)
     dim = u_size * spec.input_size
     eps = min(0.5, (dim - 1) / grid)
     y = spec.output_size

@@ -103,9 +103,8 @@ def convex_hull(points, tol: float = _HULL_TOL) -> np.ndarray:
             out.append(p)
         return out
 
-    lower = chain(pts)
-    upper = chain(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
+    seq = pts.tolist()
+    return np.array(chain(seq)[:-1] + chain(seq[::-1])[:-1])
 
 
 def make_polygon(points, label: str, tol: float = _HULL_TOL) -> RegionPolygon:
@@ -122,12 +121,16 @@ def pareto_front(points) -> np.ndarray:
     quadrant is Pareto optimal. Vectorized, so huge clouds reduce cheaply
     before the sequential hull pass.
     """
-    pts = np.asarray(points, dtype=float)
-    order = np.lexsort((-pts[:, 1], -pts[:, 0]))
-    pts = pts[order]
-    r2 = pts[:, 1]
-    best = np.maximum.accumulate(np.concatenate([[-np.inf], r2[:-1]]))
-    return pts[r2 > best]
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    if pts.shape[0] == 0:
+        return pts
+    pts = pts[np.argsort(-pts[:, 0])]
+    # Each run of tied r1, by descending r1, keeps its largest r2 if that
+    # beats every run before it.
+    runs = np.flatnonzero(np.diff(pts[:, 0], prepend=np.inf))
+    top = np.maximum.reduceat(pts[:, 1], runs)
+    keep = top > np.maximum.accumulate(np.concatenate([[-np.inf], top[:-1]]))
+    return np.column_stack((pts[runs[keep], 0], top[keep]))
 
 
 def transpose_polygon(poly: RegionPolygon) -> RegionPolygon:
@@ -412,27 +415,22 @@ def primed_regions(spec: ChannelSpec, px_grid: int | None = None) -> list[Region
     # clamped rows at (1, 0) and (0, 1).
     rows = list(np.vstack(corner_tables(spec)))
     rows += [_coefficient_row(spec, *_support_row(spec, a, b)[:3]) for a, b in ((1.0, 0.0), (0.0, 1.0))]
-    c1p = 0.0
-    c2p = 0.0
-    front3 = np.zeros((1, 2))
-    front4 = np.zeros((1, 2))
+    c1p, c2p = 0.0, 0.0
+    fronts = [np.zeros((1, 2)), np.zeros((1, 2))]
     for block in iter_lattice(m, n):
         features = component_entropies(spec, block.astype(float) / m)
         a3, b3, a4, b4, c1, c2 = (combine(features, row) for row in rows)
-        c1p = max(c1p, float(c1.max()))
-        c2p = max(c2p, float(c2.max()))
-        front3 = pareto_front(np.vstack([front3, np.maximum(np.column_stack([a3, b3]), 0.0)]))
-        front4 = pareto_front(np.vstack([front4, np.maximum(np.column_stack([a4, b4]), 0.0)]))
-    r1 = make_polygon([(0.0, 0.0), (c1p, 0.0)], "R1'")
-    r2 = make_polygon([(0.0, 0.0), (0.0, c2p)], "R2'")
+        c1p, c2p = max(c1p, float(c1.max())), max(c2p, float(c2.max()))
+        corners = ((a3, b3), (a4, b4))
+        fronts = [pareto_front(np.vstack([f, np.maximum(np.column_stack(c), 0.0)])) for f, c in zip(fronts, corners)]
+    polys = [make_polygon([(0.0, 0.0), (c1p, 0.0)], "R1'"), make_polygon([(0.0, 0.0), (0.0, c2p)], "R2'")]
     # Tight collinearity tolerance: these hulls are the reference side of the
     # rectangle-region containment checks, so chord sag must stay below the
     # 1e-6 comparison tolerance.
-    aug3 = np.vstack([front3, [[0.0, 0.0], [front3[:, 0].max(), 0.0], [0.0, front3[:, 1].max()]]])
-    aug4 = np.vstack([front4, [[0.0, 0.0], [front4[:, 0].max(), 0.0], [0.0, front4[:, 1].max()]]])
-    r3 = make_polygon(aug3, "R3'", tol=1e-13)
-    r4 = make_polygon(aug4, "R4'", tol=1e-13)
-    return [r1, r2, r3, r4]
+    for f, label in zip(fronts, ("R3'", "R4'")):
+        aug = np.vstack([f, [[0.0, 0.0], [f[:, 0].max(), 0.0], [0.0, f[:, 1].max()]]])
+        polys.append(make_polygon(aug, label, tol=1e-13))
+    return polys
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,18 @@ picks the best move, so simplex feasibility is preserved exactly.
 maximize_joints searches many objectives that share one `features` callable,
 each value being combine(features(P), row) for its own coefficient row: one
 lattice scan computes the features once per block and keeps every row's top
-points, then each objective ascends alone. A plain objective is the
-one-feature case with row (1.0,), so every search takes the same scan.
+points, then one ascent runs every objective's starts together, each start
+valued with its own objective's row. A plain objective is the one-feature
+case with row (1.0,), so every search takes the same path.
 
 maximize_pushforward_entropies solves the concave case, many coefficient rows
 at once, each to a certified gap.
 
 Everything is deterministic. Every lattice streams through iter_lattice in
 blocks of at most _BLOCK_BYTES, its points in ascending lexicographic order,
-and the scan keeps its top points by value with ties toward the earlier
-point, whatever the block size; candidate comparisons elsewhere use
-first-maximum semantics.
+and so do each ascent step's line searches; the scan keeps its top points
+by value with ties toward the earlier point, whatever the block size, and
+candidate comparisons elsewhere use first-maximum semantics.
 
 Objectives must be vectorized: they take an array whose trailing axis (for
 maximize_simplex) or trailing two axes (for maximize_joint) hold the
@@ -163,48 +164,48 @@ def combine(features, coeffs):
 
 
 class _Counted:
-    """An objective over points of `shape`, called on a flat stack of them,
-    that counts the points it evaluates. Its values are also
-    combine(features(P), row): the objective's own `features` and `row`
-    when it has them, else the objective itself as one feature with row
-    (1.0,). It raises unless the objective returns one value per point,
-    none of them NaN."""
+    """Objectives over points of `shape` that share their features, called
+    on flat stacks of those points, with the points each one evaluates
+    counted in evals. Objective w values P as combine(features(P), rows[w]):
+    its own `features` and `row` when it has them, else the objective itself
+    as one feature with row (1.0,), and 1.0 * v is v exactly. A call raises
+    unless it gets one value per point, none of them NaN."""
 
-    def __init__(self, objective, shape: tuple):
-        self.objective, self.shape, self.evals = objective, shape, 0
-        self.row = getattr(objective, "row", np.ones(1))
-        self._features = getattr(objective, "features", lambda P: (np.asarray(objective(P), dtype=float),))
+    def __init__(self, objectives: list, shape: tuple):
+        first = objectives[0]
+        self.shape, self.evals = shape, np.zeros(len(objectives), dtype=np.int64)
+        self.rows = np.array([getattr(o, "row", np.ones(1)) for o in objectives])
+        self.cells = getattr(first, "cells", None)
+        self.coeffs = None if self.cells is None else np.array([o.coeffs for o in objectives])
+        self._features = getattr(first, "features", lambda P: (np.asarray(first(P), dtype=float),))
 
     def features(self, P: np.ndarray):
         return self._features(P.reshape(P.shape[:-1] + self.shape))
 
-    def __call__(self, P: np.ndarray) -> np.ndarray:
-        return self.count(self.objective(P.reshape(P.shape[:-1] + self.shape)), P)
-
-    def count(self, vals, P: np.ndarray) -> np.ndarray:
-        vals = np.asarray(vals, dtype=float)
+    def __call__(self, P: np.ndarray, own=0, features=None) -> np.ndarray:
+        """Values of the points P, point k by objective own[k] (or all by
+        own), from their features when these are given."""
+        vals = np.asarray(combine(self.features(P) if features is None else features, self.rows[own]), dtype=float)
         if vals.shape != P.shape[:1]:
             raise ValueError("objective must return one value per input point")
-        nan = np.isnan(vals)
-        if nan.any():
+        if (nan := np.isnan(vals)).any():
             raise ValueError(f"objective returned NaN at point {P[nan.argmax()].tolist()}")
-        self.evals += vals.size
+        self.evals += np.bincount(np.broadcast_to(own, vals.shape), minlength=self.evals.size)
         return vals
 
 
-def _scan_lattice(fs: list, dim: int, m: int, top_k: int):
-    """Evaluate every objective of fs on the full lattice and track each
+def _scan_lattice(f: _Counted, dim: int, m: int, top_k: int):
+    """Evaluate every objective of f on the full lattice and track each
     one's top_k points as (values, points), ranked by value with ties toward
-    the earlier generation index. The objectives share their features,
-    computed once per block; each takes its values as combine(features, row).
+    the earlier generation index. The features are computed once per block.
     Each block keeps its top_k in the same (-value, index) order, so the
     kept points do not depend on where the blocks break."""
-    tops = [(np.empty(0), np.empty((0, dim)))] * len(fs)
+    tops = [(np.empty(0), np.empty((0, dim)))] * f.evals.size
     for block in iter_lattice(m, dim):
         pts = block.astype(float) / m
-        F = fs[0].features(pts)
-        for w, f in enumerate(fs):
-            vals = f.count(combine(F, f.row), pts)
+        F = f.features(pts)
+        for w in range(f.evals.size):
+            vals = f(pts, w, F)
             idx = slice(None)
             if top_k < vals.size:
                 # Every index above the k-th largest value, then its first ties.
@@ -228,40 +229,38 @@ def _pair_deltas(dim: int):
     return i_idx, delta
 
 
-def _cell_probe(f: _Counted, S, V, r, i, j):
-    """Values of moving mass t from coordinate i to j of row r of S (value V)
-    for an objective sum_k coeffs[k] H(q_k) with `cells` and `coeffs`, as
+def _cell_probe(f: _Counted, own, S, V, r, i, j):
+    """Values of moving mass t from coordinate i to j of row r of S (value V,
+    objective own[r]) for objectives sum_k coeffs[k] H(q_k) with `cells`, as
     _golden_polish stacks them: only cells[i, k] and cells[j, k] of each q_k
     change. Each row's cells are summed in coordinate order, without BLAS,
     so a row's probe values do not depend on the other rows of S. Counts
     one evaluation per probe."""
-    cells, coeffs = f.objective.cells, f.objective.coeffs
+    cells = f.cells
     n_cells = cells.max() + 1
     bins = np.arange(len(S))[:, None, None] * n_cells + cells
     q = np.bincount(bins.ravel(), np.repeat(S, cells.shape[1], axis=1).ravel(), len(S) * n_cells).reshape(len(S), n_cells)
-    qa, qb, w = q[r[:, None], cells[i]], q[r[:, None], cells[j]], np.where(cells[i] != cells[j], coeffs, 0.0)
+    qa, qb, w = q[r[:, None], cells[i]], q[r[:, None], cells[j]], np.where(cells[i] != cells[j], f.coeffs[own[r]], 0.0)
     v, before = V[r], xlogx(qa) + xlogx(qb)
+    counts = 2 * np.bincount(own[r], minlength=f.evals.size)
 
     def probe(t):
-        f.evals += t.size
+        f.evals += counts
         t = t.reshape(2, -1, 1)
         return (v - (w * (xlogx(qa - t) + xlogx(qb + t) - before)).sum(axis=-1)).ravel()
 
     return probe
 
 
-def _golden_polish(f: _Counted, base, delta, hi, iters: int = _GOLDEN_ITERS, probe=None):
-    """Per-row golden-section maximum of t -> objective(base + t*delta) on
-    [0, hi]; returns the best (t, value) seen including the probes. Each
-    step values both interior probes of every row in one call, probe(t) or
-    by default f on the stacked points; objectives evaluate rows
-    independently, so the values are those of two separate calls."""
+def _golden_polish(probe, hi, iters: int = _GOLDEN_ITERS):
+    """Per-row golden-section maximum on [0, hi] of a line's values, where
+    probe(t) values the 2n steps t, both interior probes of every row, in
+    one call; returns the best (t, value) seen including the probes.
+    Objectives evaluate rows independently, so the values are those of two
+    separate calls."""
     n = hi.shape[0]
     a = np.zeros(n)
     b = hi.astype(float).copy()
-    if probe is None:
-        base2, delta2 = np.concatenate((base, base)), np.concatenate((delta, delta))
-        probe = lambda t: f(np.maximum(base2 + t[:, None] * delta2, 0.0))
     best_t = np.zeros(n)
     best_v = np.full(n, -np.inf)
     x1 = b - _GOLDEN * (b - a)
@@ -282,33 +281,43 @@ def _golden_polish(f: _Counted, base, delta, hi, iters: int = _GOLDEN_ITERS, pro
     return best_t, best_v
 
 
-def _full_pair_polish(f: _Counted, S, V, rows, i_idx, delta, step_tolerance, iters):
-    """One ascent step for the given state rows: a golden-section line search
-    over every ordered pair with mass to move. One search runs over every
-    (row, live pair) at once, and each row takes its first best pair, as a
-    search of that row alone would. Applies moves that gain more than
-    step_tolerance in place and returns the mask of rows that moved. With
-    objective `cells`, _cell_probe values the probes and a move is kept on
-    its full value; one more than 1e-9 off its probe raises RuntimeError."""
-    hi = S[rows][:, i_idx]
-    r, pair = np.nonzero(hi > 0.0)
-    if cells := hasattr(f.objective, "cells"):
-        probe = _cell_probe(f, S[rows], V[rows], r, i_idx[pair], delta.argmax(axis=1)[pair])
-        t_g, v_g = _golden_polish(f, None, None, hi[r, pair], iters, probe)
-    else:
-        t_g, v_g = _golden_polish(f, S[rows[r]], delta[pair], hi[r, pair], iters)
-    t_row = np.zeros(hi.shape)
-    v_row = np.full(hi.shape, -np.inf)
-    t_row[r, pair] = t_g
-    v_row[r, pair] = v_g
-    b = v_row.argmax(axis=1)
-    pos = np.arange(len(rows))
-    t_b, v_b = t_row[pos, b], v_row[pos, b]
-    moved = v_b > V[rows] + step_tolerance
+def _full_pair_polish(f: _Counted, own, S, V, rows, i_idx, delta, step_tolerance, iters):
+    """One ascent step for the given state rows, row r valued by objective
+    own[r]: a golden-section line search over every ordered pair with mass
+    to move, and each row takes its first best pair, as a search of that
+    row alone would. The (row, live pair) entries stream in chunks of at
+    most _BLOCK_BYTES // (2 * 8 * width), width the cell blocks (else the
+    dimension), and a row takes a later chunk's pair only on a strictly
+    greater value. Applies moves that gain more than step_tolerance in
+    place and returns the mask of rows that moved. With objective `cells`,
+    _cell_probe values the probes and a move is kept on its full value; one
+    more than 1e-9 off its probe raises RuntimeError."""
+    cells = f.cells is not None
+    # Pairs i * per to (i + 1) * per - 1 move mass off coordinate i.
+    per, j_idx = S.shape[1] - 1, delta.argmax(axis=1)
+    pos, nz = np.nonzero(S[rows] > 0.0)
+    chunk = _BLOCK_BYTES // (16 * (f.cells.shape[1] if cells else S.shape[1]))
+    best_t, best_v, best_p = np.zeros(len(rows)), np.full(len(rows), -np.inf), np.zeros(len(rows), dtype=int)
+    for start in range(0, pos.size * per, chunk):
+        k, off = np.divmod(np.arange(start, min(start + chunk, pos.size * per)), per)
+        r, pair = pos[k], nz[k] * per + off
+        hi = S[rows[r], i_idx[pair]]
+        if cells:
+            span = rows[r[0] : r[-1] + 1]
+            probe = _cell_probe(f, own[span], S[span], V[span], r - r[0], i_idx[pair], j_idx[pair])
+        else:
+            base, along, both = np.tile(S[rows[r]], (2, 1)), np.tile(delta[pair], (2, 1)), np.tile(own[rows[r]], 2)
+            probe = lambda t: f(np.maximum(base + t[:, None] * along, 0.0), both)
+        t_g, v_g = _golden_polish(probe, hi, iters)
+        # Each row's first best entry in this chunk.
+        first = np.lexsort((-v_g, r))[np.flatnonzero(np.diff(r, prepend=-1))]
+        up = first[v_g[first] > best_v[r[first]]]
+        best_t[r[up]], best_v[r[up]], best_p[r[up]] = t_g[up], v_g[up], pair[up]
+    moved = best_v > V[rows] + step_tolerance
     s = rows[moved]
-    step, v_s = np.maximum(S[s] + t_b[moved, None] * delta[b[moved]], 0.0), v_b[moved]
+    step, v_s = np.maximum(S[s] + best_t[moved, None] * delta[best_p[moved]], 0.0), best_v[moved]
     if cells and s.size:
-        full = f(step)
+        full = f(step, own[s])
         if (off := np.abs(full - v_s)).max() > 1e-9:
             raise RuntimeError(f"move to {step[off.argmax()].tolist()} scores {full[off.argmax()]}, probe {v_s[off.argmax()]}")
         moved[moved] = keep = full > V[s] + step_tolerance
@@ -317,34 +326,39 @@ def _full_pair_polish(f: _Counted, S, V, rows, i_idx, delta, step_tolerance, ite
     return moved
 
 
-def _refine(f: _Counted, starts: np.ndarray):
-    """Two-phase refinement: ascend every start at a coarse tolerance with
-    short line searches, then only the leaders (within 1e-4 bits of the best,
-    at most three) at _STEP_TOLERANCE. Laggard starts cannot win, so the tail
-    cost is spent where it matters."""
-    S, V = _ascend(f, starts, 1e-6, 12)
-    # Best first, ties in start order.
-    order = np.argsort(-V, kind="stable")
-    lead = order[:3][V[order[:3]] >= V[order[0]] - 1e-4]
-    S[lead], V[lead] = _ascend(f, S[lead], _STEP_TOLERANCE, _GOLDEN_ITERS)
+def _refine(f: _Counted, own, starts: np.ndarray):
+    """Two-phase refinement of the starts of every objective at once, start
+    r valued by objective own[r]: ascend every start at a coarse tolerance
+    with short line searches, then only each objective's leaders (within
+    1e-4 bits of its best, at most three) at _STEP_TOLERANCE. Laggard starts
+    cannot win, so the tail cost is spent where it matters."""
+    S, V = _ascend(f, own, starts, 1e-6, 12)
+    lead = []
+    for w in np.unique(own):
+        # Best first, ties in start order.
+        mine = np.flatnonzero(own == w)
+        top = mine[np.argsort(-V[mine], kind="stable")[:3]]
+        lead += list(top[V[top] >= V[top[0]] - 1e-4])
+    S[lead], V[lead] = _ascend(f, own[lead], S[lead], _STEP_TOLERANCE, _GOLDEN_ITERS)
     # Renormalize accumulated float drift exactly onto the simplex, then
     # re-evaluate so returned values match returned points.
     S = S / S.sum(axis=1, keepdims=True)
-    return S, f(S)
+    return S, f(S, own)
 
 
-def _ascend(f: _Counted, starts: np.ndarray, step_tolerance: float, golden_iters: int):
-    """Pairwise-exchange ascent, batched over start points: each iteration
-    moves every active start along its best pair (_full_pair_polish), and a
-    start stops once no pair gains more than step_tolerance. A start's path
-    depends on its own state alone. A start still moving after
-    _ASCENT_BUDGET iterations raises RuntimeError."""
+def _ascend(f: _Counted, own, starts: np.ndarray, step_tolerance: float, golden_iters: int):
+    """Pairwise-exchange ascent, batched over start points, start r valued
+    by objective own[r]: each iteration moves every active start along its
+    best pair (_full_pair_polish), and a start stops once no pair gains more
+    than step_tolerance. A start's path depends on its own state and
+    objective alone. A start still moving after _ASCENT_BUDGET iterations
+    raises RuntimeError."""
     S = np.array(starts, dtype=float)
-    V = f(S)
+    V = f(S, own)
     i_idx, delta = _pair_deltas(S.shape[1])
     active = np.arange(S.shape[0])
     for _ in range(_ASCENT_BUDGET):
-        active = active[_full_pair_polish(f, S, V, active, i_idx, delta, step_tolerance, golden_iters)]
+        active = active[_full_pair_polish(f, own, S, V, active, i_idx, delta, step_tolerance, golden_iters)]
         if active.size == 0:
             return S, V
     start = starts[active[0]].tolist()
@@ -353,9 +367,10 @@ def _ascend(f: _Counted, starts: np.ndarray, step_tolerance: float, golden_iters
 
 def _maximize_flat(objectives, shape: tuple, extra_starts, orbit_key) -> list[OptResult]:
     """One lattice scan for all objectives, which share their features (see
-    _scan_lattice); then, per objective, ascent from its top points and its
-    extra starts, less those whose orbit_key an earlier start has. Each
-    result, evaluation count included, is that of a one-objective call."""
+    _scan_lattice); then one ascent (_refine) over every objective's top
+    points and extra starts, less those whose orbit_key an earlier start of
+    that objective has. Each result, evaluation count included, is that of
+    a one-objective call."""
     dim = math.prod(shape)
     if dim == 1:
         return [OptResult(np.ones(shape), float(o(np.ones(shape))), 1) for o in objectives]
@@ -366,21 +381,27 @@ def _maximize_flat(objectives, shape: tuple, extra_starts, orbit_key) -> list[Op
     for arr in (a for starts in extras for a in starts):
         if arr.shape[0] != dim:
             raise ValueError(f"extra start has dimension {arr.shape[0]}, expected {dim}")
-    fs = [_Counted(o, shape) for o in objectives]
-    results = []
-    for f, (top_vals, top_pts), more in zip(fs, _scan_lattice(fs, dim, default_grid(dim), _STARTS), extras):
-        starts = {}
+    f = _Counted(objectives, shape)
+    tops = _scan_lattice(f, dim, default_grid(dim), _STARTS)
+    starts, owner = [], []
+    for w, ((_, top_pts), more) in enumerate(zip(tops, extras)):
+        mine = {}
         for r in list(top_pts) + more:
-            starts.setdefault(orbit_key(r), r)
-        S, V = _refine(f, np.array(list(starts.values())))
-        cand_vals = np.concatenate([top_vals[:1], V])
+            mine.setdefault(orbit_key(r), r)
+        starts += mine.values()
+        owner += [w] * len(mine)
+    owner = np.array(owner)
+    S, V = _refine(f, owner, np.array(starts))
+    results = []
+    for w, (top_vals, top_pts) in enumerate(tops):
+        cand_vals = np.concatenate([top_vals[:1], V[owner == w]])
         best = int(np.argmax(cand_vals))
-        point = top_pts[0] if best == 0 else S[best - 1]
+        point = top_pts[0] if best == 0 else S[owner == w][best - 1]
         value = float(cand_vals[best])
-        check = float(f(point[None])[0])
+        check = float(f(point[None], w)[0])
         if abs(check - value) > 1e-12:
             raise AssertionError(f"optimizer value {value} failed re-evaluation ({check})")
-        results.append(OptResult(point.reshape(shape), value, f.evals))
+        results.append(OptResult(point.reshape(shape), value, int(f.evals[w])))
     return results
 
 

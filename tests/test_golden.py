@@ -4,13 +4,14 @@ The recorded files are the outputs of these exact commands. A change to the
 objectives or the optimizer that moves a result shows up here: region
 polygons must keep their support function within 1e-7 bits over 256
 directions, and the support and verify tables must print the same values,
-case ids and verdicts.
+case ids and verdicts. A regions4 run's name is its --out prefix, to which
+it writes one polygon file per label.
 
 To re-record after an intended move, rerun the commands into tests/data:
 
-    PYTHONPATH=src python tests/test_golden.py [file ...]
+    PYTHONPATH=src python tests/test_golden.py [name ...]
 
-which rewrites the named recorded files (all of them by default).
+which rewrites the named records (all of them by default).
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ TABLE_RUNS = {
     "verify-gf2.csv": ["verify", "--channel", "gf2.json", "--lambdas", "16"],
     "verify-random5.csv": ["verify", "--channel", "random5.json", "--lambdas", "8"],
 }
+REGIONS4_RUNS = {
+    "regions4-blackwell-": ["regions4", "--channel", "blackwell.json", "--px-grid", "400"],
+    "regions4-gf2-": ["regions4", "--channel", "gf2.json", "--px-grid", "60"],
+}
+REGIONS4_LABELS = ("R1", "R2", "R3", "R4", "R1p", "R2p", "R3p", "R4p")
 SUPPORT_TOL = 1e-7
 GAP_TOL = 1e-12
 
@@ -66,13 +72,24 @@ def support(points, angle: float) -> float:
     return max(a * x + b * y for x, y in points)
 
 
-@pytest.mark.parametrize("name", list(REGION_RUNS))
-def test_region_support_function_unchanged(name, tmp_path):
-    got, want = rerun(REGION_RUNS[name], tmp_path), recorded(name)
+def assert_same_polygon(got: str, want: str) -> None:
     assert got.splitlines()[:2] == want.splitlines()[:2]
     angles = [2.0 * math.pi * k / 256 for k in range(256)]
     drift = max(abs(support(vertices(got), t) - support(vertices(want), t)) for t in angles)
     assert drift <= SUPPORT_TOL
+
+
+@pytest.mark.parametrize("name", list(REGION_RUNS))
+def test_region_support_function_unchanged(name, tmp_path):
+    assert_same_polygon(rerun(REGION_RUNS[name], tmp_path), recorded(name))
+
+
+@pytest.mark.parametrize("prefix", list(REGIONS4_RUNS))
+def test_regions4_support_functions_unchanged(prefix, tmp_path):
+    run(REGIONS4_RUNS[prefix], tmp_path / prefix)
+    for label in REGIONS4_LABELS:
+        name = f"{prefix}{label}.csv"
+        assert_same_polygon((tmp_path / name).read_text(encoding="utf-8"), recorded(name))
 
 
 @pytest.mark.parametrize("name", list(TABLE_RUNS))
@@ -92,7 +109,7 @@ def test_tables_print_the_same_values(name, tmp_path):
 
 
 if __name__ == "__main__":
-    runs = {**REGION_RUNS, **TABLE_RUNS}
+    runs = {**REGION_RUNS, **TABLE_RUNS, **REGIONS4_RUNS}
     for name in sys.argv[1:] or runs:
         run(runs[name], DATA / name)
         print(f"recorded {DATA / name}")

@@ -191,12 +191,12 @@ class TestCellProbe:
                 r, pair = np.nonzero(S[:, i_idx] > 0.0)
                 i, j, hi = i_idx[pair], j_idx[pair], S[r, i_idx[pair]]
                 t = np.concatenate((rng.uniform(0.0, 1.0, r.size) * hi, hi))
-                f = simplexopt._Counted(obj, (u_size, n))
-                got = simplexopt._cell_probe(f, S, V, r, i, j)(t)
+                f = simplexopt._Counted([obj], (u_size, n))
+                got = simplexopt._cell_probe(f, np.zeros(len(S), dtype=int), S, V, r, i, j)(t)
                 pts = np.maximum(np.tile(S[r], (2, 1)) + t[:, None] * np.tile(delta[pair], (2, 1)), 0.0)
                 want = obj(pts.reshape(-1, u_size, n))
                 assert np.abs(got - want).max() <= 1e-12
-                assert f.evals == t.size
+                assert f.evals[0] == t.size
             kinds["same-u"] += int((i // n == j // n).sum())
             kinds["across-u"] += int((i // n != j // n).sum())
             kinds["shared-cell"] += int((obj.cells[i] == obj.cells[j]).any(axis=1).sum())
@@ -219,12 +219,12 @@ class TestCellProbe:
         # max-norm, at the same value, when they ascended alone rather than
         # together.
         spec, u_size, n = ChannelSpec(5, (1, 0, 0, 1, 1), (1, 0, 0, 0, 0), 0.7, 0.35), 6, 5
-        f = simplexopt._Counted(outer_objective(spec, 1.4, u_size), (u_size, n))
-        ((_, tops),) = simplexopt._scan_lattice([f], u_size * n, simplexopt.default_grid(u_size * n), 8)
+        f = simplexopt._Counted([outer_objective(spec, 1.4, u_size)], (u_size, n))
+        ((_, tops),) = simplexopt._scan_lattice(f, u_size * n, simplexopt.default_grid(u_size * n), 8)
         for tol, iters in ((1e-6, 12), (simplexopt._STEP_TOLERANCE, simplexopt._GOLDEN_ITERS)):
-            S, V = simplexopt._ascend(f, tops, tol, iters)
+            S, V = simplexopt._ascend(f, np.zeros(len(tops), dtype=int), tops, tol, iters)
             for k in range(len(tops)):
-                s, v = simplexopt._ascend(f, tops[k : k + 1], tol, iters)
+                s, v = simplexopt._ascend(f, np.zeros(1, dtype=int), tops[k : k + 1], tol, iters)
                 assert np.array_equal(s[0], S[k]) and v[0] == V[k]
 
     def test_probe_mismatch_raises(self, blackwell_07_03):
@@ -280,31 +280,32 @@ class TestLatticeBlocks:
     def scan_and_search(spec, curve):
         u, n = spec.input_size + 1, spec.input_size
         lams = [s.lam for s in curve]
-        fs = [simplexopt._Counted(o, (u, n)) for o in _outer_objectives(spec, lams, u)]
-        tops = simplexopt._scan_lattice(fs, u * n, simplexopt.default_grid(u * n), simplexopt._STARTS)
-        return fs, tops, _outer_results(spec, lams, None, [s.argmax_px for s in curve])
+        f = simplexopt._Counted(_outer_objectives(spec, lams, u), (u, n))
+        tops = simplexopt._scan_lattice(f, u * n, simplexopt.default_grid(u * n), simplexopt._STARTS)
+        return f, tops, _outer_results(spec, lams, None, [s.argmax_px for s in curve])
 
     @pytest.mark.parametrize(
-        "spec",
-        [blackwell_channel(0.7, 0.3), ChannelSpec(4, (0, 1, 1, 0), (0, 0, 1, 1), 0.7, 0.4)],
-        ids=("blackwell", "gf2"),
+        "spec, n_lambda",
+        [(blackwell_channel(0.7, 0.3), 16), (ChannelSpec(4, (0, 1, 1, 0), (0, 0, 1, 1), 0.7, 0.4), 16), (_RANDOM5, 8)],
+        ids=("blackwell", "gf2", "random5"),
     )
-    def test_tops_and_results_do_not_depend_on_block_size(self, spec, monkeypatch):
-        # Tied lattice values are common on both channels. Each weight keeps
+    def test_tops_and_results_do_not_depend_on_block_size(self, spec, n_lambda, monkeypatch):
+        # Tied lattice values are common on these channels. Each weight keeps
         # the first top_k of the whole lattice in (-value, index) order,
         # wherever the blocks break, and so ascends from the same starts.
-        curve = support_curve(spec, case_spanning_lambdas(spec, 16)).samples
-        fs, _, want = self.scan_and_search(spec, curve)
-        dim = fs[0].shape[0] * fs[0].shape[1]
+        # The smaller caps also split the ascent's line searches mid-row.
+        curve = support_curve(spec, case_spanning_lambdas(spec, n_lambda)).samples
+        f, _, want = self.scan_and_search(spec, curve)
+        dim = f.shape[0] * f.shape[1]
         m = simplexopt.default_grid(dim)
         (whole,) = simplexopt._lattice_blocks(m, dim, math.inf)
         pts = whole.astype(float) / m
-        F = fs[0].features(pts)
+        F = f.features(pts)
         for cap in (simplexopt._BLOCK_BYTES, 48_000, 4_096, 1_920):
             monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", cap)
             _, tops, got = self.scan_and_search(spec, curve)
-            for f, (vals, top_pts) in zip(fs, tops):
-                vals_all = simplexopt.combine(F, f.row)
+            for row, (vals, top_pts) in zip(f.rows, tops):
+                vals_all = simplexopt.combine(F, row)
                 first = np.argsort(-vals_all, kind="stable")[: simplexopt._STARTS]
                 assert np.array_equal(vals, vals_all[first]) and np.array_equal(top_pts, pts[first])
             for g, w in zip(got, want):
@@ -316,14 +317,31 @@ class TestLatticeBlocks:
         # 9.8 MB as floats alone; streamed, the scan holds one block.
         u, n = 6, 5
         objs = _outer_objectives(_RANDOM5, case_spanning_lambdas(_RANDOM5, 8), u)
-        fs = [simplexopt._Counted(o, (u, n)) for o in objs]
+        f = simplexopt._Counted(objs, (u, n))
         tracemalloc.start()
         try:
-            simplexopt._scan_lattice(fs, u * n, simplexopt.default_grid(u * n), simplexopt._STARTS)
+            simplexopt._scan_lattice(f, u * n, simplexopt.default_grid(u * n), simplexopt._STARTS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize(
+        "spec",
+        [_RANDOM5, ChannelSpec(6, (0, 1, 2, 1, 0, 2), (2, 0, 1, 1, 2, 0), 0.7, 0.35)],
+        ids=("random5", "n6"),
+    )
+    def test_search_memory_is_bounded_per_chunk(self, spec):
+        # Every weight's starts ascend together, their line searches in
+        # chunks of (row, pair) entries: no array spans all rows and pairs.
+        curve = support_curve(spec, case_spanning_lambdas(spec, 8)).samples
+        tracemalloc.start()
+        try:
+            _outer_results(spec, [s.lam for s in curve], None, [s.argmax_px for s in curve])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 2**20
 
 
 class TestStructureSeeds:
@@ -421,6 +439,17 @@ class TestGapBound:
         b8 = support_gap_bound(blackwell_07_03, 0.8, 4, 8)
         b32 = support_gap_bound(blackwell_07_03, 0.8, 4, 32)
         assert b8 > b32 > 0.0
+
+    @pytest.mark.parametrize(
+        "lam, u_size, grid, match",
+        [(math.nan, 4, 6, "lambda"), (-1.0, 4, 6, "lambda"), (0.8, 0, 6, "u_size"), (0.8, 4, 1, "grid")],
+        ids=("nan-weight", "negative-weight", "no-auxiliary", "grid-1"),
+    )
+    def test_rejects_invalid_arguments(self, blackwell_07_03, lam, u_size, grid, match):
+        # Checked as brute_force_support checks them: a NaN weight gave nan
+        # and a weight of -1 gave 9.39 bits.
+        with pytest.raises(ValueError, match=match):
+            support_gap_bound(blackwell_07_03, lam, u_size, grid)
 
 
 class TestCaseSpanningLambdas:

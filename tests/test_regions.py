@@ -403,6 +403,21 @@ class TestGeometry:
         pts = [(1, 0), (0, 1), (0.5, 0.5), (0.4, 0.4), (0.9, 0.2)]
         front = set(map(tuple, pareto_front(pts)))
         assert front == {(1, 0), (0, 1), (0.5, 0.5), (0.9, 0.2)}
+        assert pareto_front(np.zeros((0, 2))).shape == (0, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0]), st.floats(-1.0, 2.0))] * 2), max_size=30
+        ).map(lambda pts: pts + pts[: len(pts) // 2])
+    )
+    def test_pareto_front_is_the_weakly_undominated_set(self, pts):
+        # Ties, exact duplicates and signed zeros: one copy of each point
+        # that no other point weakly dominates, by descending r1.
+        keep = {p for p in pts if not any(q[0] >= p[0] and q[1] >= p[1] and q != p for q in pts)}
+        front = pareto_front(np.array(pts, dtype=float).reshape(-1, 2))
+        assert front.shape == (len(keep), 2)
+        assert list(map(tuple, front.tolist())) == sorted(keep, key=lambda p: -p[0])
 
     def test_polygon_contains_degenerate(self):
         seg = make_polygon([(0, 0), (1, 0)], "seg")

@@ -270,7 +270,13 @@ def test_default_grid_shrinks_with_dimension():
 
 def counted(obj, dim):
     """obj, over the dim-simplex, as an objective that counts its evaluations."""
-    return simplexopt._Counted(obj, (dim,))
+    return simplexopt._Counted([obj], (dim,))
+
+
+def line_probe(f, base, delta):
+    """f at base + t*delta, the steps t of both probe halves in one call."""
+    base2, delta2 = np.concatenate((base, base)), np.concatenate((delta, delta))
+    return lambda t: f(np.maximum(base2 + t[:, None] * delta2, 0.0))
 
 
 def _full_pair_polish_per_row(f, S, V, rows, i_idx, delta, step_tolerance, iters):
@@ -283,7 +289,7 @@ def _full_pair_polish_per_row(f, S, V, rows, i_idx, delta, step_tolerance, iters
             continue
         n_live = int(live.sum())
         base = np.broadcast_to(S[s], (n_live, S.shape[1]))
-        t_g, v_g = simplexopt._golden_polish(f, base, delta[live], hi[live], iters)
+        t_g, v_g = simplexopt._golden_polish(line_probe(f, base, delta[live]), hi[live], iters)
         b = int(np.argmax(v_g))
         if v_g[b] > V[s] + step_tolerance:
             S[s] = np.maximum(S[s] + t_g[b] * delta[live][b], 0.0)
@@ -322,9 +328,10 @@ def test_full_pair_polish_matches_per_row_search(spec, n_rows):
     i_idx, delta = simplexopt._pair_deltas(dim)
     S_ref, V_ref = S.copy(), V.copy()
     f_got, f_want = counted(obj, dim), counted(obj, dim)
-    got = simplexopt._full_pair_polish(f_got, S, V, rows, i_idx, delta, 1e-9, 12)
+    own = np.zeros(len(S), dtype=int)
+    got = simplexopt._full_pair_polish(f_got, own, S, V, rows, i_idx, delta, 1e-9, 12)
     want = _full_pair_polish_per_row(f_want, S_ref, V_ref, rows, i_idx, delta, 1e-9, 12)
-    assert np.array_equal(got, want) and f_got.evals == f_want.evals
+    assert np.array_equal(got, want) and np.array_equal(f_got.evals, f_want.evals)
     assert np.array_equal(S, S_ref) and np.array_equal(V, V_ref)
     if n_rows > 1:
         assert want.any() and not want.all()
@@ -335,8 +342,8 @@ def test_full_pair_polish_without_live_pairs_is_a_no_op():
     V = np.zeros(2)
     i_idx, delta = simplexopt._pair_deltas(3)
     f = counted(entropy, 3)
-    rescued = simplexopt._full_pair_polish(f, S, V, np.array([0, 1]), i_idx, delta, 1e-9, 12)
-    assert not rescued.any() and f.evals == 0
+    rescued = simplexopt._full_pair_polish(f, np.zeros(2, dtype=int), S, V, np.array([0, 1]), i_idx, delta, 1e-9, 12)
+    assert not rescued.any() and f.evals[0] == 0
 
 
 @pytest.mark.parametrize("spec", _POLISH_SPECS, ids=("blackwell", "out3"))
@@ -351,12 +358,12 @@ def test_golden_polish_stacked_matches_row_by_row(spec):
     base = rng.dirichlet(np.ones(dim), size=9)
     hi = base[np.arange(9), i_idx[pick]]
     f = counted(obj, dim)
-    t, v = simplexopt._golden_polish(f, base, delta[pick], hi)
+    t, v = simplexopt._golden_polish(line_probe(f, base, delta[pick]), hi)
     for r in range(9):
         f_r = counted(obj, dim)
-        t_r, v_r = simplexopt._golden_polish(f_r, base[r : r + 1], delta[pick[r : r + 1]], hi[r : r + 1])
+        t_r, v_r = simplexopt._golden_polish(line_probe(f_r, base[r : r + 1], delta[pick[r : r + 1]]), hi[r : r + 1])
         assert t_r[0] == t[r] and v_r[0] == v[r]
-        assert f_r.evals * 9 == f.evals
+        assert f_r.evals[0] * 9 == f.evals[0]
 
 
 # Directions in each inner case's segment of weights; the clamped R1 and R2
