@@ -416,13 +416,18 @@ def primed_regions(spec: ChannelSpec, px_grid: int | None = None) -> list[Region
     rows = list(np.vstack(corner_tables(spec)))
     rows += [_coefficient_row(spec, *_support_row(spec, a, b)[:3]) for a, b in ((1.0, 0.0), (0.0, 1.0))]
     c1p, c2p = 0.0, 0.0
-    fronts = [np.zeros((1, 2)), np.zeros((1, 2))]
+    # The front of a union is the front of its parts' fronts: each block's
+    # wait in `pending` until they outnumber the running front.
+    fronts, pending = [np.zeros((1, 2)), np.zeros((1, 2))], [[], []]
     for block in iter_lattice(m, n):
         features = component_entropies(spec, block.astype(float) / m)
         a3, b3, a4, b4, c1, c2 = (combine(features, row) for row in rows)
         c1p, c2p = max(c1p, float(c1.max())), max(c2p, float(c2.max()))
-        corners = ((a3, b3), (a4, b4))
-        fronts = [pareto_front(np.vstack([f, np.maximum(np.column_stack(c), 0.0)])) for f, c in zip(fronts, corners)]
+        for k, corner in enumerate(((a3, b3), (a4, b4))):
+            pending[k].append(pareto_front(np.maximum(np.column_stack(corner), 0.0)))
+            if sum(map(len, pending[k])) > len(fronts[k]):
+                fronts[k], pending[k] = pareto_front(np.vstack([fronts[k], *pending[k]])), []
+    fronts = [pareto_front(np.vstack([f, *p])) for f, p in zip(fronts, pending)]
     polys = [make_polygon([(0.0, 0.0), (c1p, 0.0)], "R1'"), make_polygon([(0.0, 0.0), (0.0, c2p)], "R2'")]
     # Tight collinearity tolerance: these hulls are the reference side of the
     # rectangle-region containment checks, so chord sag must stay below the

@@ -3,8 +3,9 @@
 maximize_simplex and maximize_joint take any vectorized objective: an
 exhaustive evaluation on the rational lattice {k/m : sum k = m}, then local
 ascent seeded from the best lattice points. The ascent repeatedly moves mass
-between one pair of coordinates: a golden-section line search on every pair
-picks the best move, so simplex feasibility is preserved exactly.
+between one pair of coordinates: a golden-section line search on every
+distinct pair picks the best move, so simplex feasibility is preserved
+exactly. A joint's moves into its spare empty U rows are not distinct.
 
 maximize_joints searches many objectives that share one `features` callable,
 each value being combine(features(P), row) for its own coefficient row: one
@@ -17,10 +18,11 @@ maximize_pushforward_entropies solves the concave case, many coefficient rows
 at once, each to a certified gap.
 
 Everything is deterministic. Every lattice streams through iter_lattice in
-blocks of at most _BLOCK_BYTES, its points in ascending lexicographic order,
-and so do each ascent step's line searches; the scan keeps its top points
-by value with ties toward the earlier point, whatever the block size, and
-candidate comparisons elsewhere use first-maximum semantics.
+blocks of at most _BLOCK_BYTES, its points unranked by stars and bars in
+ascending lexicographic order, and so do each ascent step's line searches;
+the scan keeps its top points by value with ties toward the earlier point,
+whatever the block size, and candidate comparisons elsewhere use
+first-maximum semantics.
 
 Objectives must be vectorized: they take an array whose trailing axis (for
 maximize_simplex) or trailing two axes (for maximize_joint) hold the
@@ -91,65 +93,49 @@ def lattice_size(denominator: int, dim: int) -> int:
     return math.comb(denominator + dim - 1, dim - 1)
 
 
-def _lattice_runs(mass: int, dim: int, cap_rows: float, prefix: tuple = ()):
-    """The rows of the lattice {k in N^dim : sum k = mass + sum(prefix)} that
-    start with `prefix`, in ascending lexicographic order, as int32 runs of
-    at most cap_rows rows. A run is a stretch of consecutive slices on the
-    next coordinate; a slice larger than cap_rows is split on the one after."""
-    rest = dim - len(prefix)
-    if rest == 1:
-        yield np.array([prefix + (mass,)], dtype=np.int32)
-        return
-    sizes = np.array([lattice_size(mass - k, rest - 1) for k in range(mass + 1)])
-    ends = np.cumsum(sizes)
-    k = 0
-    while k <= mass:
-        if sizes[k] > cap_rows:
-            yield from _lattice_runs(mass - k, dim, cap_rows, prefix + (k,))
-            k += 1
-            continue
-        stop = int(np.searchsorted(ends, ends[k] - sizes[k] + cap_rows, side="right"))
-        # One pass per coordinate: a partial row with remaining mass r
-        # expands into its r + 1 children, in order.
-        rows, rem = np.arange(k, stop)[:, None], mass - np.arange(k, stop)
-        for _ in range(rest - 2):
-            width = rem + 1
-            step = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
-            rows = np.column_stack((np.repeat(rows, width, axis=0), step))
-            rem = np.repeat(rem, width) - step
-        lead = np.broadcast_to(np.array(prefix, dtype=np.int64), (rows.shape[0], len(prefix)))
-        yield np.hstack((lead, rows, rem[:, None]), dtype=np.int32)
-        k = stop
-
-
-def _lattice_blocks(mass: int, dim: int, cap_rows: float):
-    """The lattice {k in N^dim : sum k = mass} in ascending lexicographic
-    order, as int32 blocks of at most cap_rows rows. Consecutive runs join
-    while they fit, across the levels of the slice recursion, so two
-    neighbouring blocks always hold more than cap_rows rows together; a
-    lattice whose slices never split keeps one run per block."""
-    join = lambda runs: runs[0] if len(runs) == 1 else np.vstack(runs)
-    pending, rows = [], 0
-    for run in _lattice_runs(mass, dim, cap_rows):
-        if pending and rows + run.shape[0] > cap_rows:
-            yield join(pending)
-            pending, rows = [], 0
-        pending.append(run)
-        rows += run.shape[0]
-    yield join(pending)
-
-
 def iter_lattice(denominator: int, dim: int):
     """Yield int32 blocks jointly covering every composition of `denominator`
-    into `dim` parts exactly once, in ascending lexicographic order. Blocks
-    are built as they are consumed, each of at most _BLOCK_BYTES (or one
-    row), so a scan's memory is bounded per block whatever the lattice size."""
+    into `dim` parts exactly once, in ascending lexicographic order. Block b
+    holds the ranks from b * cap, cap the rows that fit _BLOCK_BYTES (at
+    least one); only the last is shorter. Raises ValueError, before building,
+    when lattice_size does not fit int64. A composition is a subset of the
+    denominator + dim - 1 slots (stars and bars): its dim - 1 bars, in the
+    compositions' order, or when denominator < dim - 1 its stars, in the
+    reverse order, unranked in the combinatorial number system (Knuth,
+    TAOCP 4A, 7.2.1.3) by one searchsorted per subset position."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if denominator < 0:
         raise ValueError("denominator must be non-negative")
-    row_bytes = dim * np.dtype(np.int32).itemsize
-    yield from _lattice_blocks(denominator, dim, max(1, _BLOCK_BYTES // row_bytes))
+    size = lattice_size(denominator, dim)
+    if size > np.iinfo(np.int64).max:
+        raise ValueError(f"lattice_size({denominator}, {dim}) = {size} does not fit int64 ranks")
+    slots, stars = denominator + dim - 1, denominator < dim - 1
+    k = denominator if stars else dim - 1
+    # comb[i][c] = C(c, i): the colex rank of {c_1 < ... < c_k} is the sum
+    # of C(c_i, i), and reflecting positions c -> slots - 1 - c turns colex
+    # order into the reverse of lexicographic order.
+    comb = {i: np.array([math.comb(c, i) for c in range(slots)], dtype=np.int64) for i in range(2, k + 1)}
+    cap = max(1, _BLOCK_BYTES // (dim * np.dtype(np.int32).itemsize))
+    for start in range(0, size, cap):
+        rank = np.arange(start, min(start + cap, size), dtype=np.int64)
+        rank = rank if stars else size - 1 - rank
+        # The subset's positions, ascending, between a -1 and a `slots` column.
+        cuts = np.empty((rank.size, k + 2), dtype=np.int32)
+        cuts[:, 0], cuts[:, -1] = -1, slots
+        for i in range(k, 1, -1):
+            c = np.searchsorted(comb[i], rank, side="right") - 1
+            rank -= comb[i][c]
+            cuts[:, k + 1 - i] = slots - 1 - c
+        if k:
+            # C(c, 1) = c, so the rank left is c_1 itself.
+            cuts[:, k] = slots - 1 - rank
+        if stars:
+            # Star j (0-based) lies in part cuts[:, j + 1] - j.
+            part = np.arange(rank.size)[:, None] * dim + cuts[:, 1:-1] - np.arange(k)
+            yield np.bincount(part.ravel(), minlength=rank.size * dim).reshape(rank.size, dim).astype(np.int32)
+        else:
+            yield cuts[:, 1:] - cuts[:, :-1] - 1
 
 
 def combine(features, coeffs):
@@ -283,24 +269,36 @@ def _golden_polish(probe, hi, iters: int = _GOLDEN_ITERS):
 
 def _full_pair_polish(f: _Counted, own, S, V, rows, i_idx, delta, step_tolerance, iters):
     """One ascent step for the given state rows, row r valued by objective
-    own[r]: a golden-section line search over every ordered pair with mass
-    to move, and each row takes its first best pair, as a search of that
-    row alone would. The (row, live pair) entries stream in chunks of at
-    most _BLOCK_BYTES // (2 * 8 * width), width the cell blocks (else the
-    dimension), and a row takes a later chunk's pair only on a strictly
-    greater value. Applies moves that gain more than step_tolerance in
-    place and returns the mask of rows that moved. With objective `cells`,
-    _cell_probe values the probes and a move is kept on its full value; one
-    more than 1e-9 off its probe raises RuntimeError."""
+    own[r]: a golden-section line search over every distinct ordered pair
+    with mass to move, and each row takes its first best pair, as a search
+    of that row alone would. A joint's moves into an empty U row after its
+    first empty one are not distinct: the objective ignores U's labels, so
+    they probe as the same moves into the first (bit for bit with `cells`),
+    which win their ties. The (row, live pair) entries stream in chunks of
+    at most _BLOCK_BYTES // (2 * 8 * width), width the cell blocks (else the
+    dimension), less those moves, and a row takes a later chunk's pair only
+    on a strictly greater value. Applies moves that gain more than
+    step_tolerance in place and returns the mask of rows that moved. With
+    objective `cells`, _cell_probe values the probes and a move is kept on
+    its full value; one more than 1e-9 off its probe raises RuntimeError."""
     cells = f.cells is not None
     # Pairs i * per to (i + 1) * per - 1 move mass off coordinate i.
     per, j_idx = S.shape[1] - 1, delta.argmax(axis=1)
-    pos, nz = np.nonzero(S[rows] > 0.0)
+    live = S[rows] > 0.0
+    pos, nz = np.nonzero(live)
+    spare = np.zeros(live.shape, dtype=bool)
+    if len(f.shape) == 2:
+        empty = ~live.reshape(len(rows), *f.shape).any(axis=2)
+        spare = np.repeat(empty & (np.cumsum(empty, axis=1) > 1), f.shape[1], axis=1)
     chunk = _BLOCK_BYTES // (16 * (f.cells.shape[1] if cells else S.shape[1]))
     best_t, best_v, best_p = np.zeros(len(rows)), np.full(len(rows), -np.inf), np.zeros(len(rows), dtype=int)
     for start in range(0, pos.size * per, chunk):
         k, off = np.divmod(np.arange(start, min(start + chunk, pos.size * per)), per)
         r, pair = pos[k], nz[k] * per + off
+        keep = ~spare[r, j_idx[pair]]
+        if not keep.any():
+            continue
+        r, pair = r[keep], pair[keep]
         hi = S[rows[r], i_idx[pair]]
         if cells:
             span = rows[r[0] : r[-1] + 1]
@@ -427,7 +425,8 @@ def maximize_joint(
 
     Same search strategy as maximize_simplex on the flattened simplex. The
     objective must be invariant under relabeling of the first coordinate:
-    ascent starts are deduplicated up to a permutation of its rows.
+    ascent starts are deduplicated up to a permutation of its rows, and a
+    step moves mass into only the first of a start's empty rows.
     """
     return maximize_joints([objective], dims, [extra_starts])[0]
 

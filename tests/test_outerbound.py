@@ -227,6 +227,76 @@ class TestCellProbe:
                 s, v = simplexopt._ascend(f, np.zeros(1, dtype=int), tops[k : k + 1], tol, iters)
                 assert np.array_equal(s[0], S[k]) and v[0] == V[k]
 
+    @staticmethod
+    def states_with_spare_rows(spec, u_size, rng):
+        """Joint states with at least two empty U rows, the first empty one
+        not always row 0: structured seeds and Dirichlet joints."""
+        n = spec.input_size
+        states = [s for s in structure_seeds(spec, u_size, rng.dirichlet(np.ones(n))) if (s.sum(axis=1) == 0.0).sum() >= 2]
+        for empty in ([1, 3], [0, 2, u_size - 1], list(range(2, u_size))):
+            P = rng.dirichlet(np.ones(u_size * n)).reshape(u_size, n)
+            P[empty] = 0.0
+            states.append(P / P.sum())
+        return np.array([s.reshape(-1) for s in states])
+
+    @pytest.mark.parametrize("spec", _PROBE_SPECS[:3], ids=("blackwell", "gf2", "random5"))
+    def test_moves_into_spare_rows_repeat_the_first_empty_row(self, spec):
+        # Every probe of a move into an empty U row equals, bit for bit, the
+        # same move into the first empty row: only distinct moves are searched.
+        rng = np.random.default_rng(71)
+        n = spec.input_size
+        u_size = n + 1
+        S = self.states_with_spare_rows(spec, u_size, rng)
+        own = np.zeros(len(S), dtype=int)
+        for lam in (0.0, 0.6, 1.0, 2.5):
+            obj = outer_objective(spec, lam, u_size)
+            f = simplexopt._Counted([obj], (u_size, n))
+            V = obj(S.reshape(-1, u_size, n))
+            for r in range(len(S)):
+                empty = np.flatnonzero(S[r].reshape(u_size, n).sum(axis=1) == 0.0)
+                assert empty.size >= 2
+                for i in np.flatnonzero(S[r] > 0.0):
+                    # Moves of t off coordinate i into every x of U row u.
+                    t = np.concatenate((rng.uniform(0.0, 1.0, n) * S[r, i], np.full(n, S[r, i])))
+                    into = lambda u: simplexopt._cell_probe(f, own, S, V, np.full(n, r), np.full(n, i), u * n + np.arange(n))(t)
+                    want = into(empty[0])
+                    assert all(np.array_equal(into(u), want) for u in empty[1:])
+
+    @pytest.mark.parametrize("spec", _PROBE_SPECS[:3], ids=("blackwell", "gf2", "random5"))
+    def test_step_equals_the_all_pairs_search(self, spec):
+        # Each row's step against a search of every ordered pair with mass
+        # to move, spare rows included, taking the first best pair.
+        rng = np.random.default_rng(73)
+        n = spec.input_size
+        u_size = n + 1
+        dim = u_size * n
+        S0 = self.states_with_spare_rows(spec, u_size, rng)
+        i_idx, delta = simplexopt._pair_deltas(dim)
+        j_idx = delta.argmax(axis=1)
+        own = np.zeros(len(S0), dtype=int)
+        for lam in (0.0, 0.6, 1.0, 2.5):
+            obj = outer_objective(spec, lam, u_size)
+            V0 = obj(S0.reshape(-1, u_size, n))
+            f = simplexopt._Counted([obj], (u_size, n))
+            S, V = S0.copy(), V0.copy()
+            moved = simplexopt._full_pair_polish(
+                f, own, S, V, np.arange(len(S)), i_idx, delta, simplexopt._STEP_TOLERANCE, simplexopt._GOLDEN_ITERS
+            )
+            ref = simplexopt._Counted([obj], (u_size, n))
+            for r in range(len(S0)):
+                pairs = np.flatnonzero(S0[r, i_idx] > 0.0)
+                rows = np.zeros(pairs.size, dtype=int)
+                probe = simplexopt._cell_probe(ref, own[:1], S0[r : r + 1], V0[r : r + 1], rows, i_idx[pairs], j_idx[pairs])
+                t, v = simplexopt._golden_polish(probe, S0[r, i_idx[pairs]])
+                best = int(np.argmax(v))
+                step = np.maximum(S0[r] + t[best] * delta[pairs[best]], 0.0)
+                full = obj(step.reshape(u_size, n))
+                gains = v[best] > V0[r] + simplexopt._STEP_TOLERANCE and full > V0[r] + simplexopt._STEP_TOLERANCE
+                assert moved[r] == gains
+                assert np.array_equal(S[r], step if gains else S0[r])
+                assert V[r] == (full if gains else V0[r])
+            assert moved.any() and f.evals[0] < ref.evals[0]
+
     def test_probe_mismatch_raises(self, blackwell_07_03):
         # Coefficients that no longer restate the objective make a chosen
         # move's full value disagree with its two-cell value.
@@ -264,7 +334,7 @@ class TestBatchedOuterSearch:
         # GF(2)'s 8,855-point joint lattice (u = 5, grid 4) in several
         # blocks, so the kept tops merge across blocks.
         monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", 20 * 4 * 1500)
-        assert len(list(simplexopt.iter_lattice(4, 20))) == 8
+        assert [len(b) for b in simplexopt.iter_lattice(4, 20)] == [1500] * 5 + [1355]
         self.assert_batch_matches_one_weight_searches(ff2_07_04, 16)
 
     def test_objectives_must_share_features(self, blackwell_07_03):
@@ -298,8 +368,7 @@ class TestLatticeBlocks:
         f, _, want = self.scan_and_search(spec, curve)
         dim = f.shape[0] * f.shape[1]
         m = simplexopt.default_grid(dim)
-        (whole,) = simplexopt._lattice_blocks(m, dim, math.inf)
-        pts = whole.astype(float) / m
+        pts = np.vstack(list(simplexopt.iter_lattice(m, dim))).astype(float) / m
         F = f.features(pts)
         for cap in (simplexopt._BLOCK_BYTES, 48_000, 4_096, 1_920):
             monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", cap)

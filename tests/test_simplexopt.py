@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -94,22 +95,59 @@ def test_lattice_enumeration_counts_and_order():
 
 
 def stars_and_bars(m, d):
-    """Reference enumeration: bar positions among m + d - 1 slots."""
-    rows = []
-    for bars in itertools.combinations(range(m + d - 1), d - 1):
-        cuts = (-1, *bars, m + d - 1)
-        rows.append([cuts[i + 1] - cuts[i] - 1 for i in range(d)])
-    return np.array(rows, dtype=np.int32).reshape(-1, d)
+    """Reference enumeration: bar positions among m + d - 1 slots, by
+    itertools.combinations."""
+    slots = m + d - 1
+    bars = itertools.chain.from_iterable(itertools.combinations(range(slots), d - 1))
+    cuts = np.fromiter(bars, dtype=np.int64).reshape(math.comb(slots, d - 1), d - 1)
+    cuts = np.column_stack((np.full(len(cuts), -1), cuts, np.full(len(cuts), slots)))
+    return (np.diff(cuts, axis=1) - 1).astype(np.int32)
 
 
 def test_lattice_matches_stars_and_bars():
-    for m in range(7):
-        for d in range(1, 6):
-            expected = stars_and_bars(m, d)
-            np.testing.assert_array_equal(np.vstack(list(iter_lattice(m, d))), expected)
-            (block,) = simplexopt._lattice_blocks(m, d, math.inf)
-            assert block.dtype == np.int32
-            np.testing.assert_array_equal(block, expected)
+    # Bars (m >= d - 1) and stars (m < d - 1), up to a 1.5M-row lattice.
+    cases = [(m, d) for m in range(9) for d in range(1, 9)] + [(6, 12), (4, 30), (12, 9), (1750, 3)]
+    for m, d in cases:
+        blocks = list(iter_lattice(m, d))
+        assert all(b.dtype == np.int32 for b in blocks)
+        np.testing.assert_array_equal(np.vstack(blocks), stars_and_bars(m, d))
+
+
+def compositions(m, d, descending=False):
+    """Reference: the compositions of m into d parts, lazily, in ascending
+    (or descending) lexicographic order."""
+    if d == 1:
+        yield (m,)
+        return
+    for k in range(m, -1, -1) if descending else range(m + 1):
+        for rest in compositions(m - k, d - 1, descending):
+            yield (k, *rest)
+
+
+@pytest.mark.parametrize("m, d", [(4, 72), (4, 90)])
+def test_large_lattice_first_and_last_blocks(m, d):
+    # The n = 8 and n = 9 joint lattices (u = n + 1), never built whole.
+    cap = simplexopt._BLOCK_BYTES // (4 * d)
+    size = lattice_size(m, d)
+    first = last = None
+    for b, block in enumerate(iter_lattice(m, d)):
+        first = block if first is None else first
+        last = block
+    assert b == math.ceil(size / cap) - 1 and len(last) == size - b * cap
+    np.testing.assert_array_equal(first, list(itertools.islice(compositions(m, d), cap)))
+    np.testing.assert_array_equal(last, list(itertools.islice(compositions(m, d, True), len(last)))[::-1])
+
+
+def test_lattice_too_large_to_rank_fails_first():
+    # C(199, 99) ~ 4.5e58 ranks: no table or block is built before the error.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="lattice_size"):
+            next(iter_lattice(100, 100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024
 
 
 def stream_small(monkeypatch, cap_bytes):
@@ -138,8 +176,7 @@ def test_streamed_blocks_within_cap_in_strict_order(monkeypatch):
 
 
 def test_split_lattice_blocks_fill_toward_the_cap():
-    # (4, 50) splits slices over dozens of recursion levels; runs joined
-    # across levels keep the blocks within twice the fewest the cap allows.
+    # (4, 50) is unranked from its 4 star positions among 53 slots.
     cap_rows = simplexopt._BLOCK_BYTES // (4 * 50)
     blocks = list(iter_lattice(4, 50))
     total = lattice_size(4, 50)
@@ -153,19 +190,23 @@ def test_split_lattice_blocks_fill_toward_the_cap():
     assert (step[np.arange(step.shape[0]), first] > 0).all()  # strictly ascending
 
 
-def test_unsplit_lattice_keeps_one_run_per_block():
-    # (1750, 3) never splits a slice: each block is the longest run of whole
-    # first-coordinate slices that fits the cap, as before runs were joined.
-    cap_rows = simplexopt._BLOCK_BYTES // (4 * 3)
-    expected, run = [], 0
-    for size in range(1751, 0, -1):  # slice k holds 1751 - k rows
-        if run + size > cap_rows:
-            expected.append(run)
-            run = 0
-        run += size
-    expected.append(run)
-    assert len(expected) == 73
-    assert [b.shape[0] for b in iter_lattice(1750, 3)] == expected
+def test_lattice_blocks_hold_the_cap_rows(monkeypatch):
+    # Block b holds ranks b * cap to (b + 1) * cap - 1; only the last is
+    # shorter. (1750, 3) was 73 blocks of whole first-coordinate slices.
+    def sizes(m, d):
+        cap, size = max(1, simplexopt._BLOCK_BYTES // (4 * d)), lattice_size(m, d)
+        return [cap] * (size // cap) + [size % cap] * (size % cap > 0)
+
+    assert sizes(1750, 3) == [21845] * 70 + [4726]
+    cases = {
+        simplexopt._BLOCK_BYTES: [(1750, 3), (4, 50), (12, 9), (0, 4), (5, 1)],
+        1024: [(8, 4), (6, 12), (3, 20), (0, 4)],
+        48: [(9, 3), (4, 8), (1, 12)],
+    }
+    for cap_bytes, lattices in cases.items():
+        monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", cap_bytes)
+        for m, d in lattices:
+            assert [b.shape[0] for b in iter_lattice(m, d)] == sizes(m, d)
 
 
 def test_large_outer_lattice_first_block_within_cap():
