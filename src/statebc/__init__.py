@@ -9,7 +9,6 @@ outer bound, weight by weight.
 
 from .channel import (
     ChannelSpec,
-    as_joint,
     as_pmf,
     canonicalize,
     channel_from_dict,
@@ -55,7 +54,7 @@ from .regions import (
     thresholds,
     transpose_polygon,
 )
-from .simplexopt import OptResult, maximize_joint, maximize_simplex
+from .simplexopt import OptResult
 
 __version__ = "0.1.0"
 
@@ -71,7 +70,6 @@ __all__ = [
     "RegionPolygon",
     "SupportCurve",
     "SupportSample",
-    "as_joint",
     "as_pmf",
     "binary_entropy",
     "blackwell_channel",
@@ -90,8 +88,6 @@ __all__ = [
     "finite_field_region",
     "induced_joint",
     "load_channel",
-    "maximize_joint",
-    "maximize_simplex",
     "polygon_contains",
     "polygon_support",
     "primed_regions",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -103,12 +102,15 @@ def require_canonical(spec: ChannelSpec) -> None:
 
 
 def as_pmf(weights, dim: int | None = None) -> np.ndarray:
-    """Validate a 1-D probability vector: non-negative, mass 1 within 1e-12."""
+    """Validate a 1-D probability vector: finite, non-negative, mass 1
+    within 1e-12."""
     p = np.asarray(weights, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("pmf must be a non-empty one-dimensional vector")
     if dim is not None and p.shape[0] != dim:
         raise ValueError(f"pmf has dimension {p.shape[0]}, expected {dim}")
+    if not np.isfinite(p).all():
+        raise ValueError(f"pmf entries must be finite, got {p.tolist()}")
     lo = float(p.min())
     if lo < -PMF_ATOL:
         raise ValueError(f"pmf entries must be non-negative, min entry {lo}")
@@ -118,23 +120,6 @@ def as_pmf(weights, dim: int | None = None) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def as_joint(weights, dims: tuple[int, int] | None = None) -> np.ndarray:
-    """Validate a 2-D joint mass function: non-negative, total mass 1 within 1e-12."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.size == 0:
-        raise ValueError("joint pmf must be a non-empty matrix")
-    if dims is not None and w.shape != tuple(dims):
-        raise ValueError(f"joint pmf has shape {w.shape}, expected {tuple(dims)}")
-    lo = float(w.min())
-    if lo < -PMF_ATOL:
-        raise ValueError(f"joint pmf entries must be non-negative, min entry {lo}")
-    total = float(w.sum())
-    if abs(total - 1.0) > PMF_ATOL:
-        raise ValueError(f"joint pmf mass {total} differs from 1 by more than {PMF_ATOL}")
-    return np.clip(w, 0.0, None)
-
-
-@lru_cache(maxsize=None)
 def indicator_matrices(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """0/1 matrices sending an input pmf (by right multiplication) to the laws
     of f1(X), f2(X) and the flattened pair (f1(X), f2(X))."""
@@ -146,8 +131,6 @@ def indicator_matrices(spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray, np.nd
         e1[x, spec.f1[x]] = 1.0
         e2[x, spec.f2[x]] = 1.0
         ej[x, spec.f1[x] * m + spec.f2[x]] = 1.0
-    for mat in (e1, e2, ej):
-        mat.setflags(write=False)
     return e1, e2, ej
 
 
@@ -159,12 +142,10 @@ def induced_joint(spec: ChannelSpec, px) -> np.ndarray:
     return (p @ ej).reshape(m, m)
 
 
-@lru_cache(maxsize=None)
 def stacked_indicator(spec: ChannelSpec) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
     """The indicator matrices side by side, [e1 | e2 | ej], and the column
     range (start, stop) of each."""
     stacked = np.hstack(indicator_matrices(spec))
-    stacked.setflags(write=False)
     m = spec.output_size
     return stacked, ((0, m), (m, 2 * m), (2 * m, stacked.shape[1]))
 

@@ -301,11 +301,7 @@ def support_curve(spec: ChannelSpec, lambdas) -> SupportCurve:
 # ---------------------------------------------------------------------------
 
 def _geom_steps(n: int) -> np.ndarray:
-    """n ascending points in [0, 1] including both ends, clustered near 0."""
-    if n <= 1:
-        return np.array([0.0])
-    if n == 2:
-        return np.array([0.0, 1.0])
+    """n >= 3 ascending points in [0, 1] including both ends, clustered near 0."""
     return np.concatenate([[0.0], np.geomspace(1e-3, 1.0, n - 1)])
 
 
@@ -368,6 +364,8 @@ def proposition_regions(spec: ChannelSpec, n_lambda: int = 64) -> list[RegionPol
     and (mu, 1) for R4.
     """
     require_canonical(spec)
+    if n_lambda < 1:
+        raise ValueError("n_lambda must be >= 1")
     lam_switch, mu_switch = _case_switches(spec)
     lams = np.unique(_open_segment(lam_switch, 1.0, n_lambda))
     mus = np.unique(_open_segment(mu_switch, 1.0, n_lambda))

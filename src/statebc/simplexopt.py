@@ -1,11 +1,12 @@
 """Deterministic maximization over probability simplices.
 
-maximize_simplex and maximize_joint take any vectorized objective: an
+maximize_joint takes any vectorized objective over joint laws p(u, x): an
 exhaustive evaluation on the rational lattice {k/m : sum k = m}, then local
 ascent seeded from the best lattice points. The ascent repeatedly moves mass
-between one pair of coordinates: a golden-section line search on every
-distinct pair picks the best move, so simplex feasibility is preserved
-exactly. A joint's moves into its spare empty U rows are not distinct.
+from one coordinate i to another j, a pair of indices: a golden-section line
+search on every distinct pair picks the best move, so simplex feasibility is
+preserved exactly. A joint's moves into its spare empty U rows are not
+distinct. maximize_simplex is the same search on one-row joints.
 
 maximize_joints searches many objectives that share one `features` callable,
 each value being combine(features(P), row) for its own coefficient row: one
@@ -45,9 +46,8 @@ _BLOCK_BYTES = 256 * 1024
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 24
 
-# maximize_simplex and maximize_joint: the lattice points that seed the
-# ascent, its iteration budget, and the gain (bits) below which a start
-# stops moving.
+# maximize_joints: the lattice points that seed the ascent, its iteration
+# budget, and the gain (bits) below which a start stops moving.
 _STARTS = 8
 _ASCENT_BUDGET = 300
 _STEP_TOLERANCE = 1e-9
@@ -206,13 +206,14 @@ def _scan_lattice(f: _Counted, dim: int, m: int, top_k: int):
     return tops
 
 
-def _pair_deltas(dim: int):
-    i_idx, j_idx = np.where(~np.eye(dim, dtype=bool))
-    delta = np.zeros((i_idx.size, dim))
-    rows = np.arange(i_idx.size)
-    delta[rows, i_idx] -= 1.0
-    delta[rows, j_idx] += 1.0
-    return i_idx, delta
+def _move(S, t, i, j):
+    """Rows of S with mass t[k] moved from coordinate i[k] to j[k], clipped
+    at 0: bit for bit S + t * (e_j - e_i), since adding t * 0.0 leaves a
+    non-negative entry unchanged and t * -1.0 is exact."""
+    out, k = S.copy(), np.arange(len(S))
+    out[k, i] -= t
+    out[k, j] += t
+    return np.maximum(out, 0.0)
 
 
 def _cell_probe(f: _Counted, own, S, V, r, i, j):
@@ -267,15 +268,16 @@ def _golden_polish(probe, hi, iters: int = _GOLDEN_ITERS):
     return best_t, best_v
 
 
-def _full_pair_polish(f: _Counted, own, S, V, rows, i_idx, delta, step_tolerance, iters):
+def _full_pair_polish(f: _Counted, own, S, V, rows, i_idx, j_idx, step_tolerance, iters):
     """One ascent step for the given state rows, row r valued by objective
-    own[r]: a golden-section line search over every distinct ordered pair
-    with mass to move, and each row takes its first best pair, as a search
-    of that row alone would. A joint's moves into an empty U row after its
-    first empty one are not distinct: the objective ignores U's labels, so
-    they probe as the same moves into the first (bit for bit with `cells`),
-    which win their ties. The (row, live pair) entries stream in chunks of
-    at most _BLOCK_BYTES // (2 * 8 * width), width the cell blocks (else the
+    own[r]: a golden-section line search over every distinct pair p, moving
+    mass from i_idx[p] (which has some) to j_idx[p], and each row takes its
+    first best pair, as a search of that row alone would. Moves into an
+    empty U row after its first empty one are not distinct: the objective
+    ignores U's labels, so they probe as the same moves into the first (bit
+    for bit with `cells`), which win their ties; a one-row joint has no
+    such rows. The (row, live pair) entries stream in chunks of at most
+    _BLOCK_BYTES // (2 * 8 * width), width the cell blocks (else the
     dimension), less those moves, and a row takes a later chunk's pair only
     on a strictly greater value. Applies moves that gain more than
     step_tolerance in place and returns the mask of rows that moved. With
@@ -283,13 +285,11 @@ def _full_pair_polish(f: _Counted, own, S, V, rows, i_idx, delta, step_tolerance
     its full value; one more than 1e-9 off its probe raises RuntimeError."""
     cells = f.cells is not None
     # Pairs i * per to (i + 1) * per - 1 move mass off coordinate i.
-    per, j_idx = S.shape[1] - 1, delta.argmax(axis=1)
+    per = S.shape[1] - 1
     live = S[rows] > 0.0
     pos, nz = np.nonzero(live)
-    spare = np.zeros(live.shape, dtype=bool)
-    if len(f.shape) == 2:
-        empty = ~live.reshape(len(rows), *f.shape).any(axis=2)
-        spare = np.repeat(empty & (np.cumsum(empty, axis=1) > 1), f.shape[1], axis=1)
+    empty = ~live.reshape(len(rows), *f.shape).any(axis=2)
+    spare = np.repeat(empty & (np.cumsum(empty, axis=1) > 1), f.shape[1], axis=1)
     chunk = _BLOCK_BYTES // (16 * (f.cells.shape[1] if cells else S.shape[1]))
     best_t, best_v, best_p = np.zeros(len(rows)), np.full(len(rows), -np.inf), np.zeros(len(rows), dtype=int)
     for start in range(0, pos.size * per, chunk):
@@ -304,16 +304,17 @@ def _full_pair_polish(f: _Counted, own, S, V, rows, i_idx, delta, step_tolerance
             span = rows[r[0] : r[-1] + 1]
             probe = _cell_probe(f, own[span], S[span], V[span], r - r[0], i_idx[pair], j_idx[pair])
         else:
-            base, along, both = np.tile(S[rows[r]], (2, 1)), np.tile(delta[pair], (2, 1)), np.tile(own[rows[r]], 2)
-            probe = lambda t: f(np.maximum(base + t[:, None] * along, 0.0), both)
+            base, both = np.tile(S[rows[r]], (2, 1)), np.tile(own[rows[r]], 2)
+            i2, j2 = np.tile(i_idx[pair], 2), np.tile(j_idx[pair], 2)
+            probe = lambda t: f(_move(base, t, i2, j2), both)
         t_g, v_g = _golden_polish(probe, hi, iters)
         # Each row's first best entry in this chunk.
         first = np.lexsort((-v_g, r))[np.flatnonzero(np.diff(r, prepend=-1))]
         up = first[v_g[first] > best_v[r[first]]]
         best_t[r[up]], best_v[r[up]], best_p[r[up]] = t_g[up], v_g[up], pair[up]
     moved = best_v > V[rows] + step_tolerance
-    s = rows[moved]
-    step, v_s = np.maximum(S[s] + best_t[moved, None] * delta[best_p[moved]], 0.0), best_v[moved]
+    s, p = rows[moved], best_p[moved]
+    step, v_s = _move(S[s], best_t[moved], i_idx[p], j_idx[p]), best_v[moved]
     if cells and s.size:
         full = f(step, own[s])
         if (off := np.abs(full - v_s)).max() > 1e-9:
@@ -353,22 +354,29 @@ def _ascend(f: _Counted, own, starts: np.ndarray, step_tolerance: float, golden_
     raises RuntimeError."""
     S = np.array(starts, dtype=float)
     V = f(S, own)
-    i_idx, delta = _pair_deltas(S.shape[1])
+    i_idx, j_idx = np.nonzero(~np.eye(S.shape[1], dtype=bool))
     active = np.arange(S.shape[0])
     for _ in range(_ASCENT_BUDGET):
-        active = active[_full_pair_polish(f, own, S, V, active, i_idx, delta, step_tolerance, golden_iters)]
+        active = active[_full_pair_polish(f, own, S, V, active, i_idx, j_idx, step_tolerance, golden_iters)]
         if active.size == 0:
             return S, V
     start = starts[active[0]].tolist()
     raise RuntimeError(f"ascent from {start} still moving after {_ASCENT_BUDGET} iterations")
 
 
-def _maximize_flat(objectives, shape: tuple, extra_starts, orbit_key) -> list[OptResult]:
-    """One lattice scan for all objectives, which share their features (see
-    _scan_lattice); then one ascent (_refine) over every objective's top
-    points and extra starts, less those whose orbit_key an earlier start of
-    that objective has. Each result, evaluation count included, is that of
-    a one-objective call."""
+def maximize_joints(objectives, dims: tuple[int, int], extra_starts) -> list[OptResult]:
+    """maximize_joint for each objective, with extra_starts[w] the extra
+    starts of objectives[w], sharing one lattice scan. The objectives share
+    one `features` callable (a tuple of value arrays over a stack of joints)
+    and each has a coefficient `row` with value combine(features(P), row),
+    so the scan evaluates the features once per block (_scan_lattice). One
+    ascent (_refine) then runs every objective's top points and extra
+    starts, less those whose rows, rounded and sorted, an earlier start of
+    that objective has. Each result, evaluation count included, equals that
+    of maximize_joint on its objective alone."""
+    shape = (int(dims[0]), int(dims[1]))
+    if min(shape) < 1:
+        raise ValueError(f"dimensions must be positive integers, got {shape}")
     dim = math.prod(shape)
     if dim == 1:
         return [OptResult(np.ones(shape), float(o(np.ones(shape))), 1) for o in objectives]
@@ -385,7 +393,9 @@ def _maximize_flat(objectives, shape: tuple, extra_starts, orbit_key) -> list[Op
     for w, ((_, top_pts), more) in enumerate(zip(tops, extras)):
         mine = {}
         for r in list(top_pts) + more:
-            mine.setdefault(orbit_key(r), r)
+            # The same start up to relabelling U: its rows, rounded, sorted.
+            rows = np.round(r.reshape(shape), 12).tolist()
+            mine.setdefault(tuple(sorted(map(tuple, rows))), r)
         starts += mine.values()
         owner += [w] * len(mine)
     owner = np.array(owner)
@@ -406,14 +416,14 @@ def _maximize_flat(objectives, shape: tuple, extra_starts, orbit_key) -> list[Op
 def maximize_simplex(objective, dim: int, extra_starts=()) -> OptResult:
     """Global maximum of a vectorized objective over the dim-simplex.
 
-    Returns the best of (a) an exhaustive lattice scan at default_grid(dim)
-    and (b) pairwise-exchange ascent from the 8 best lattice points plus any
-    extra_starts (less duplicates). Deterministic. Raises ValueError on a NaN
-    objective value and RuntimeError on an ascent that exhausts its budget.
+    The joint search (maximize_joints) on one-row joints: the best of (a)
+    an exhaustive lattice scan at default_grid(dim) and (b) pairwise-exchange
+    ascent from the 8 best lattice points plus any extra_starts (less
+    duplicates). Deterministic. Raises ValueError on a NaN objective value
+    and RuntimeError on an ascent that exhausts its budget.
     """
-    if dim < 1:
-        raise ValueError("dim must be a positive integer")
-    return _maximize_flat([objective], (dim,), [extra_starts], lambda r: np.round(r, 12).tobytes())[0]
+    (res,) = maximize_joints([lambda P: objective(P[..., 0, :])], (1, dim), [extra_starts])
+    return OptResult(res.argmax.reshape(dim), res.value, res.evaluations)
 
 
 def maximize_joint(
@@ -423,30 +433,12 @@ def maximize_joint(
 ) -> OptResult:
     """Global maximum over joint mass functions on a u_size x x_size grid.
 
-    Same search strategy as maximize_simplex on the flattened simplex. The
-    objective must be invariant under relabeling of the first coordinate:
-    ascent starts are deduplicated up to a permutation of its rows, and a
-    step moves mass into only the first of a start's empty rows.
+    Lattice scan, then ascent on the flattened simplex. The objective must
+    be invariant under relabeling of the first coordinate: ascent starts
+    are deduplicated up to a permutation of its rows, and a step moves mass
+    into only the first of a start's empty rows.
     """
     return maximize_joints([objective], dims, [extra_starts])[0]
-
-
-def maximize_joints(objectives, dims: tuple[int, int], extra_starts) -> list[OptResult]:
-    """maximize_joint for each objective, with extra_starts[w] the extra
-    starts of objectives[w], sharing one lattice scan. The objectives share
-    one `features` callable (a tuple of value arrays over a stack of joints)
-    and each has a coefficient `row` with value combine(features(P), row),
-    so the scan evaluates the features once per block. Each result equals
-    that of maximize_joint on its objective alone."""
-    u_size, x_size = int(dims[0]), int(dims[1])
-    if u_size < 1 or x_size < 1:
-        raise ValueError("joint dims must be positive integers")
-
-    def orbit_key(pt):
-        rows = np.round(pt.reshape(u_size, x_size), 12)
-        return tuple(sorted(map(tuple, rows.tolist())))
-
-    return _maximize_flat(objectives, (u_size, x_size), extra_starts, orbit_key)
 
 
 def _slope(q, dq, C, blocks, t):

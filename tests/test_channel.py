@@ -11,7 +11,6 @@ import pytest
 from statebc import (
     ChannelSpec,
     FiniteFieldSpec,
-    as_joint,
     as_pmf,
     canonicalize,
     channel_from_dict,
@@ -96,15 +95,18 @@ class TestPmfValidation:
         with pytest.raises(ValueError, match="dimension"):
             as_pmf([0.5, 0.5], dim=3)
 
-    def test_as_joint_checks_shape_and_mass(self):
-        as_joint([[0.5, 0.0], [0.25, 0.25]])
-        with pytest.raises(ValueError):
-            as_joint([[0.5, 0.1], [0.25, 0.25]])
-        with pytest.raises(ValueError):
-            as_joint([0.5, 0.5])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_as_pmf_rejects_non_finite(self, bad):
+        # NaN fails no comparison, so min and mass checks alone let it through.
+        with pytest.raises(ValueError, match="finite"):
+            as_pmf([bad, 0.5, 0.5], 3)
 
 
 class TestInducedJoint:
+    def test_rejects_nan_input_law(self):
+        with pytest.raises(ValueError, match="finite"):
+            induced_joint(blackwell_channel(0.7, 0.3), [math.nan, 0.5, 0.5])
+
     def test_point_mass_blackwell(self):
         spec = blackwell_channel(0.7, 0.3)
         j = induced_joint(spec, [1.0, 0.0, 0.0])
@@ -151,6 +153,10 @@ class TestInducedJoint:
 
 
 class TestReceiverChannelMi:
+    def test_rejects_nan_input_law(self):
+        with pytest.raises(ValueError, match="finite"):
+            receiver_channel_mi(blackwell_channel(0.7, 0.3), [math.nan, 0.5, 0.5], 1)
+
     def test_finite_field_uniform_gives_log_k(self):
         spec = finite_field_channel(FiniteFieldSpec(2, ((1, 1), (1, 0))), 0.7, 0.4)
         px = np.full(4, 0.25)

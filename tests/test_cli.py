@@ -187,6 +187,13 @@ class TestExampleCommands:
 
 
 class TestRegions4Command:
+    def test_non_positive_n_lambda_exit_two(self, bw_json, tmp_path, capsys):
+        prefix = str(tmp_path / "bw-")
+        rc = main(["regions4", "--channel", bw_json, "--p1", "0.7", "--p2", "0.3", "--n-lambda", "0", "--out", prefix])
+        assert rc == 2
+        assert "n_lambda must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.glob("bw-*.csv"))
+
     def test_emits_eight_files(self, bw_json, tmp_path):
         prefix = str(tmp_path / "bw-")
         rc = main(

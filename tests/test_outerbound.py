@@ -14,7 +14,6 @@ from statebc import (
     blackwell_channel,
     brute_force_support,
     case_spanning_lambdas,
-    maximize_joint,
     simplexopt,
     support_curve,
     support_gap_bound,
@@ -27,6 +26,7 @@ from statebc import (
 from statebc.channel import indicator_matrices
 from statebc.outerbound import _outer_objectives, _outer_results, converse_to_csv, outer_objective, outer_table, structure_seeds
 from statebc.infotheory import entropy
+from statebc.simplexopt import maximize_joint
 from conftest import random_spec
 
 
@@ -183,8 +183,8 @@ class TestCellProbe:
             S = rng.dirichlet(np.ones(dim), size=3)
             S[1, rng.permutation(dim)[: dim // 2]] = 0.0  # a row on a face
             S[1] /= S[1].sum()
-            i_idx, delta = simplexopt._pair_deltas(dim)
-            j_idx = delta.argmax(axis=1)
+            i_idx, j_idx = np.nonzero(~np.eye(dim, dtype=bool))
+            delta = np.eye(dim)[j_idx] - np.eye(dim)[i_idx]
             for lam in (0.0, 0.4, 1.0, 1.7, 4.0):
                 obj = outer_objective(spec, lam, u_size)
                 V = obj(S.reshape(-1, u_size, n))
@@ -271,8 +271,8 @@ class TestCellProbe:
         u_size = n + 1
         dim = u_size * n
         S0 = self.states_with_spare_rows(spec, u_size, rng)
-        i_idx, delta = simplexopt._pair_deltas(dim)
-        j_idx = delta.argmax(axis=1)
+        i_idx, j_idx = np.nonzero(~np.eye(dim, dtype=bool))
+        delta = np.eye(dim)[j_idx] - np.eye(dim)[i_idx]
         own = np.zeros(len(S0), dtype=int)
         for lam in (0.0, 0.6, 1.0, 2.5):
             obj = outer_objective(spec, lam, u_size)
@@ -280,7 +280,7 @@ class TestCellProbe:
             f = simplexopt._Counted([obj], (u_size, n))
             S, V = S0.copy(), V0.copy()
             moved = simplexopt._full_pair_polish(
-                f, own, S, V, np.arange(len(S)), i_idx, delta, simplexopt._STEP_TOLERANCE, simplexopt._GOLDEN_ITERS
+                f, own, S, V, np.arange(len(S)), i_idx, j_idx, simplexopt._STEP_TOLERANCE, simplexopt._GOLDEN_ITERS
             )
             ref = simplexopt._Counted([obj], (u_size, n))
             for r in range(len(S0)):

@@ -314,6 +314,11 @@ def test_clamped_rows_are_non_negative(spec, direction):
 
 
 class TestPropositionRegions:
+    @pytest.mark.parametrize("n_lambda", [0, -3])
+    def test_rejects_non_positive_n_lambda(self, blackwell_07_03, n_lambda):
+        with pytest.raises(ValueError, match="n_lambda must be >= 1"):
+            proposition_regions(blackwell_07_03, n_lambda=n_lambda)
+
     def test_finite_field_rectangles(self, ff2_07_04):
         r1, r2, r3, r4 = proposition_regions(ff2_07_04, n_lambda=16)
         assert r1.label == "R1" and r4.label == "R4"

@@ -15,15 +15,13 @@ from statebc import (
     blackwell_channel,
     case_spanning_lambdas,
     finite_field_channel,
-    maximize_joint,
-    maximize_simplex,
     regions,
     simplexopt,
 )
 from statebc.channel import component_entropies, stacked_indicator
 from statebc.infotheory import entropy
 from statebc.regions import primed_regions
-from statebc.simplexopt import default_grid, iter_lattice, lattice_size
+from statebc.simplexopt import default_grid, iter_lattice, lattice_size, maximize_joint, maximize_simplex
 
 
 def test_entropy_max_dim3_is_uniform():
@@ -310,8 +308,19 @@ def test_default_grid_shrinks_with_dimension():
 
 
 def counted(obj, dim):
-    """obj, over the dim-simplex, as an objective that counts its evaluations."""
-    return simplexopt._Counted([obj], (dim,))
+    """obj, over the dim-simplex, as an objective that counts its
+    evaluations: on one-row joints, as maximize_simplex searches it."""
+    return simplexopt._Counted([lambda P: obj(P[..., 0, :])], (1, dim))
+
+
+def pair_deltas(dim):
+    """Every ordered pair (i, j), i != j, as index arrays and as the dense
+    table of moves e_j - e_i."""
+    i_idx, j_idx = np.nonzero(~np.eye(dim, dtype=bool))
+    delta = np.zeros((i_idx.size, dim))
+    delta[np.arange(i_idx.size), i_idx] -= 1.0
+    delta[np.arange(i_idx.size), j_idx] += 1.0
+    return i_idx, j_idx, delta
 
 
 def line_probe(f, base, delta):
@@ -366,11 +375,11 @@ def test_full_pair_polish_matches_per_row_search(spec, n_rows):
     S[3] = maximize_simplex(obj, dim).argmax  # nothing left to rescue
     V = np.asarray(obj(S), dtype=float)
     rows = np.array([6, 1, 2, 3, 0, 5])[:n_rows] if n_rows > 1 else np.array([4])
-    i_idx, delta = simplexopt._pair_deltas(dim)
+    i_idx, j_idx, delta = pair_deltas(dim)
     S_ref, V_ref = S.copy(), V.copy()
     f_got, f_want = counted(obj, dim), counted(obj, dim)
     own = np.zeros(len(S), dtype=int)
-    got = simplexopt._full_pair_polish(f_got, own, S, V, rows, i_idx, delta, 1e-9, 12)
+    got = simplexopt._full_pair_polish(f_got, own, S, V, rows, i_idx, j_idx, 1e-9, 12)
     want = _full_pair_polish_per_row(f_want, S_ref, V_ref, rows, i_idx, delta, 1e-9, 12)
     assert np.array_equal(got, want) and np.array_equal(f_got.evals, f_want.evals)
     assert np.array_equal(S, S_ref) and np.array_equal(V, V_ref)
@@ -381,9 +390,9 @@ def test_full_pair_polish_matches_per_row_search(spec, n_rows):
 def test_full_pair_polish_without_live_pairs_is_a_no_op():
     S = np.zeros((2, 3))
     V = np.zeros(2)
-    i_idx, delta = simplexopt._pair_deltas(3)
+    i_idx, j_idx, _ = pair_deltas(3)
     f = counted(entropy, 3)
-    rescued = simplexopt._full_pair_polish(f, np.zeros(2, dtype=int), S, V, np.array([0, 1]), i_idx, delta, 1e-9, 12)
+    rescued = simplexopt._full_pair_polish(f, np.zeros(2, dtype=int), S, V, np.array([0, 1]), i_idx, j_idx, 1e-9, 12)
     assert not rescued.any() and f.evals[0] == 0
 
 
@@ -394,7 +403,7 @@ def test_golden_polish_stacked_matches_row_by_row(spec):
     rng = np.random.default_rng(9)
     dim = spec.input_size
     obj = _r3_objective(spec, 0.85)
-    i_idx, delta = simplexopt._pair_deltas(dim)
+    i_idx, _, delta = pair_deltas(dim)
     pick = rng.integers(0, i_idx.size, 9)
     base = rng.dirichlet(np.ones(dim), size=9)
     hi = base[np.arange(9), i_idx[pick]]
@@ -405,6 +414,41 @@ def test_golden_polish_stacked_matches_row_by_row(spec):
         t_r, v_r = simplexopt._golden_polish(line_probe(f_r, base[r : r + 1], delta[pick[r : r + 1]]), hi[r : r + 1])
         assert t_r[0] == t[r] and v_r[0] == v[r]
         assert f_r.evals[0] * 9 == f.evals[0]
+
+
+@pytest.mark.parametrize("dim", [2, 5, 12])
+def test_move_equals_the_dense_step(dim):
+    # Index-pair moves against np.maximum(S + t * (e_j - e_i), 0), byte for
+    # byte: random states, states on faces, and t up to all of the mass
+    # at i (which must leave exactly 0.0 there).
+    rng = np.random.default_rng(83 + dim)
+    i_idx, j_idx, delta = pair_deltas(dim)
+    S = rng.dirichlet(np.ones(dim), size=3 * i_idx.size)
+    S[i_idx.size :][rng.random((2 * i_idx.size, dim)) < 0.4] = 0.0  # on faces
+    pair = np.tile(np.arange(i_idx.size), 3)
+    hi = S[np.arange(len(S)), i_idx[pair]]
+    t = np.where(np.arange(len(S)) % 2 == 0, hi, rng.uniform(0.0, 1.0, len(S)) * hi)
+    got = simplexopt._move(S, t, i_idx[pair], j_idx[pair])
+    want = np.maximum(S + t[:, None] * delta[pair], 0.0)
+    assert got.tobytes() == want.tobytes()
+    assert (got[np.arange(len(S)), i_idx[pair]][::2] == 0.0).all()
+
+
+def test_ascent_step_holds_no_dense_move_table():
+    # One pair-polish step on a (u, x) = (10, 9) joint, move table
+    # included: a dense table of every pair's move would take
+    # 8010 * 90 * 8 bytes = 5.8 MB alone.
+    f = simplexopt._Counted([lambda P: np.zeros(P.shape[:-2])], (10, 9))
+    start = np.full((1, 90), 1.0 / 90)
+    tracemalloc.start()
+    try:
+        # Nothing gains on a constant objective: one step, then it stops.
+        S, V = simplexopt._ascend(f, np.zeros(1, dtype=int), start, simplexopt._STEP_TOLERANCE, simplexopt._GOLDEN_ITERS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(S, start) and f.evals[0] == 1 + 2 * 8010 * (simplexopt._GOLDEN_ITERS + 1)
+    assert peak <= 2 * 1024 * 1024
 
 
 # Directions in each inner case's segment of weights; the clamped R1 and R2
