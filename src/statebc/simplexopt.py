@@ -5,8 +5,10 @@ exhaustive evaluation on the rational lattice {k/m : sum k = m}, then local
 ascent seeded from the best lattice points. The ascent repeatedly moves mass
 from one coordinate i to another j, a pair of indices: a golden-section line
 search on every distinct pair picks the best move, so simplex feasibility is
-preserved exactly. A joint's moves into its spare empty U rows are not
-distinct. maximize_simplex is the same search on one-row joints.
+preserved exactly. Each line search values its two interior points once and
+then one new point per step, iters + 2 probes in all. A joint's moves into
+its spare empty U rows are not distinct. maximize_simplex is the same search
+on one-row joints.
 
 maximize_joints searches many objectives that share one `features` callable,
 each value being combine(features(P), row) for its own coefficient row: one
@@ -28,7 +30,8 @@ first-maximum semantics.
 Objectives must be vectorized: they take an array whose trailing axis (for
 maximize_simplex) or trailing two axes (for maximize_joint) hold the
 distribution, and return values over the leading axes. A bare 1-D (or 2-D
-joint) input must yield a scalar. One with `cells` is probed by _cell_probe.
+joint) input must yield a scalar. One with `cells` is probed by _cell_probe,
+from the two cells per block that a move changes, laid out cell-major.
 A start's path and each objective's result depend on that start or
 objective alone, never on the batch it is searched in.
 """
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infotheory import block_entropies, pushforward, xlogx
+from .infotheory import MASS_EPS, block_entropies, pushforward, xlogx
 
 _BLOCK_BYTES = 256 * 1024
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -218,53 +221,104 @@ def _move(S, t, i, j):
 
 def _cell_probe(f: _Counted, own, S, V, r, i, j):
     """Values of moving mass t from coordinate i to j of row r of S (value V,
-    objective own[r]) for objectives sum_k coeffs[k] H(q_k) with `cells`, as
-    _golden_polish stacks them: only cells[i, k] and cells[j, k] of each q_k
-    change. Each row's cells are summed in coordinate order, without BLAS,
-    so a row's probe values do not depend on the other rows of S. Counts
-    one evaluation per probe."""
+    objective own[r]) for objectives sum_k coeffs[k] H(q_k) with `cells`:
+    only cells[i, k] and cells[j, k] of each q_k change. probe(t) takes any
+    whole number of n-entry step vectors, as _golden_polish stacks them, and
+    counts one evaluation per step. The two cells' masses, weights and old
+    terms are held cell-major, each block's entries contiguous, and each
+    step vector is valued through buffers made once per call here. A row's
+    pushforwards are summed in coordinate order, without BLAS, and each
+    entry's block terms in block order from +0.0, the order in which numpy
+    sums fewer than 8 terms: the values are bit for bit those of the
+    entry-major .sum(axis=-1), and a row's do not depend on the other rows
+    of S."""
     cells = f.cells
     n_cells = cells.max() + 1
     bins = np.arange(len(S))[:, None, None] * n_cells + cells
     q = np.bincount(bins.ravel(), np.repeat(S, cells.shape[1], axis=1).ravel(), len(S) * n_cells).reshape(len(S), n_cells)
-    qa, qb, w = q[r[:, None], cells[i]], q[r[:, None], cells[j]], np.where(cells[i] != cells[j], f.coeffs[own[r]], 0.0)
+    ci, cj = cells[i].T, cells[j].T
+    qa, qb, w = q[r, ci], q[r, cj], np.where(ci != cj, f.coeffs[own[r]].T, 0.0)
     v, before = V[r], xlogx(qa) + xlogx(qb)
-    counts = 2 * np.bincount(own[r], minlength=f.evals.size)
+    counts = np.bincount(own[r], minlength=f.evals.size)
+    p, term, other = np.empty_like(qa), np.empty_like(qa), np.empty_like(qa)
+
+    def xlogx_into(out):
+        # xlogx(p) into out, operation for operation. Masses at or below
+        # MASS_EPS are rare here, and masking costs as much as the log.
+        np.maximum(p, MASS_EPS, out=out)
+        np.log2(out, out=out)
+        out *= p
+        if not p.min() > MASS_EPS:
+            np.copyto(out, 0.0, where=~(p > MASS_EPS))
 
     def probe(t):
-        f.evals += counts
-        t = t.reshape(2, -1, 1)
-        return (v - (w * (xlogx(qa - t) + xlogx(qb + t) - before)).sum(axis=-1)).ravel()
+        t = t.reshape(-1, len(r))
+        f.evals += len(t) * counts
+        out = np.empty(t.shape)
+        for step, sums in zip(t, out):
+            np.subtract(qa, step, out=p)
+            xlogx_into(term)
+            np.add(qb, step, out=p)
+            xlogx_into(other)
+            np.add(term, other, out=term)
+            np.subtract(term, before, out=term)
+            np.multiply(term, w, out=term)
+            np.add(term[0], 0.0, out=sums)
+            for block in term[1:]:
+                sums += block
+            np.subtract(v, sums, out=sums)
+        return out.ravel()
+
+    return probe
+
+
+def _move_probe(f: _Counted, own, base, i, j):
+    """Full values of moving mass t from coordinate i to j of each row of
+    base, row k valued by objective own[k], for any whole number of n-entry
+    step vectors t, n the rows of base."""
+
+    def probe(t):
+        k = t.size // len(base)
+        return f(_move(np.tile(base, (k, 1)), t, np.tile(i, k), np.tile(j, k)), np.tile(own, k))
 
     return probe
 
 
 def _golden_polish(probe, hi, iters: int = _GOLDEN_ITERS):
     """Per-row golden-section maximum on [0, hi] of a line's values, where
-    probe(t) values the 2n steps t, both interior probes of every row, in
-    one call; returns the best (t, value) seen including the probes.
-    Objectives evaluate rows independently, so the values are those of two
-    separate calls."""
+    probe(t) values a stack of n-point step vectors, one step per row in
+    each. The first call values both interior points of every row; each of
+    the iters steps after it shrinks the bracket, keeps the surviving
+    point's value and values only the new point (Kiefer 1953): iters + 2
+    probes per row. Both interior points are recomputed from the bracket,
+    so every probe lands where a search valuing both points at each step
+    would probe; the survivor's value is that of its previous position, the
+    same point up to rounding. Returns the best (t, value) probed, ties
+    toward the earlier probe and, in the first call, toward the lower
+    point. Objectives evaluate rows independently, so the values are those
+    of separate calls."""
     n = hi.shape[0]
     a = np.zeros(n)
-    b = hi.astype(float).copy()
+    b = hi.astype(float)
     best_t = np.zeros(n)
     best_v = np.full(n, -np.inf)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    for _ in range(iters + 1):
-        f12 = probe(np.concatenate((x1, x2)))
-        f1, f2 = f12[:n], f12[n:]
-        better = np.where(f1 >= f2, x1, x2)
-        better_v = np.maximum(f1, f2)
-        upd = better_v > best_v
-        best_t = np.where(upd, better, best_t)
-        best_v = np.maximum(best_v, better_v)
+    f1, f2 = probe(np.concatenate((x1, x2))).reshape(2, n)
+    for x, fx in ((x1, f1), (x2, f2)):
+        best_t, best_v = np.where(fx > best_v, x, best_t), np.maximum(best_v, fx)
+    for _ in range(iters):
         go_right = f2 > f1
         a = np.where(go_right, x1, a)
         b = np.where(go_right, b, x2)
         x1 = b - _GOLDEN * (b - a)
         x2 = a + _GOLDEN * (b - a)
+        # Going right, the old x2 is the new x1 up to rounding and keeps its
+        # value; going left, the old x1 is the new x2.
+        x = np.where(go_right, x2, x1)
+        fx = probe(x)
+        best_t, best_v = np.where(fx > best_v, x, best_t), np.maximum(best_v, fx)
+        f1, f2 = np.where(go_right, f2, fx), np.where(go_right, fx, f1)
     return best_t, best_v
 
 
@@ -304,9 +358,7 @@ def _full_pair_polish(f: _Counted, own, S, V, rows, i_idx, j_idx, step_tolerance
             span = rows[r[0] : r[-1] + 1]
             probe = _cell_probe(f, own[span], S[span], V[span], r - r[0], i_idx[pair], j_idx[pair])
         else:
-            base, both = np.tile(S[rows[r]], (2, 1)), np.tile(own[rows[r]], 2)
-            i2, j2 = np.tile(i_idx[pair], 2), np.tile(j_idx[pair], 2)
-            probe = lambda t: f(_move(base, t, i2, j2), both)
+            probe = _move_probe(f, own[rows[r]], S[rows[r]], i_idx[pair], j_idx[pair])
         t_g, v_g = _golden_polish(probe, hi, iters)
         # Each row's first best entry in this chunk.
         first = np.lexsort((-v_g, r))[np.flatnonzero(np.diff(r, prepend=-1))]
@@ -373,10 +425,13 @@ def maximize_joints(objectives, dims: tuple[int, int], extra_starts) -> list[Opt
     ascent (_refine) then runs every objective's top points and extra
     starts, less those whose rows, rounded and sorted, an earlier start of
     that objective has. Each result, evaluation count included, equals that
-    of maximize_joint on its objective alone."""
+    of maximize_joint on its objective alone. extra_starts must hold one
+    list per objective, else ValueError."""
     shape = (int(dims[0]), int(dims[1]))
     if min(shape) < 1:
         raise ValueError(f"dimensions must be positive integers, got {shape}")
+    if len(extra_starts) != len(objectives):
+        raise ValueError(f"got {len(extra_starts)} extra start lists for {len(objectives)} objectives")
     dim = math.prod(shape)
     if dim == 1:
         return [OptResult(np.ones(shape), float(o(np.ones(shape))), 1) for o in objectives]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from statebc import (
 )
 from statebc.channel import indicator_matrices
 from statebc.outerbound import _outer_objectives, _outer_results, converse_to_csv, outer_objective, outer_table, structure_seeds
-from statebc.infotheory import entropy
+from statebc.infotheory import entropy, xlogx
 from statebc.simplexopt import maximize_joint
 from conftest import random_spec
 
@@ -201,6 +202,51 @@ class TestCellProbe:
             kinds["across-u"] += int((i // n != j // n).sum())
             kinds["shared-cell"] += int((obj.cells[i] == obj.cells[j]).any(axis=1).sum())
         assert min(kinds.values()) > 0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [_PROBE_SPECS[0], _PROBE_SPECS[2], ChannelSpec(6, (0, 1, 2, 1, 0, 2), (2, 0, 1, 1, 2, 0), 0.7, 0.35)],
+        ids=("blackwell", "random5", "n6"),
+    )
+    def test_cell_major_kernel_matches_the_entry_major_sum(self, spec):
+        # Byte for byte against the probe laid out entry-major, each entry's
+        # five block terms summed by numpy: random joints, joints on faces,
+        # slivers below MASS_EPS and a point mass, rows of three weights,
+        # stacks of one and two step vectors. Rows of a fourth, all-zero
+        # row at value -0.0 check the sign of a zero sum.
+        rng = np.random.default_rng(79)
+        n = spec.input_size
+        u_size = n + 1
+        dim = u_size * n
+        objs = _outer_objectives(spec, [0.6, 1.0, 2.5], u_size)
+        objs.append(types.SimpleNamespace(row=np.zeros(4), coeffs=np.zeros(5)))
+        S = rng.dirichlet(np.ones(dim), size=7)
+        S[2:4][rng.random((2, dim)) < 0.5] = 0.0  # on faces
+        S[4, rng.permutation(dim)[:3]] = 3e-16  # slivers
+        S[5] = 0.0
+        S[5, rng.integers(dim)] = 1.0  # a point mass
+        S /= S.sum(axis=1, keepdims=True)
+        own = np.arange(len(S)) % len(objs)
+        V = np.array([objs[w](s.reshape(u_size, n)) if w < 3 else -0.0 for w, s in zip(own, S)])
+        i_idx, j_idx = np.nonzero(~np.eye(dim, dtype=bool))
+        r, pair = np.nonzero(S[:, i_idx] > 0.0)
+        i, j, hi = i_idx[pair], j_idx[pair], S[r, i_idx[pair]]
+        # Each row's pushforwards, its coordinates added into their cells in order.
+        cells = objs[0].cells
+        q = np.zeros((len(S), cells.max() + 1))
+        np.add.at(q, (np.arange(len(S))[:, None, None], cells), np.broadcast_to(S[:, :, None], (len(S),) + cells.shape))
+        qa, qb = q[r[:, None], cells[i]], q[r[:, None], cells[j]]
+        w = np.where(cells[i] != cells[j], np.array([o.coeffs for o in objs])[own[r]], 0.0)
+        before = xlogx(qa) + xlogx(qb)
+        for k in (1, 2):
+            t = rng.uniform(0.0, 1.0, (k, r.size)) * hi
+            t[-1, ::3] = hi[::3]  # all of the mass at i
+            want = (V[r] - (w * (xlogx(qa - t[..., None]) + xlogx(qb + t[..., None]) - before)).sum(axis=-1)).ravel()
+            f = simplexopt._Counted(objs, (u_size, n))
+            got = simplexopt._cell_probe(f, own, S, V, r, i, j)(t.ravel())
+            assert got.tobytes() == want.tobytes()
+            assert f.evals.sum() == t.size and np.array_equal(f.evals, k * np.bincount(own[r], minlength=len(objs)))
+        assert ((qa - t[..., None] <= 1e-15) | (qb + t[..., None] <= 1e-15)).any()
 
     def test_cells_and_coefficients_restate_the_objective(self, ff2_07_04):
         # sum_k coeffs[k] H(q_k) over the cells is the objective itself.

@@ -300,6 +300,16 @@ def test_invalid_dims_rejected():
         maximize_joint(lambda j: 0.0, (0, 2))
 
 
+def test_extra_starts_need_one_list_per_objective():
+    # A short list used to drop the later objectives' starts without a word.
+    def obj(P):
+        return entropy(P.reshape(P.shape[:-2] + (-1,)))
+
+    for starts in ([()], [(), (), ()]):
+        with pytest.raises(ValueError, match="extra start lists"):
+            simplexopt.maximize_joints([obj, obj], (2, 2), starts)
+
+
 def test_default_grid_shrinks_with_dimension():
     assert default_grid(3) == 48
     assert default_grid(6) == 24
@@ -324,9 +334,14 @@ def pair_deltas(dim):
 
 
 def line_probe(f, base, delta):
-    """f at base + t*delta, the steps t of both probe halves in one call."""
-    base2, delta2 = np.concatenate((base, base)), np.concatenate((delta, delta))
-    return lambda t: f(np.maximum(base2 + t[:, None] * delta2, 0.0))
+    """f at base + t*delta, for a stack of any whole number of step vectors
+    t, one step per row of base in each."""
+
+    def probe(t):
+        k = t.size // len(base)
+        return f(np.maximum(np.tile(base, (k, 1)) + t[:, None] * np.tile(delta, (k, 1)), 0.0))
+
+    return probe
 
 
 def _full_pair_polish_per_row(f, S, V, rows, i_idx, delta, step_tolerance, iters):
@@ -416,6 +431,40 @@ def test_golden_polish_stacked_matches_row_by_row(spec):
         assert f_r.evals[0] * 9 == f.evals[0]
 
 
+_LINES = {
+    "concave": lambda t, c: -((t - c) ** 2),
+    "unimodal": lambda t, c: 1.0 / (1.0 + 50.0 * (t - c) ** 2) - 1e-3 * np.sqrt(np.abs(t - c)),
+}
+
+
+@pytest.mark.parametrize("iters", [12, simplexopt._GOLDEN_ITERS])
+@pytest.mark.parametrize("line", list(_LINES))
+def test_golden_polish_lands_in_the_final_bracket(line, iters):
+    # One new probe per step after the first pair: the best point seen lies
+    # within the final bracket, hi * golden**iters wide, of each line's
+    # dense-grid maximum, peaks at both ends included, after iters + 2
+    # probes per row.
+    rng = np.random.default_rng(97)
+    n = 12
+    hi = rng.uniform(0.05, 2.0, n)
+    peak = rng.uniform(0.0, 1.0, n) * hi
+    peak[:2], peak[2:4] = 0.0, hi[2:4]
+    calls = np.zeros(n, dtype=int)
+    shape = _LINES[line]
+
+    def probe(t):
+        k = t.size // n
+        calls[:] += k
+        return shape(t, np.tile(peak, k))
+
+    t, v = simplexopt._golden_polish(probe, hi, iters)
+    grid = np.linspace(0.0, 1.0, 100_001)[:, None] * hi
+    dense = grid[shape(grid, peak).argmax(axis=0), np.arange(n)]
+    assert (np.abs(t - dense) <= hi * (simplexopt._GOLDEN**iters + 1e-5)).all()
+    assert np.array_equal(v, shape(t, peak))
+    assert (calls == iters + 2).all()
+
+
 @pytest.mark.parametrize("dim", [2, 5, 12])
 def test_move_equals_the_dense_step(dim):
     # Index-pair moves against np.maximum(S + t * (e_j - e_i), 0), byte for
@@ -447,7 +496,7 @@ def test_ascent_step_holds_no_dense_move_table():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(S, start) and f.evals[0] == 1 + 2 * 8010 * (simplexopt._GOLDEN_ITERS + 1)
+    assert np.array_equal(S, start) and f.evals[0] == 1 + 8010 * (simplexopt._GOLDEN_ITERS + 2)
     assert peak <= 2 * 1024 * 1024
 
 
