@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .infotheory import block_entropies, entropy, pushforward
+from .infotheory import block_entropies, entropy, pushforward, xlogx
 
 PMF_ATOL = 1e-12
 
@@ -157,6 +158,57 @@ def component_entropies(spec: ChannelSpec, px_batch):
     stacked, blocks = stacked_indicator(spec)
     hs = block_entropies(pushforward(px_batch, stacked), blocks)
     return tuple(float(h) if np.ndim(h) == 0 else h for h in hs)
+
+
+def _add(a, b):
+    """a + b, where None stands for a row of +0.0."""
+    return b if a is None else a if b is None else a + b
+
+
+def _pairwise_sum(terms):
+    """The rows of terms (None for a row of +0.0) added in the order of
+    numpy's pairwise .sum(axis=-1) over len(terms) cells: in turn below 8,
+    in eight interleaved partial sums up to 128, else in two halves, the
+    first a multiple of 8. No term is -0.0, so no partial sum is, and
+    leaving out a +0.0 row changes none of them."""
+    n = len(terms)
+    if n < 8:
+        return reduce(_add, terms)
+    if n <= 128:
+        tail = n - n % 8
+        s = [reduce(_add, terms[j:tail:8]) for j in range(8)]
+        head = _add(_add(_add(s[0], s[1]), _add(s[2], s[3])), _add(_add(s[4], s[5]), _add(s[6], s[7])))
+        return reduce(_add, terms[tail:], head)
+    half = n // 2 - n // 2 % 8
+    return _add(_pairwise_sum(terms[:half]), _pairwise_sum(terms[half:]))
+
+
+def _lattice_entropies(spec: ChannelSpec, counts, m: int):
+    """component_entropies(spec, counts / m) bit for bit, for a block of
+    lattice points given by their counts (rows x inputs) of denominator m,
+    with the cells' terms held cell-major. Cells with the same inputs share
+    one term row; an empty cell has none, its term being +0.0. A one-input
+    cell's terms are gathered from xlogx(arange(m + 1) / m), the floats of
+    counts / m; another adds its inputs' masses in input order, as the 0/1
+    pushforward product does, then takes xlogx. Each block's terms
+    are then summed in numpy's order (_pairwise_sum)."""
+    stacked, blocks = stacked_indicator(spec)
+    mass = np.arange(m + 1) / m
+    table = xlogx(mass)
+    cols = counts.T
+    rows, terms = {}, []
+    for cell in stacked.T:
+        xs = tuple(np.flatnonzero(cell).tolist())
+        if xs and xs not in rows:
+            if len(xs) == 1:
+                rows[xs] = table[cols[xs[0]]]
+            else:
+                q = mass[cols[xs[0]]]
+                for x in xs[1:]:
+                    q += mass[cols[x]]
+                rows[xs] = xlogx(q)
+        terms.append(rows.get(xs))
+    return tuple(-_pairwise_sum(terms[a:b]) for a, b in blocks)
 
 
 def receiver_channel_mi(spec: ChannelSpec, px, receiver: int) -> float:

@@ -16,15 +16,19 @@ import numpy as np
 MASS_EPS = 1e-15
 
 
-def xlogx(p):
+def xlogx(p, out=None):
     """p * log2(p) with the 0 log 0 = 0 convention; NaN also maps to 0.
-    Computed in one output buffer (a 0-d array for a 0-d input), as it runs
-    on every objective evaluation."""
+    Computed in one output buffer, `out` when given (not p itself), else a
+    new one (a 0-d array for a 0-d input), as it runs on every
+    objective evaluation. Only an array with some entry at or below MASS_EPS,
+    or NaN, pays for the masking pass."""
     p = np.asarray(p, dtype=float)
-    out = np.maximum(p, MASS_EPS, out=np.empty_like(p))
+    mask = p.size > 0 and not p.min() > MASS_EPS
+    out = np.maximum(p, MASS_EPS, out=np.empty_like(p) if out is None else out)
     np.log2(out, out=out)
     out *= p
-    np.copyto(out, 0.0, where=~(p > MASS_EPS))
+    if mask:
+        np.copyto(out, 0.0, where=~(p > MASS_EPS))
     return out
 
 

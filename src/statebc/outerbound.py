@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import ChannelSpec, indicator_matrices, require_canonical
 from .infotheory import binary_entropy, entropy, pushforward
-from .regions import format_number, support_curve, support_inner, thresholds
+from .regions import _check_weight, format_number, support_curve, support_inner, thresholds
 from .simplexopt import (
     OptResult,
     _Counted,
@@ -143,8 +143,7 @@ def support_outer_result(
     construction.
     """
     require_canonical(spec)
-    if not lam >= 0.0:
-        raise ValueError("lambda must be non-negative")
+    _check_weight(lam)
     if seed_px is None:
         _, _, seed_px = support_inner(spec, lam)
     return _outer_results(spec, [lam], u_size, [seed_px])[0]
@@ -205,8 +204,7 @@ def verify_converse(
 
 
 def _check_lattice_args(lam: float, u_size: int, grid: int) -> None:
-    if not lam >= 0.0:
-        raise ValueError("lambda must be non-negative")
+    _check_weight(lam)
     if u_size < 1:
         raise ValueError("u_size must be a positive integer")
     if grid < 2:

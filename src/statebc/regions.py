@@ -22,6 +22,7 @@ import numpy as np
 
 from .channel import (
     ChannelSpec,
+    _lattice_entropies,
     canonicalize,
     component_entropies,
     require_canonical,
@@ -35,6 +36,8 @@ CASE_R3 = "R3"
 CASE_R4 = "R4"
 
 _HULL_TOL = 1e-9
+# r1 bins of pareto_front's prefilter.
+_PARETO_BINS = 2048
 
 
 class RatePair(NamedTuple):
@@ -114,23 +117,44 @@ def make_polygon(points, label: str, tol: float = _HULL_TOL) -> RegionPolygon:
 
 
 def pareto_front(points) -> np.ndarray:
-    """Points not dominated coordinatewise by any other point.
+    """Points not dominated coordinatewise by any other point, one copy of
+    each, by descending r1; -0.0 is read as 0.0. Raises ValueError on a
+    coordinate that is not finite.
 
     For clouds in the non-negative quadrant this superset of the upper-right
     hull arc is exact: every hull vertex with an outward normal in the first
     quadrant is Pareto optimal. Vectorized, so huge clouds reduce cheaply
-    before the sequential hull pass.
+    before the sequential hull pass. Before the sort, an exact prefilter
+    cuts [min r1, max r1] into _PARETO_BINS bins and drops every point below
+    the largest r2 of the higher bins: the bin rises with r1, so such a
+    point is strictly dominated, and the front is that of the sort alone.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if pts.shape[0] == 0:
+    x, y = pts[:, 0] + 0.0, pts[:, 1] + 0.0
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("pareto_front needs finite coordinates")
+    if x.size == 0:
         return pts
-    pts = pts[np.argsort(-pts[:, 0])]
+    # Python floats: a span or scale out of range is inf or 0.0, unwarned.
+    lo, hi = float(x.min()), float(x.max())
+    scale = _PARETO_BINS / (hi - lo) if hi > lo else 0.0
+    if 0.0 < scale < math.inf:
+        # hi lands in bin _PARETO_BINS, as rounding never carries it past;
+        # the bin after it stays empty, so above[b + 1] tops the bins past b.
+        bins = ((x - lo) * scale).astype(np.intp)
+        bin_max = np.full(_PARETO_BINS + 2, -np.inf)
+        np.maximum.at(bin_max, bins, y)
+        above = np.maximum.accumulate(bin_max[::-1])[::-1]
+        kept = np.flatnonzero(y >= above[bins + 1])
+        x, y = x[kept], y[kept]
+    order = np.argsort(-x)
+    x, y = x[order], y[order]
     # Each run of tied r1, by descending r1, keeps its largest r2 if that
     # beats every run before it.
-    runs = np.flatnonzero(np.diff(pts[:, 0], prepend=np.inf))
-    top = np.maximum.reduceat(pts[:, 1], runs)
+    runs = np.flatnonzero(np.diff(x, prepend=np.inf))
+    top = np.maximum.reduceat(y, runs)
     keep = top > np.maximum.accumulate(np.concatenate([[-np.inf], top[:-1]]))
-    return np.column_stack((pts[runs[keep], 0], top[keep]))
+    return np.column_stack((x[runs[keep]], top[keep]))
 
 
 def transpose_polygon(poly: RegionPolygon) -> RegionPolygon:
@@ -215,9 +239,13 @@ def thresholds(spec: ChannelSpec) -> tuple[float, float]:
     return lo, hi
 
 
+def _check_weight(lam: float) -> None:
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and non-negative, got {lam!r}")
+
+
 def case_of(spec: ChannelSpec, lam: float) -> str:
-    if not lam >= 0.0:
-        raise ValueError("lambda must be non-negative")
+    _check_weight(lam)
     lo, hi = thresholds(spec)
     if lam <= lo:
         return CASE_R1
@@ -402,7 +430,11 @@ def primed_regions(spec: ChannelSpec, px_grid: int | None = None) -> list[Region
     lattice of denominator px_grid (every input law, not just argmaxes).
 
     Labels R1'..R4'. Used as the containment cross-check for
-    proposition_regions.
+    proposition_regions. Each lattice block is scored from its counts by
+    the cell-major sweep kernel (channel._lattice_entropies), bit for bit
+    component_entropies on counts / m (m the lattice denominator), and its
+    corners are reduced by pareto_front, whose exact prefilter keeps the
+    fronts of the sort alone.
     """
     require_canonical(spec)
     n = spec.input_size
@@ -418,7 +450,7 @@ def primed_regions(spec: ChannelSpec, px_grid: int | None = None) -> list[Region
     # wait in `pending` until they outnumber the running front.
     fronts, pending = [np.zeros((1, 2)), np.zeros((1, 2))], [[], []]
     for block in iter_lattice(m, n):
-        features = component_entropies(spec, block.astype(float) / m)
+        features = _lattice_entropies(spec, block, m)
         a3, b3, a4, b4, c1, c2 = (combine(features, row) for row in rows)
         c1p, c2p = max(c1p, float(c1.max())), max(c2p, float(c2.max()))
         for k, corner in enumerate(((a3, b3), (a4, b4))):

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .infotheory import MASS_EPS, block_entropies, pushforward, xlogx
+from .infotheory import block_entropies, pushforward, xlogx
 
 _BLOCK_BYTES = 256 * 1024
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -242,24 +242,15 @@ def _cell_probe(f: _Counted, own, S, V, r, i, j):
     counts = np.bincount(own[r], minlength=f.evals.size)
     p, term, other = np.empty_like(qa), np.empty_like(qa), np.empty_like(qa)
 
-    def xlogx_into(out):
-        # xlogx(p) into out, operation for operation. Masses at or below
-        # MASS_EPS are rare here, and masking costs as much as the log.
-        np.maximum(p, MASS_EPS, out=out)
-        np.log2(out, out=out)
-        out *= p
-        if not p.min() > MASS_EPS:
-            np.copyto(out, 0.0, where=~(p > MASS_EPS))
-
     def probe(t):
         t = t.reshape(-1, len(r))
         f.evals += len(t) * counts
         out = np.empty(t.shape)
         for step, sums in zip(t, out):
             np.subtract(qa, step, out=p)
-            xlogx_into(term)
+            xlogx(p, out=term)
             np.add(qb, step, out=p)
-            xlogx_into(other)
+            xlogx(p, out=other)
             np.add(term, other, out=term)
             np.subtract(term, before, out=term)
             np.multiply(term, w, out=term)

@@ -18,10 +18,12 @@ from statebc import (
     induced_joint,
     load_channel,
     receiver_channel_mi,
+    simplexopt,
 )
-from statebc.channel import component_entropies, indicator_matrices
+from statebc.channel import _lattice_entropies, component_entropies, indicator_matrices, stacked_indicator
 from statebc.examples import blackwell_channel
 from statebc.infotheory import entropy
+from statebc.simplexopt import iter_lattice
 from conftest import random_pmf, random_spec
 
 
@@ -279,3 +281,63 @@ class TestComponentEntropiesKernel:
             assert tuple(r[0] for r in row) == lone
         for b, s in zip(batch, component_entropies(spec, P[:, None, :])):
             assert np.array_equal(s[:, 0], b)
+
+
+def _three_input_channel(rng, n):
+    """A random n-input channel with some output cell of three inputs or more."""
+    while True:
+        y = int(rng.integers(2, n))
+        spec = ChannelSpec(n, tuple(rng.integers(0, y, n).tolist()), tuple(rng.integers(0, y, n).tolist()), 0.7, 0.3)
+        if stacked_indicator(spec)[0].sum(axis=0).max() >= 3:
+            return spec
+
+
+class TestLatticeEntropies:
+    """The sweep kernel equals component_entropies(spec, counts / m) byte
+    for byte: its gathers, its in-order pushforward sums and its pruned
+    pairwise block sums (below 8 cells, 8 to 128, and halves above 128)."""
+
+    # Output sizes 16 and 14: joint blocks of 256 and 196 cells, the second
+    # halved at 96, not 98, with cell 97 in use.
+    SPECS = {
+        "blackwell": (blackwell_channel(0.7, 0.3), 60),
+        "gf2": (finite_field_channel(FiniteFieldSpec(2, ((1, 1), (1, 0))), 0.7, 0.4), 24),
+        "out16": (ChannelSpec(4, (0, 15, 3, 15), (15, 0, 7, 7), 0.6, 0.6), 20),
+        "out14": (ChannelSpec(5, (13, 0, 2, 13, 6), (0, 13, 13, 5, 13), 0.8, 0.3), 12),
+        **{f"n{n}": (_three_input_channel(np.random.default_rng(n), n), m)
+           for n, m in ((3, 40), (4, 20), (5, 12), (6, 9), (7, 7), (8, 6), (9, 5))},
+    }
+
+    @staticmethod
+    def assert_matches(spec, counts, m):
+        want = component_entropies(spec, counts.astype(float) / m)
+        got = _lattice_entropies(spec, counts, m)
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == counts.shape[:1]
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_matches_component_entropies_on_the_lattice(self, name):
+        spec, m = self.SPECS[name]
+        for block in iter_lattice(m, spec.input_size):
+            self.assert_matches(spec, block, m)
+        # Input 0 never used, then a lone row of that block.
+        rest = np.vstack(list(iter_lattice(m, spec.input_size - 1)))
+        unused = np.column_stack((np.zeros(len(rest), dtype=np.int32), rest))
+        self.assert_matches(spec, unused, m)
+        self.assert_matches(spec, unused[len(unused) // 2 :][:1], m)
+
+    @pytest.mark.parametrize("name", ("blackwell", "out16", "n9"))
+    def test_matches_on_tiny_blocks(self, monkeypatch, name):
+        spec, m = self.SPECS[name]
+        monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", 96)
+        blocks = list(iter_lattice(m, spec.input_size))
+        assert max(len(b) for b in blocks) <= 96 // (4 * spec.input_size)
+        for block in blocks:
+            self.assert_matches(spec, block, m)
+
+    def test_cell_layouts(self):
+        # Every block width path of numpy's pairwise sum is taken.
+        widths = {b - a for spec, _ in self.SPECS.values() for a, b in stacked_indicator(spec)[1]}
+        assert min(widths) < 8 and any(8 <= w <= 128 for w in widths) and max(widths) > 128

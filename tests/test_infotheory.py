@@ -132,3 +132,18 @@ def test_xlogx_array_matches_formula():
     got = xlogx(p)
     assert got.tobytes() == want.tobytes()
     assert got[0, 2] < 0.0 and got[1, 0] == 0.0
+
+
+@pytest.mark.parametrize(
+    "p",
+    [np.array([[0.0, 0.5], [MASS_EPS, 1.0]]), np.array([0.5, np.nan]), np.array([0.25, 0.5, 1.0]), np.zeros(0), np.zeros((2, 0))],
+    ids=("masked", "nan", "unmasked", "empty", "empty-2d"),
+)
+def test_xlogx_out_writes_the_same_bytes(p):
+    # The masking pass runs only when some entry needs it, and a zero-size
+    # array has no minimum to test.
+    want = np.where(p > MASS_EPS, p * np.log2(np.maximum(p, MASS_EPS)), 0.0)
+    out = np.full_like(p, 7.0)
+    assert xlogx(p, out=out) is out
+    assert out.tobytes() == xlogx(p).tobytes() == want.tobytes()
+    assert xlogx(p).shape == p.shape

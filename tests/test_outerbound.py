@@ -59,6 +59,13 @@ class TestSupportOuter:
         with pytest.raises(ValueError, match="canonical"):
             support_outer(ChannelSpec(2, (0, 1), (1, 0), 0.2, 0.8), 1.0)
 
+    def test_rejects_infinite_lambda(self, ff2_07_04):
+        # Both failed with "objective returned NaN at point ...".
+        for call in (lambda: support_outer(ff2_07_04, math.inf, 2),
+                     lambda: support_outer_result(ff2_07_04, math.inf, seed_px=np.full(4, 0.25))):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
     def test_low_weight_argmax_makes_u_determine_x(self):
         # Strictly inside the lowest case both conditional-entropy weights are
         # negative, so the maximizing joint leaves no component uncertainty
@@ -522,6 +529,11 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="lambda"):
             brute_force_support(blackwell_07_03, math.nan, 2, 4)
 
+    def test_rejects_infinite_lambda(self, blackwell_07_03):
+        # It failed with "objective returned NaN at point ...".
+        with pytest.raises(ValueError, match="finite"):
+            brute_force_support(blackwell_07_03, math.inf, 2, 4)
+
     def test_grid_refinement_monotone(self):
         spec = ChannelSpec(2, (0, 1), (0, 0), 0.8, 0.3)
         v8 = brute_force_support(spec, 0.7, 2, 8)
@@ -557,8 +569,8 @@ class TestGapBound:
 
     @pytest.mark.parametrize(
         "lam, u_size, grid, match",
-        [(math.nan, 4, 6, "lambda"), (-1.0, 4, 6, "lambda"), (0.8, 0, 6, "u_size"), (0.8, 4, 1, "grid")],
-        ids=("nan-weight", "negative-weight", "no-auxiliary", "grid-1"),
+        [(math.nan, 4, 6, "lambda"), (-1.0, 4, 6, "lambda"), (math.inf, 4, 6, "finite"), (0.8, 0, 6, "u_size"), (0.8, 4, 1, "grid")],
+        ids=("nan-weight", "negative-weight", "inf-weight", "no-auxiliary", "grid-1"),
     )
     def test_rejects_invalid_arguments(self, blackwell_07_03, lam, u_size, grid, match):
         # Checked as brute_force_support checks them: a NaN weight gave nan

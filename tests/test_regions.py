@@ -92,6 +92,13 @@ class TestSupportInner:
             with pytest.raises(ValueError, match="non-negative"):
                 call()
 
+    def test_rejects_infinite_lambda(self, ff2_07_04):
+        # support_inner returned (inf, 'R2', ...) for an infinite weight.
+        for call in (lambda: case_of(ff2_07_04, math.inf), lambda: support_inner(ff2_07_04, math.inf),
+                     lambda: support_curve(ff2_07_04, [0.5, math.inf])):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+
     def test_rejects_non_canonical(self):
         with pytest.raises(ValueError, match="canonical"):
             support_inner(ChannelSpec(2, (0, 1), (1, 0), 0.2, 0.8), 1.0)
@@ -423,6 +430,44 @@ class TestGeometry:
         front = pareto_front(np.array(pts, dtype=float).reshape(-1, 2))
         assert front.shape == (len(keep), 2)
         assert list(map(tuple, front.tolist())) == sorted(keep, key=lambda p: -p[0])
+
+    @pytest.mark.parametrize(
+        "pts",
+        [[[1.0, math.nan], [0.5, 0.5]], [[math.nan, 1.0], [0.5, 0.5]], [[math.inf, 0.0], [0.5, 0.5]], [[0.0, -math.inf]]],
+        ids=("nan-r2", "nan-r1", "inf-r1", "inf-r2"),
+    )
+    def test_pareto_front_rejects_non_finite(self, pts):
+        # A NaN r2 emptied the front, and a NaN r1 kept its point.
+        with pytest.raises(ValueError, match="finite"):
+            pareto_front(pts)
+
+    @staticmethod
+    def sort_only_front(pts):
+        """pareto_front without its prefilter, -0.0 read as 0.0."""
+        pts = pts + 0.0
+        pts = pts[np.argsort(-pts[:, 0], kind="stable")]
+        runs = np.flatnonzero(np.diff(pts[:, 0], prepend=np.inf))
+        top = np.maximum.reduceat(pts[:, 1], runs)
+        keep = top > np.maximum.accumulate(np.concatenate([[-np.inf], top[:-1]]))
+        return np.column_stack((pts[runs[keep], 0], top[keep]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.sampled_from([1, 2, 9, 300, regions._PARETO_BINS + 1, 3 * regions._PARETO_BINS]),
+        levels=st.sampled_from([None, 1, 2, 40]),
+        scale=st.sampled_from([1e-300, 1.0, 1e300]),
+    )
+    def test_pareto_front_equals_the_sort_only_front(self, seed, size, levels, scale):
+        # r1 on `levels` values (1: all equal) or continuous, r2 on 40
+        # levels, signed zeros, and spans that are tiny, unit or overflow.
+        rng = np.random.default_rng(seed)
+        x = rng.random(size) if levels is None else rng.integers(0, levels, size) / levels
+        y = rng.integers(0, 40, size) / 40.0
+        pts = np.column_stack((x, y)) * np.where(rng.random((size, 2)) < 0.2, -scale, scale)
+        front = pareto_front(pts)
+        assert front.shape[1] == 2
+        assert front.tobytes() == self.sort_only_front(pts).tobytes()
 
     def test_polygon_contains_degenerate(self):
         seg = make_polygon([(0, 0), (1, 0)], "seg")

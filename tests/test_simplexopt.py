@@ -212,15 +212,16 @@ def test_large_outer_lattice_first_block_within_cap():
     assert next(iter_lattice(4, 90)).nbytes <= simplexopt._BLOCK_BYTES
 
 
-def test_primed_regions_independent_of_block_cap(monkeypatch, blackwell_07_03):
-    def vertices():
-        return [poly.vertices for poly in primed_regions(blackwell_07_03, px_grid=60)]
-
-    whole = vertices()
-    stream_small(monkeypatch, 1024)
-    small = vertices()
-    monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", 96)
-    assert small == vertices() == whole
+def test_primed_regions_independent_of_block_cap(monkeypatch, blackwell_07_03, ff2_07_04):
+    # The n = 5 channel has three outputs, so its joint block has 9 cells.
+    out3 = ChannelSpec(5, (0, 0, 0, 1, 2), (2, 1, 0, 0, 0), 0.6, 0.2)
+    default = simplexopt._BLOCK_BYTES
+    for spec, grid in ((blackwell_07_03, 60), (ff2_07_04, 24), (out3, 12)):
+        runs = []
+        for cap in (default, 1024, 96):
+            stream_small(monkeypatch, cap)
+            runs.append([poly.vertices for poly in primed_regions(spec, px_grid=grid)])
+        assert runs[0] == runs[1] == runs[2]
 
 
 def test_global_lattice_dominance():
