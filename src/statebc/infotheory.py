@@ -21,13 +21,13 @@ def xlogx(p, out=None):
     Computed in one output buffer, `out` when given (not p itself), else a
     new one (a 0-d array for a 0-d input), as it runs on every
     objective evaluation. Only an array with some entry at or below MASS_EPS,
-    or NaN, pays for the masking pass."""
+    or NaN, pays for the clamping and masking passes."""
     p = np.asarray(p, dtype=float)
-    mask = p.size > 0 and not p.min() > MASS_EPS
-    out = np.maximum(p, MASS_EPS, out=np.empty_like(p) if out is None else out)
-    np.log2(out, out=out)
+    clamp = p.size > 0 and not p.min() > MASS_EPS
+    out = np.empty_like(p) if out is None else out
+    np.log2(np.maximum(p, MASS_EPS, out=out) if clamp else p, out=out)
     out *= p
-    if mask:
+    if clamp:
         np.copyto(out, 0.0, where=~(p > MASS_EPS))
     return out
 

@@ -92,22 +92,26 @@ def convex_hull(points, tol: float = _HULL_TOL) -> np.ndarray:
     if pts.shape[0] <= 2:
         return pts
 
-    def chain(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                cross = (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1]) - (
-                    out[-1][1] - out[-2][1]
-                ) * (p[0] - out[-2][0])
-                if cross <= tol:
-                    out.pop()
+    def chain(xs, ys):
+        # The chain so far, its x and y coordinates in two lists.
+        hx, hy = [], []
+        for x, y in zip(xs, ys):
+            n = len(hx)
+            while n >= 2:
+                ax, ay = hx[n - 2], hy[n - 2]
+                if (hx[n - 1] - ax) * (y - ay) - (hy[n - 1] - ay) * (x - ax) <= tol:
+                    hx.pop()
+                    hy.pop()
+                    n -= 1
                 else:
                     break
-            out.append(p)
-        return out
+            hx.append(x)
+            hy.append(y)
+        return hx[:-1], hy[:-1]
 
-    seq = pts.tolist()
-    return np.array(chain(seq)[:-1] + chain(seq[::-1])[:-1])
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
+    (lx, ly), (ux, uy) = chain(xs, ys), chain(xs[::-1], ys[::-1])
+    return np.column_stack((lx + ux, ly + uy))
 
 
 def make_polygon(points, label: str, tol: float = _HULL_TOL) -> RegionPolygon:

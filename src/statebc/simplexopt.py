@@ -1,8 +1,13 @@
 """Deterministic maximization over probability simplices.
 
-maximize_joint takes any vectorized objective over joint laws p(u, x): an
-exhaustive evaluation on the rational lattice {k/m : sum k = m}, then local
-ascent seeded from the best lattice points. The ascent repeatedly moves mass
+maximize_joint takes any vectorized objective over joint laws p(u, x) that
+ignores the labels of U: an exhaustive scan of the rational lattice
+{k/m : sum k = m}, then local ascent seeded from the best lattice points.
+The scan values one joint per orbit under permutations of U's rows, built
+from the partitions of m, and then every joint of the orbits that can reach
+the top, so its top points are bit for bit those of valuing every joint; an
+objective that scores one of those joints away from its orbit raises
+RuntimeError. The ascent repeatedly moves mass
 from one coordinate i to another j, a pair of indices: a golden-section line
 search on every distinct pair picks the best move, so simplex feasibility is
 preserved exactly. Each line search values its two interior points once and
@@ -12,20 +17,21 @@ on one-row joints.
 
 maximize_joints searches many objectives that share one `features` callable,
 each value being combine(features(P), row) for its own coefficient row: one
-lattice scan computes the features once per block and keeps every row's top
-points, then one ascent runs every objective's starts together, each start
-valued with its own objective's row. A plain objective is the one-feature
+lattice scan computes the features once per block of orbits and keeps
+every row's top points, then one ascent runs every objective's starts
+together, each start valued with its own objective's row. A plain objective is the one-feature
 case with row (1.0,), so every search takes the same path.
 
 maximize_pushforward_entropies solves the concave case, many coefficient rows
 at once, each to a certified gap.
 
-Everything is deterministic. Every lattice streams through iter_lattice in
-blocks of at most _BLOCK_BYTES, its points unranked by stars and bars in
-ascending lexicographic order, and so do each ascent step's line searches;
-the scan keeps its top points by value with ties toward the earlier point,
-whatever the block size, and candidate comparisons elsewhere use
-first-maximum semantics.
+Everything is deterministic. Every lattice streams in blocks of at most
+_BLOCK_BYTES: iter_lattice unranks its points by stars and bars in
+ascending lexicographic order; the scan streams its orbits, then the points
+of the orbits it expands; each ascent step streams its line searches. The
+scan keeps its top points by value with ties toward the earlier lattice
+point and values the same points whatever the block size; candidate
+comparisons elsewhere use first-maximum semantics.
 
 Objectives must be vectorized: they take an array whose trailing axis (for
 maximize_simplex) or trailing two axes (for maximize_joint) hold the
@@ -38,6 +44,7 @@ objective alone, never on the batch it is searched in.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +55,10 @@ from .infotheory import block_entropies, pushforward, xlogx
 _BLOCK_BYTES = 256 * 1024
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_ITERS = 24
+# How far (bits) a lattice point may score from its orbit's representative,
+# the same joint with U's rows permuted: far above rounding, far below any
+# real gap.
+_ORBIT_MARGIN = 1e-9
 
 # maximize_joints: the lattice points that seed the ascent, its iteration
 # budget, and the gain (bits) below which a start stops moving.
@@ -85,7 +96,8 @@ def default_grid(dim: int) -> int:
 @dataclass
 class OptResult:
     """Best point found, its objective value (bits) and the number of
-    objective evaluations spent."""
+    objective evaluations spent: the lattice scan's orbit representatives
+    and the points of the orbits it expanded, then the ascent's."""
 
     argmax: np.ndarray
     value: float
@@ -183,30 +195,190 @@ class _Counted:
         return vals
 
 
+def _partitions(m: int, most: int, parts: int):
+    """Partitions of m into at most `parts` parts of at most `most` each,
+    parts in descending order."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, most), 0, -1) if parts else ():
+        for rest in _partitions(m - first, first, parts - 1):
+            yield (first, *rest)
+
+
+def _orbit_pieces(m: int, u: int, n: int, cap: int):
+    """_iter_orbits' (reps, sizes), partition by partition of m: the
+    one-row points, partition (m), in iter_lattice(m, n)'s blocks, then
+    each other partition's in pieces of at most cap points."""
+    for block in iter_lattice(m, n):
+        yield np.pad(block, ((0, 0), (0, (u - 1) * n))), np.full(len(block), u, dtype=np.int64)
+    rows = {}
+    for parts in _partitions(m, m - 1, u):
+        sums = sorted(set(parts), reverse=True)
+        # Each part size's multisets of rows, as ascending index tuples, and
+        # the product of their multiplicities' factorials.
+        picks, divs = [], []
+        for s in sums:
+            if s not in rows:
+                rows[s] = np.vstack(list(iter_lattice(s, n)))
+            t = np.array(list(itertools.combinations_with_replacement(range(len(rows[s])), parts.count(s))))
+            run, div = np.ones(len(t), dtype=np.int64), np.ones(len(t), dtype=np.int64)
+            for j in range(1, t.shape[1]):
+                run = np.where(t[:, j] == t[:, j - 1], run + 1, 1)
+                div *= run
+            picks.append(t)
+            divs.append(div)
+        counts = [len(t) for t in picks]
+        for start in range(0, math.prod(counts), cap):
+            idx = np.unravel_index(np.arange(start, min(start + cap, math.prod(counts))), counts)
+            reps = np.zeros((idx[0].size, u, n), dtype=np.int32)
+            sizes = np.full(idx[0].size, math.perm(u, len(parts)), dtype=np.int64)
+            col = 0
+            for s, t, div, i in zip(sums, picks, divs, idx):
+                reps[:, col : col + t.shape[1]] = rows[s][t[i]]
+                sizes //= div[i]
+                col += t.shape[1]
+            yield reps.reshape(len(reps), -1), sizes
+
+
+def _iter_orbits(m: int, u: int, n: int):
+    """Yield int blocks (reps, sizes) jointly covering every orbit of the
+    (u, n) joint lattice of denominator m under permutations of U's rows
+    exactly once: reps holds a flat point of each, sizes its number of
+    distinct points. A point's k non-empty rows come first, by descending
+    row sum, rows of equal sum drawn as a multiset from iter_lattice(s, n)
+    in ascending order, so identical rows are adjacent; its orbit has
+    u! / ((u - k)! prod mult!) points, mult the multiplicity of each row.
+    Blocks hold _BLOCK_BYTES of points (at least one); only the last is
+    shorter."""
+    cap = max(1, _BLOCK_BYTES // (u * n * np.dtype(np.int32).itemsize))
+    reps, sizes = np.empty((0, u * n), dtype=np.int32), np.empty(0, dtype=np.int64)
+    for more, more_sizes in _orbit_pieces(m, u, n, cap):
+        reps, sizes = np.vstack((reps, more)), np.concatenate((sizes, more_sizes))
+        while len(reps) >= cap:
+            yield reps[:cap], sizes[:cap]
+            reps, sizes = reps[cap:], sizes[cap:]
+    if len(reps):
+        yield reps, sizes
+
+
+def _orbit_copies(reps: np.ndarray, u: int, n: int):
+    """Yield int blocks (copies, orbit) jointly holding every distinct point
+    of each orbit in reps (points laid out as _iter_orbits yields them)
+    exactly once, orbit the index of its rep. A copy places the k non-empty
+    rows in k distinct U rows, identical rows in ascending ones. Blocks hold
+    at most _BLOCK_BYTES of copies."""
+    cap = max(1, _BLOCK_BYTES // (u * n * np.dtype(np.int32).itemsize))
+    R = reps.reshape(len(reps), u, n)
+    ks = np.count_nonzero(R.any(axis=2), axis=1)
+    for k in sorted(set(ks.tolist())):
+        mine = np.flatnonzero(ks == k)
+        slots = np.array(list(itertools.permutations(range(u), k)), dtype=np.intp).reshape(-1, k)
+        tied = (R[mine, 1:k] == R[mine, : k - 1]).all(axis=2)
+        rising = slots[:, 1:] > slots[:, :-1]
+        for start in range(0, len(mine) * len(slots), cap):
+            b, p = np.divmod(np.arange(start, min(start + cap, len(mine) * len(slots))), len(slots))
+            ok = (rising[p] | ~tied[b]).all(axis=1)
+            b, p = b[ok], p[ok]
+            if b.size:
+                copies = np.zeros((b.size, u, n), dtype=reps.dtype)
+                copies[np.arange(b.size)[:, None], slots[p]] = R[mine[b], :k]
+                yield copies.reshape(b.size, -1), mine[b]
+
+
+def _no_points(dim: int):
+    """No (values, int points, int64 sizes or ranks) of a dim-lattice."""
+    return np.empty(0), np.empty((0, dim), dtype=np.int32), np.empty(0, dtype=np.int64)
+
+
+def _reachable(vals, sizes, top_k: int):
+    """Mask of the orbits (values vals, sizes points each) within
+    2 * _ORBIT_MARGIN of the least value that top_k of their points reach,
+    each point valued at its orbit's value. A point lies within
+    _ORBIT_MARGIN of its orbit's value, so the top_k-th point lies within
+    _ORBIT_MARGIN of that least value, and the orbits left out hold none of
+    the top_k points."""
+    order = np.argsort(-vals)
+    reach = np.cumsum(sizes[order]) >= top_k
+    if not reach.any():
+        return np.ones(vals.size, dtype=bool)
+    return vals >= vals[order][reach.argmax()] - 2.0 * _ORBIT_MARGIN
+
+
+def _lattice_rank(pts: np.ndarray, m: int) -> np.ndarray:
+    """Index of each int point (a composition of m) in iter_lattice(m,
+    dim): the compositions agreeing with it before position i and below it
+    at i number C(r + e, e) - C(r - pts[i] + e, e), r the mass left before
+    position i and e = dim - 1 - i (the hockey-stick identity)."""
+    dim = pts.shape[1]
+    comb = np.array([[math.comb(r + e, e) for r in range(m + 1)] for e in range(dim)], dtype=np.int64)
+    rank, left = np.zeros(len(pts), dtype=np.int64), np.full(len(pts), m)
+    for i in range(dim - 1):
+        rank += comb[dim - 1 - i, left]
+        left -= pts[:, i]
+        rank -= comb[dim - 1 - i, left]
+    return rank
+
+
+def _keep_top(top, more, top_k: int):
+    """The top_k of the kept (values, points, ranks) top and of more,
+    ranked by value with ties toward the lower lattice rank."""
+    vals, pts, rank = (np.concatenate(x) for x in zip(top, more))
+    if top_k < vals.size:
+        keep = vals >= np.partition(vals, vals.size - top_k)[vals.size - top_k]
+        vals, pts, rank = vals[keep], pts[keep], rank[keep]
+    order = np.lexsort((rank, -vals))[:top_k]
+    return vals[order], pts[order], rank[order]
+
+
+def _expand(f: _Counted, m: int, held, top_k: int):
+    """Each objective w's top_k points of the orbits it holds, held[w] =
+    (values, reps), as (values, points, lattice ranks): every point valued
+    by objective w alone, in blocks, the points of orbits held by several
+    objectives sharing their features. A point more than _ORBIT_MARGIN off
+    its orbit's value raises RuntimeError: the objective is not invariant
+    under permutations of U's rows."""
+    reps, inverse = np.unique(np.vstack([r for _, r in held]), axis=0, return_inverse=True)
+    want, rep_vals = np.zeros((len(held), len(reps)), dtype=bool), np.zeros((len(held), len(reps)))
+    for w, idx in enumerate(np.split(inverse.ravel(), np.cumsum([len(r) for _, r in held])[:-1])):
+        want[w, idx], rep_vals[w, idx] = True, held[w][0]
+    tops = [_no_points(reps.shape[1])] * len(held)
+    for copies, orbit in _orbit_copies(reps, *f.shape):
+        pts = copies / m
+        F, rank = f.features(pts), _lattice_rank(copies, m)
+        for w in range(len(held)):
+            mine = want[w, orbit]
+            if mine.any():
+                vals = f(pts[mine], w, [x[mine] for x in F])
+                if (off := np.abs(vals - rep_vals[w, orbit[mine]])).max() > _ORBIT_MARGIN:
+                    k = off.argmax()
+                    raise RuntimeError(
+                        f"point {pts[mine][k].tolist()} scores {vals[k]}, {off[k]} off its orbit's value:"
+                        " the objective is not invariant under permutations of U's rows"
+                    )
+                tops[w] = _keep_top(tops[w], (vals, copies[mine], rank[mine]), top_k)
+    return tops
+
+
 def _scan_lattice(f: _Counted, dim: int, m: int, top_k: int):
-    """Evaluate every objective of f on the full lattice and track each
-    one's top_k points as (values, points), ranked by value with ties toward
-    the earlier generation index. The features are computed once per block.
-    Each block keeps its top_k in the same (-value, index) order, so the
-    kept points do not depend on where the blocks break."""
-    tops = [(np.empty(0), np.empty((0, dim)))] * f.evals.size
-    for block in iter_lattice(m, dim):
-        pts = block.astype(float) / m
+    """Each objective of f's top_k points of the full lattice, as (values,
+    points), ranked by value with ties toward the earlier lattice point,
+    bit for bit as if every point were valued. The objectives must be
+    invariant under permutations of U's rows, so each orbit is valued once,
+    at its rep (_iter_orbits), the features computed once per block. Each
+    objective then values every point of the orbits that may hold one of
+    its top_k (_reachable, over all the orbits, so the points valued do
+    not depend on where the blocks break), streamed in blocks (_expand)."""
+    held = [_no_points(dim)] * f.evals.size
+    for reps, sizes in _iter_orbits(m, *f.shape):
+        pts = reps / m
         F = f.features(pts)
         for w in range(f.evals.size):
-            vals = f(pts, w, F)
-            idx = slice(None)
-            if top_k < vals.size:
-                # Every index above the k-th largest value, then its first ties.
-                kth = np.partition(vals, vals.size - top_k)[vals.size - top_k]
-                idx = np.flatnonzero(vals >= kth)
-                above = vals[idx] > kth
-                idx = idx[above | (np.cumsum(~above) <= top_k - np.count_nonzero(above))]
-            cand_vals = np.concatenate([tops[w][0], vals[idx]])
-            cand_pts = np.vstack([tops[w][1], pts[idx]])
-            order = np.argsort(-cand_vals, kind="stable")[:top_k]
-            tops[w] = cand_vals[order], cand_pts[order]
-    return tops
+            vals, r, z = (np.concatenate(x) for x in zip(held[w], (f(pts, w, F), reps, sizes)))
+            keep = _reachable(vals, z, top_k)
+            held[w] = vals[keep], r[keep], z[keep]
+    tops = _expand(f, m, [(vals, reps) for vals, reps, _ in held], top_k)
+    return [(vals, pts / m) for vals, pts, _ in tops]
 
 
 def _move(S, t, i, j):
@@ -293,22 +465,24 @@ def _golden_polish(probe, hi, iters: int = _GOLDEN_ITERS):
     b = hi.astype(float)
     best_t = np.zeros(n)
     best_v = np.full(n, -np.inf)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
+    width = _GOLDEN * (b - a)
+    x1, x2 = b - width, a + width
     f1, f2 = probe(np.concatenate((x1, x2))).reshape(2, n)
     for x, fx in ((x1, f1), (x2, f2)):
-        best_t, best_v = np.where(fx > best_v, x, best_t), np.maximum(best_v, fx)
+        best_t = np.where(fx > best_v, x, best_t)
+        np.maximum(best_v, fx, out=best_v)
     for _ in range(iters):
         go_right = f2 > f1
         a = np.where(go_right, x1, a)
         b = np.where(go_right, b, x2)
-        x1 = b - _GOLDEN * (b - a)
-        x2 = a + _GOLDEN * (b - a)
+        width = _GOLDEN * (b - a)
+        x1, x2 = b - width, a + width
         # Going right, the old x2 is the new x1 up to rounding and keeps its
         # value; going left, the old x1 is the new x2.
         x = np.where(go_right, x2, x1)
         fx = probe(x)
-        best_t, best_v = np.where(fx > best_v, x, best_t), np.maximum(best_v, fx)
+        best_t = np.where(fx > best_v, x, best_t)
+        np.maximum(best_v, fx, out=best_v)
         f1, f2 = np.where(go_right, f2, fx), np.where(go_right, fx, f1)
     return best_t, best_v
 
@@ -480,18 +654,21 @@ def maximize_joint(
     """Global maximum over joint mass functions on a u_size x x_size grid.
 
     Lattice scan, then ascent on the flattened simplex. The objective must
-    be invariant under relabeling of the first coordinate: ascent starts
-    are deduplicated up to a permutation of its rows, and a step moves mass
-    into only the first of a start's empty rows.
+    be invariant under relabeling of the first coordinate: the scan values
+    one joint per orbit of its rows' permutations, ascent starts are
+    deduplicated up to a permutation of its rows, and a step moves mass
+    into only the first of a start's empty rows. A scanned joint scoring
+    more than _ORBIT_MARGIN off its orbit raises RuntimeError.
     """
     return maximize_joints([objective], dims, [extra_starts])[0]
 
 
 def _slope(q, dq, C, blocks, t):
-    """d/dt of sum_k c_k H(q_k + t dq_k) in bits, dq summing to 0 per block."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = np.where(dq != 0.0, -np.log2(np.maximum(q + t[:, None] * dq, 0.0)) * dq, 0.0)
-        return sum(np.where(C[:, k] > 0.0, C[:, k] * term[:, a:b].sum(axis=1), 0.0) for k, (a, b) in enumerate(blocks))
+    """d/dt of sum_k c_k H(q_k + t dq_k) in bits, dq summing to 0 per block.
+    An emptied cell's log2(0) and its products are masked out, so callers
+    silence their divide and invalid warnings."""
+    term = np.where(dq != 0.0, -np.log2(np.maximum(q + t[:, None] * dq, 0.0)) * dq, 0.0)
+    return sum(np.where(C[:, k] > 0.0, C[:, k] * term[:, a:b].sum(axis=1), 0.0) for k, (a, b) in enumerate(blocks))
 
 
 def _newton_directions(p, g, cells, C, same):
@@ -566,10 +743,11 @@ def maximize_pushforward_entropies(indicator, blocks, coeffs) -> list[OptResult]
             t_max = np.where(d < 0.0, p / -d, np.inf).min(axis=1)
         dq = pushforward(d, indicator)
         lo, hi = np.zeros(live.size), t_max
-        for _ in range(_BISECT):
-            mid = 0.5 * (lo + hi)
-            up = _slope(q, dq, c, blocks, mid) > 0.0
-            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(_BISECT):
+                mid = 0.5 * (lo + hi)
+                up = _slope(q, dq, c, blocks, mid) > 0.0
+                lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
         evals[live] += _BISECT
         # A root within resolution of t_max is t_max: no cell keeps a sliver.
         step = np.maximum(p + np.where(hi == t_max, t_max, lo)[:, None] * d, 0.0)

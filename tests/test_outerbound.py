@@ -466,6 +466,57 @@ class TestLatticeBlocks:
         assert peak <= 3.5 * 2**20
 
 
+class TestOrbitScan:
+    """The orbit scan against every point of the lattice valued."""
+
+    @staticmethod
+    def full_scan(f, m, top_k):
+        """Reference: each objective's top_k of the whole lattice by
+        (-value, index), every point valued, block by block."""
+        dim = f.shape[0] * f.shape[1]
+        tops = [(np.empty(0), np.empty((0, dim)))] * len(f.rows)
+        for block in simplexopt.iter_lattice(m, dim):
+            pts = block / m
+            F = f.features(pts)
+            for w, row in enumerate(f.rows):
+                vals = np.concatenate((tops[w][0], simplexopt.combine(F, row)))
+                order = np.argsort(-vals, kind="stable")[:top_k]
+                tops[w] = vals[order], np.vstack((tops[w][1], pts))[order]
+        return tops
+
+    @pytest.mark.parametrize(
+        "spec",
+        [*_PROBE_SPECS[:3], ChannelSpec(6, (0, 1, 2, 1, 0, 2), (2, 0, 1, 1, 2, 0), 0.7, 0.35)],
+        ids=("blackwell", "gf2", "random5", "n6"),
+    )
+    def test_tops_equal_the_full_scan(self, spec):
+        # 16 weights, ties among them; n = 6 has two inputs with the same
+        # image pair, so whole orbits tie.
+        u, n = spec.input_size + 1, spec.input_size
+        m = simplexopt.default_grid(u * n)
+        objs = _outer_objectives(spec, case_spanning_lambdas(spec, 16), u)
+        for top_k in (simplexopt._STARTS, 1):
+            f = simplexopt._Counted(objs, (u, n))
+            got = simplexopt._scan_lattice(f, u * n, m, top_k)
+            for (gv, gp), (wv, wp) in zip(got, self.full_scan(f, m, top_k)):
+                assert gv.tobytes() == wv.tobytes() and gp.tobytes() == wp.tobytes()
+            # Each orbit valued once, and only some of their points.
+            orbits = sum(len(reps) for reps, _ in simplexopt._iter_orbits(m, u, n))
+            assert (orbits < f.evals).all() and (f.evals < simplexopt.lattice_size(m, u * n)).all()
+
+    def test_plain_objective_tops_equal_the_full_scan(self):
+        # A plain callable: H(U, X) - H(X | U) on (3, 3) joints.
+        def obj(P):
+            hu, hx = entropy(P.sum(axis=-1)), entropy(P.sum(axis=-2))
+            return 2.0 * hx - entropy(P.reshape(P.shape[:-2] + (-1,))) + hu
+
+        for top_k in (simplexopt._STARTS, 1):
+            f = simplexopt._Counted([obj], (3, 3))
+            ((gv, gp),) = simplexopt._scan_lattice(f, 9, 12, top_k)
+            ((wv, wp),) = self.full_scan(f, 12, top_k)
+            assert gv.tobytes() == wv.tobytes() and gp.tobytes() == wp.tobytes()
+
+
 class TestStructureSeeds:
     def test_seed_shapes_and_mass(self, blackwell_07_03):
         px = np.array([0.2, 0.3, 0.5])

@@ -469,6 +469,51 @@ class TestGeometry:
         assert front.shape[1] == 2
         assert front.tobytes() == self.sort_only_front(pts).tobytes()
 
+    @staticmethod
+    def reference_hull(points, tol=regions._HULL_TOL):
+        """convex_hull's monotone chain over a list of [x, y] points."""
+        pts = np.unique(np.asarray(points, dtype=float).round(12), axis=0)
+        if pts.shape[0] <= 2:
+            return pts
+
+        def chain(seq):
+            out = []
+            for p in seq:
+                while len(out) >= 2:
+                    cross = (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1]) - (out[-1][1] - out[-2][1]) * (
+                        p[0] - out[-2][0]
+                    )
+                    if cross <= tol:
+                        out.pop()
+                    else:
+                        break
+                out.append(p)
+            return out
+
+        seq = pts.tolist()
+        return np.array(chain(seq)[:-1] + chain(seq[::-1])[:-1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.sampled_from([1, 3, 4, 40, 2000]),
+        levels=st.sampled_from([None, 2, 8]),
+        tol=st.sampled_from([regions._HULL_TOL, 1e-9, 0.0, 1e-3]),
+    )
+    def test_convex_hull_matches_the_reference_chain(self, seed, size, levels, tol):
+        # Clouds, collinear runs on a coarse grid, duplicates, a concave
+        # front as the Pareto sweeps hand over, and a line whose cross
+        # products are rounding noise, so the order of the arithmetic shows.
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(size, 2)) if levels is None else rng.integers(0, levels, (size, 2)) / levels
+        x = np.sort(rng.random(size))
+        if seed % 3 == 1:
+            pts = np.column_stack((x, np.sqrt(1.0 - x**2) + rng.normal(0.0, 1e-10, size)))
+        elif seed % 3 == 2:
+            pts = np.column_stack((x, 0.3 * x + 0.1))
+        got, want = convex_hull(pts, tol=tol), self.reference_hull(pts, tol)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_polygon_contains_degenerate(self):
         seg = make_polygon([(0, 0), (1, 0)], "seg")
         assert polygon_contains(seg, (0.5, 0.0))

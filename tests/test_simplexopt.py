@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import tracemalloc
@@ -210,6 +211,46 @@ def test_lattice_blocks_hold_the_cap_rows(monkeypatch):
 def test_large_outer_lattice_first_block_within_cap():
     # n = 9 joint lattice (u = 10): 2.9M points, never built whole
     assert next(iter_lattice(4, 90)).nbytes <= simplexopt._BLOCK_BYTES
+
+
+def orbit_key(point, u, n):
+    """A flat (u, n) joint's rows, sorted: the same for exactly the joints
+    equal up to a permutation of U's rows."""
+    return tuple(sorted(map(tuple, np.asarray(point).reshape(u, n).tolist())))
+
+
+@pytest.mark.parametrize("m, u, n", [(4, 5, 4), (6, 4, 3), (3, 5, 2), (5, 1, 4), (4, 3, 4), (6, 2, 1), (1, 3, 2)])
+def test_orbits_cover_the_lattice_once(m, u, n, monkeypatch):
+    # u > m, u = 1 and u < n + 1 among them. Blocks of 16 points pack
+    # several partitions of m together and split others.
+    stream_small(monkeypatch, 16 * u * n * 4)
+    lattice = np.vstack(list(iter_lattice(m, u * n)))
+    want = collections.Counter(orbit_key(p, u, n) for p in lattice)
+    # The lattice's joints with rows in ascending order: one per orbit.
+    assert len(want) == sum(orbit_key(p, u, n) == tuple(map(tuple, p.reshape(u, n).tolist())) for p in lattice)
+    blocks = list(simplexopt._iter_orbits(m, u, n))
+    assert all(len(reps) == 16 for reps, _ in blocks[:-1]) and 0 < len(blocks[-1][0]) <= 16
+    reps, sizes = np.vstack([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+    keys = [orbit_key(r, u, n) for r in reps]
+    assert len(set(keys)) == len(keys) == len(want) and dict(zip(keys, sizes.tolist())) == want
+    assert sizes.sum() == lattice_size(m, u * n) and (reps.sum(axis=1) == m).all()
+    # Every orbit's points, each once: together the whole lattice.
+    copies, orbit = (np.concatenate(x) for x in zip(*simplexopt._orbit_copies(reps, u, n)))
+    assert sorted(map(tuple, copies.tolist())) == list(map(tuple, lattice.tolist()))
+    assert [orbit_key(c, u, n) for c in copies] == [keys[o] for o in orbit]
+
+
+@pytest.mark.parametrize("m, d", [(6, 12), (4, 20), (12, 3), (5, 1), (0, 4)])
+def test_lattice_rank_is_the_lattice_index(m, d):
+    pts = np.vstack(list(iter_lattice(m, d)))
+    assert np.array_equal(simplexopt._lattice_rank(pts, m), np.arange(len(pts)))
+
+
+def test_objective_not_invariant_under_u_relabelling_raises():
+    # The mass of (u, x) = (0, 0) alone: the orbit of the point mass there
+    # scores 1 at that point and 0 at its copies.
+    with pytest.raises(RuntimeError, match="not invariant under permutations of U's rows"):
+        maximize_joint(lambda P: P[..., 0, 0], (2, 2))
 
 
 def test_primed_regions_independent_of_block_cap(monkeypatch, blackwell_07_03, ff2_07_04):
