@@ -186,6 +186,36 @@ class TestExampleCommands:
         assert main(["dof", "--p1", "0.3", "--p2", "0.7"]) == 2
 
 
+class TestFixedCost:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["region", "--n-lambda", "4"],
+            ["support", "--lambdas", "4"],
+            ["verify", "--lambdas", "4"],
+            ["regions4", "--n-lambda", "4", "--px-grid", "20"],
+            ["example-blackwell", "--alpha-grid", "11"],
+            ["example-ff"],
+            ["dof"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_command_does_not_import_numpy_ma(self, argv, bw_json, tmp_path):
+        # numpy.ma costs ~11 ms to import, as np.unique does on first use;
+        # no command needs it.
+        args = [*argv, "--p1", "0.7", "--p2", "0.3"]
+        if argv[0] in ("region", "support", "verify", "regions4"):
+            args += ["--channel", bw_json]
+        if argv[0] != "dof":
+            args += ["--out", str(tmp_path / "out.csv")]
+        code = "import sys\nfrom statebc.cli import main\nrc = main(sys.argv[1:])\nprint(rc, 'numpy.ma' in sys.modules)"
+        src = str(Path(statebc.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
 class TestRegions4Command:
     def test_non_positive_n_lambda_exit_two(self, bw_json, tmp_path, capsys):
         prefix = str(tmp_path / "bw-")

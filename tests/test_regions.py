@@ -411,6 +411,69 @@ class TestGeometry:
         verts = halfplane_vertices(cons)
         assert set(map(tuple, verts.round(9))) == {(0, 0), (1, 0), (1, 1), (0, 1)}
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_convex_hull_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            convex_hull([(0.0, 0.0), (1.0, bad), (0.5, 0.5)])
+        with pytest.raises(ValueError, match="finite"):
+            make_polygon([(bad, 0.0), (1.0, 1.0)], "R1")
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("size", [0, 1, 2, 17, 3000])
+    def test_unique_matches_numpy(self, seed, size):
+        # Ties on a coarse grid and values that collide once rounded, as
+        # the hull and the vertex filter hand them over, in one, two and
+        # three columns: the sort-based helper gives np.unique's bytes.
+        rng = np.random.default_rng(seed)
+        grid = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4], (size, 3)) / 3.0
+        pts = (grid + rng.normal(0.0, 1e-11, (size, 3))).round(10)
+        for a in (pts[:, 0], pts[:, :2], pts[:, ::-1].copy(), pts[:, :1] * 1e6):
+            want = np.unique(a) if a.ndim == 1 else np.unique(a, axis=0)
+            assert regions._unique(a).tobytes() == want.tobytes()
+
+    def test_unique_keeps_the_first_of_a_signed_zero_tie(self):
+        # Rows equal but for the sign of a zero are one row, as in
+        # np.unique; the helper keeps the first of them in input order.
+        pts = np.array([[0.0, 1.0], [-0.0, 1.0], [-0.0, 0.5], [1.0, -0.0], [1.0, 0.0]])
+        got = regions._unique(pts)
+        assert np.array_equal(got, np.unique(pts, axis=0))
+        assert np.signbit(got).tolist() == [[True, False], [False, False], [False, True]]
+        assert np.signbit(regions._unique(pts[:, 0])).tolist() == [False, False]
+
+    @staticmethod
+    def all_pairs_vertices(constraints, feas_tol=1e-9):
+        """halfplane_vertices with every pair against every half-plane in
+        one array."""
+        arr = np.asarray(constraints, dtype=float)
+        a, b, c = arr.T
+        i, j = np.triu_indices(len(arr), k=1)
+        det = a[i] * b[j] - b[i] * a[j]
+        ok = np.abs(det) > 1e-12
+        i, j, det = i[ok], j[ok], det[ok]
+        x = (c[i] * b[j] - c[j] * b[i]) / det
+        y = (a[i] * c[j] - a[j] * c[i]) / det
+        feas = (x[:, None] * a + y[:, None] * b <= c + feas_tol).all(axis=1)
+        return np.unique(np.column_stack((x, y))[feas].round(10), axis=0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_halfplane_vertices_match_the_all_pairs_reference(self, seed, monkeypatch):
+        # The support lines of a random polygon in the first quadrant (many
+        # meet at each vertex, some with slack) and the two axes: the
+        # streamed two-pass filter finds the all-pairs vertices, and the
+        # same bytes at any block size, one pair per block included.
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0.0, 1.0, (int(rng.integers(2, 9)), 2))
+        angles = rng.uniform(0.0, 0.5 * math.pi, int(rng.integers(3, 80)))
+        normals = np.column_stack((np.cos(angles), np.sin(angles)))
+        offsets = (normals @ pts.T).max(axis=1) + np.where(rng.random(angles.size) < 0.2, 0.05, 0.0)
+        cons = np.vstack([[(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)], np.column_stack((normals, offsets))])
+        want = self.all_pairs_vertices(cons)
+        got = halfplane_vertices(cons)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        for cap in (8 * len(cons), 8 * 7 * len(cons)):
+            monkeypatch.setattr(regions, "_BLOCK_BYTES", cap)
+            assert halfplane_vertices(cons).tobytes() == got.tobytes()
+
     def test_pareto_front(self):
         pts = [(1, 0), (0, 1), (0.5, 0.5), (0.4, 0.4), (0.9, 0.2)]
         front = set(map(tuple, pareto_front(pts)))

@@ -507,6 +507,93 @@ def test_golden_polish_lands_in_the_final_bracket(line, iters):
     assert (calls == iters + 2).all()
 
 
+def reference_golden_polish(probe, hi, iters):
+    """_golden_polish with a fresh array for every update."""
+    n = hi.shape[0]
+    a, b, best_t, best_v = np.zeros(n), hi.astype(float), np.zeros(n), np.full(n, -np.inf)
+    width = simplexopt._GOLDEN * (b - a)
+    x1, x2 = b - width, a + width
+    f1, f2 = probe(np.concatenate((x1, x2))).reshape(2, n)
+    for x, fx in ((x1, f1), (x2, f2)):
+        best_t = np.where(fx > best_v, x, best_t)
+        np.maximum(best_v, fx, out=best_v)
+    for _ in range(iters):
+        go_right = f2 > f1
+        a, b = np.where(go_right, x1, a), np.where(go_right, b, x2)
+        width = simplexopt._GOLDEN * (b - a)
+        x1, x2 = b - width, a + width
+        x = np.where(go_right, x2, x1)
+        fx = probe(x)
+        best_t = np.where(fx > best_v, x, best_t)
+        np.maximum(best_v, fx, out=best_v)
+        f1, f2 = np.where(go_right, f2, fx), np.where(go_right, fx, f1)
+    return best_t, best_v
+
+
+@pytest.mark.parametrize("iters", [0, 1, 12, simplexopt._GOLDEN_ITERS])
+@pytest.mark.parametrize("line", [*_LINES, "flat", "stepped"])
+def test_golden_polish_updates_in_place_bit_for_bit(line, iters):
+    # The bracket arithmetic in reused buffers probes every point, and
+    # returns every (t, value), bit for bit where fresh arrays put them:
+    # smooth lines, a flat line (every comparison ties) and a stepped one
+    # (ties on plateaus), peaks at both ends and zero-width brackets.
+    rng = np.random.default_rng(31 + iters)
+    n = 16
+    hi = rng.uniform(0.05, 2.0, n)
+    hi[-1] = 0.0
+    peak = rng.uniform(0.0, 1.0, n) * hi
+    peak[:2], peak[2:4] = 0.0, hi[2:4]
+    shapes = {**_LINES, "flat": lambda t, c: np.zeros_like(t), "stepped": lambda t, c: -np.floor(8.0 * np.abs(t - c))}
+    probes = {}
+
+    def recorder(key):
+        def probe(t):
+            probes.setdefault(key, []).append(t.copy())
+            return shapes[line](t, np.tile(peak, t.size // n))
+
+        return probe
+
+    got = simplexopt._golden_polish(recorder("got"), hi, iters)
+    want = reference_golden_polish(recorder("want"), hi, iters)
+    assert [t.tobytes() for t in probes["got"]] == [t.tobytes() for t in probes["want"]]
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+def reference_slope(q, dq, C, blocks, t):
+    """The line search's slope as one expression per term."""
+    term = np.where(dq != 0.0, -np.log2(np.maximum(q + t[:, None] * dq, 0.0)) * dq, 0.0)
+    return sum(np.where(C[:, k] > 0.0, C[:, k] * term[:, a:b].sum(axis=1), 0.0) for k, (a, b) in enumerate(blocks))
+
+
+@pytest.mark.parametrize("name", ["blackwell", "gf2", "random5"])
+def test_line_slope_matches_the_one_expression_slope(name):
+    # The slope made once per solver iteration equals the one-expression
+    # slope bit for bit, through repeated calls on its one work buffer:
+    # zero dq entries (inputs without a move, or moves inside one cell),
+    # zero coefficients, and cells emptied at t = t_max.
+    spec = _BATCH_SPECS[name]
+    indicator, blocks = stacked_indicator(spec)
+    rng = np.random.default_rng(len(name))
+    n, rows = spec.input_size, 24
+    p = rng.dirichlet(np.ones(n), size=rows) * (rng.random((rows, n)) < 0.7)
+    p[:, 0] += 1e-3
+    p /= p.sum(axis=1, keepdims=True)
+    d = rng.normal(size=(rows, n)) * (rng.random((rows, n)) < 0.6)
+    d[np.arange(rows), p.argmax(axis=1)] -= d.sum(axis=1)
+    d[::6] = 0.0
+    C = np.abs(rng.normal(size=(rows, len(blocks))))
+    C[rng.random(C.shape) < 0.3] = 0.0
+    q, dq = p @ indicator, d @ indicator
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_max = np.where(d < 0.0, p / -d, np.inf).min(axis=1)
+        t_max[~np.isfinite(t_max)] = 1.0
+        slope = simplexopt._line_slope(q, dq, C, blocks)
+        for t in (t_max, 0.5 * t_max, np.zeros(rows), rng.uniform(0.0, 1.0, rows) * t_max, t_max):
+            got, want = slope(t), reference_slope(q, dq, C, blocks, t)
+            assert got.tobytes() == want.tobytes()
+    assert (dq == 0.0).any() and (C == 0.0).any()
+
+
 @pytest.mark.parametrize("dim", [2, 5, 12])
 def test_move_equals_the_dense_step(dim):
     # Index-pair moves against np.maximum(S + t * (e_j - e_i), 0), byte for
