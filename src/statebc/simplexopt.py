@@ -4,10 +4,10 @@ maximize_joint takes any vectorized objective over joint laws p(u, x) that
 ignores the labels of U: an exhaustive scan of the rational lattice
 {k/m : sum k = m}, then local ascent seeded from the best lattice points.
 The scan values one joint per orbit under permutations of U's rows, built
-from the partitions of m, and then every joint of the orbits that can reach
-the top, so its top points are bit for bit those of valuing every joint; an
-objective that scores one of those joints away from its orbit raises
-RuntimeError. The ascent repeatedly moves mass
+from the partitions of m, and keeps the best orbits, as many as hold the
+best 8 joints; their representatives seed the ascent. An objective that
+scores a kept representative's cyclic shifts of U's rows away from it
+raises RuntimeError. The ascent repeatedly moves mass
 from one coordinate i to another j, a pair of indices: a golden-section line
 search on every distinct pair picks the best move, so simplex feasibility is
 preserved exactly. Each line search values its two interior points once and
@@ -18,7 +18,7 @@ on one-row joints.
 maximize_joints searches many objectives that share one `features` callable,
 each value being combine(features(P), row) for its own coefficient row: one
 lattice scan computes the features once per block of orbits and keeps
-every row's top points, then one ascent runs every objective's starts
+every row's best orbits, then one ascent runs every objective's starts
 together, each start valued with its own objective's row. A plain objective is the one-feature
 case with row (1.0,), so every search takes the same path.
 
@@ -27,11 +27,10 @@ at once, each to a certified gap.
 
 Everything is deterministic. Every lattice streams in blocks of at most
 _BLOCK_BYTES: iter_lattice unranks its points by stars and bars in
-ascending lexicographic order; the scan streams its orbits, then the points
-of the orbits it expands; each ascent step streams its line searches. The
-scan keeps its top points by value with ties toward the earlier lattice
-point and values the same points whatever the block size; candidate
-comparisons elsewhere use first-maximum semantics.
+ascending lexicographic order; the scan streams its orbits; each ascent
+step streams its line searches. The scan keeps its best orbits by value
+with ties toward the earlier orbit and values the same points whatever the
+block size; candidate comparisons elsewhere use first-maximum semantics.
 
 Objectives must be vectorized: they take an array whose trailing axis (for
 maximize_simplex) or trailing two axes (for maximize_joint) hold the
@@ -60,8 +59,8 @@ _GOLDEN_ITERS = 24
 # real gap.
 _ORBIT_MARGIN = 1e-9
 
-# maximize_joints: the lattice points that seed the ascent, its iteration
-# budget, and the gain (bits) below which a start stops moving.
+# maximize_joints: the best lattice points whose orbits seed the ascent, its
+# iteration budget, and the gain (bits) below which a start stops moving.
 _STARTS = 8
 _ASCENT_BUDGET = 300
 _STEP_TOLERANCE = 1e-9
@@ -97,7 +96,8 @@ def default_grid(dim: int) -> int:
 class OptResult:
     """Best point found, its objective value (bits) and the number of
     objective evaluations spent: the lattice scan's orbit representatives
-    and the points of the orbits it expanded, then the ascent's."""
+    and the u - 1 cyclic shifts of U's rows of each one it kept, then the
+    ascent's."""
 
     argmax: np.ndarray
     value: float
@@ -262,123 +262,41 @@ def _iter_orbits(m: int, u: int, n: int):
         yield reps, sizes
 
 
-def _orbit_copies(reps: np.ndarray, u: int, n: int):
-    """Yield int blocks (copies, orbit) jointly holding every distinct point
-    of each orbit in reps (points laid out as _iter_orbits yields them)
-    exactly once, orbit the index of its rep. A copy places the k non-empty
-    rows in k distinct U rows, identical rows in ascending ones. Blocks hold
-    at most _BLOCK_BYTES of copies."""
-    cap = max(1, _BLOCK_BYTES // (u * n * np.dtype(np.int32).itemsize))
-    R = reps.reshape(len(reps), u, n)
-    ks = np.count_nonzero(R.any(axis=2), axis=1)
-    for k in sorted(set(ks.tolist())):
-        mine = np.flatnonzero(ks == k)
-        slots = np.array(list(itertools.permutations(range(u), k)), dtype=np.intp).reshape(-1, k)
-        tied = (R[mine, 1:k] == R[mine, : k - 1]).all(axis=2)
-        rising = slots[:, 1:] > slots[:, :-1]
-        for start in range(0, len(mine) * len(slots), cap):
-            b, p = np.divmod(np.arange(start, min(start + cap, len(mine) * len(slots))), len(slots))
-            ok = (rising[p] | ~tied[b]).all(axis=1)
-            b, p = b[ok], p[ok]
-            if b.size:
-                copies = np.zeros((b.size, u, n), dtype=reps.dtype)
-                copies[np.arange(b.size)[:, None], slots[p]] = R[mine[b], :k]
-                yield copies.reshape(b.size, -1), mine[b]
-
-
-def _no_points(dim: int):
-    """No (values, int points, int64 sizes or ranks) of a dim-lattice."""
-    return np.empty(0), np.empty((0, dim), dtype=np.int32), np.empty(0, dtype=np.int64)
-
-
-def _reachable(vals, sizes, top_k: int):
-    """Mask of the orbits (values vals, sizes points each) within
-    2 * _ORBIT_MARGIN of the least value that top_k of their points reach,
-    each point valued at its orbit's value. A point lies within
-    _ORBIT_MARGIN of its orbit's value, so the top_k-th point lies within
-    _ORBIT_MARGIN of that least value, and the orbits left out hold none of
-    the top_k points."""
-    order = np.argsort(-vals)
-    reach = np.cumsum(sizes[order]) >= top_k
-    if not reach.any():
-        return np.ones(vals.size, dtype=bool)
-    return vals >= vals[order][reach.argmax()] - 2.0 * _ORBIT_MARGIN
-
-
-def _lattice_rank(pts: np.ndarray, m: int) -> np.ndarray:
-    """Index of each int point (a composition of m) in iter_lattice(m,
-    dim): the compositions agreeing with it before position i and below it
-    at i number C(r + e, e) - C(r - pts[i] + e, e), r the mass left before
-    position i and e = dim - 1 - i (the hockey-stick identity)."""
-    dim = pts.shape[1]
-    comb = np.array([[math.comb(r + e, e) for r in range(m + 1)] for e in range(dim)], dtype=np.int64)
-    rank, left = np.zeros(len(pts), dtype=np.int64), np.full(len(pts), m)
-    for i in range(dim - 1):
-        rank += comb[dim - 1 - i, left]
-        left -= pts[:, i]
-        rank -= comb[dim - 1 - i, left]
-    return rank
-
-
-def _keep_top(top, more, top_k: int):
-    """The top_k of the kept (values, points, ranks) top and of more,
-    ranked by value with ties toward the lower lattice rank."""
-    vals, pts, rank = (np.concatenate(x) for x in zip(top, more))
-    if top_k < vals.size:
-        keep = vals >= np.partition(vals, vals.size - top_k)[vals.size - top_k]
-        vals, pts, rank = vals[keep], pts[keep], rank[keep]
-    order = np.lexsort((rank, -vals))[:top_k]
-    return vals[order], pts[order], rank[order]
-
-
-def _expand(f: _Counted, m: int, held, top_k: int):
-    """Each objective w's top_k points of the orbits it holds, held[w] =
-    (values, reps), as (values, points, lattice ranks): every point valued
-    by objective w alone, in blocks, the points of orbits held by several
-    objectives sharing their features. A point more than _ORBIT_MARGIN off
-    its orbit's value raises RuntimeError: the objective is not invariant
-    under permutations of U's rows."""
-    reps, inverse = np.unique(np.vstack([r for _, r in held]), axis=0, return_inverse=True)
-    want, rep_vals = np.zeros((len(held), len(reps)), dtype=bool), np.zeros((len(held), len(reps)))
-    for w, idx in enumerate(np.split(inverse.ravel(), np.cumsum([len(r) for _, r in held])[:-1])):
-        want[w, idx], rep_vals[w, idx] = True, held[w][0]
-    tops = [_no_points(reps.shape[1])] * len(held)
-    for copies, orbit in _orbit_copies(reps, *f.shape):
-        pts = copies / m
-        F, rank = f.features(pts), _lattice_rank(copies, m)
-        for w in range(len(held)):
-            mine = want[w, orbit]
-            if mine.any():
-                vals = f(pts[mine], w, [x[mine] for x in F])
-                if (off := np.abs(vals - rep_vals[w, orbit[mine]])).max() > _ORBIT_MARGIN:
-                    k = off.argmax()
-                    raise RuntimeError(
-                        f"point {pts[mine][k].tolist()} scores {vals[k]}, {off[k]} off its orbit's value:"
-                        " the objective is not invariant under permutations of U's rows"
-                    )
-                tops[w] = _keep_top(tops[w], (vals, copies[mine], rank[mine]), top_k)
-    return tops
-
-
 def _scan_lattice(f: _Counted, dim: int, m: int, top_k: int):
-    """Each objective of f's top_k points of the full lattice, as (values,
-    points), ranked by value with ties toward the earlier lattice point,
-    bit for bit as if every point were valued. The objectives must be
-    invariant under permutations of U's rows, so each orbit is valued once,
-    at its rep (_iter_orbits), the features computed once per block. Each
-    objective then values every point of the orbits that may hold one of
-    its top_k (_reachable, over all the orbits, so the points valued do
-    not depend on where the blocks break), streamed in blocks (_expand)."""
-    held = [_no_points(dim)] * f.evals.size
-    for reps, sizes in _iter_orbits(m, *f.shape):
+    """Each objective of f's best orbit representatives, as (values,
+    points), ranked by value with ties toward the earlier orbit of
+    _iter_orbits, up to the first at which their orbits' sizes reach
+    top_k: the orbits that hold its top_k lattice points. The objectives
+    must be invariant under permutations of U's rows, so each orbit is
+    valued once, at its rep, the features computed once per block, and
+    what is kept does not depend on where the blocks break. Each kept rep
+    is then valued under every cyclic shift of U's rows; one more than
+    _ORBIT_MARGIN off its rep's value raises RuntimeError."""
+    u, n = f.shape
+    held = [(np.empty(0), np.empty((0, dim), dtype=np.int32), np.empty(0, dtype=np.int64))] * f.evals.size
+    for reps, sizes in _iter_orbits(m, u, n):
         pts = reps / m
         F = f.features(pts)
         for w in range(f.evals.size):
             vals, r, z = (np.concatenate(x) for x in zip(held[w], (f(pts, w, F), reps, sizes)))
-            keep = _reachable(vals, z, top_k)
-            held[w] = vals[keep], r[keep], z[keep]
-    tops = _expand(f, m, [(vals, reps) for vals, reps, _ in held], top_k)
-    return [(vals, pts / m) for vals, pts, _ in tops]
+            order = np.argsort(-vals, kind="stable")
+            order = order[: np.searchsorted(np.cumsum(z[order]), top_k) + 1]
+            held[w] = vals[order], r[order], z[order]
+    tops = [(v, r / m) for v, r, _ in held]
+    if u > 1:
+        vals, pts = (np.concatenate(x) for x in zip(*tops))
+        owner = np.repeat(np.arange(len(tops)), [len(v) for v, _ in tops])
+        # Copy k - 1 of a rep moves its row i to row i + k (mod u).
+        shifts = (np.arange(u) - np.arange(1, u)[:, None]) % u
+        copies = pts.reshape(-1, u, n)[:, shifts].reshape(-1, dim)
+        got = f(copies, np.repeat(owner, u - 1))
+        if (off := np.abs(got - np.repeat(vals, u - 1))).max() > _ORBIT_MARGIN:
+            k = off.argmax()
+            raise RuntimeError(
+                f"point {copies[k].tolist()} scores {got[k]}, {off[k]} off its orbit's value:"
+                " the objective is not invariant under permutations of U's rows"
+            )
+    return tops
 
 
 def _move(S, t, i, j):
@@ -590,9 +508,9 @@ def maximize_joints(objectives, dims: tuple[int, int], extra_starts) -> list[Opt
     one `features` callable (a tuple of value arrays over a stack of joints)
     and each has a coefficient `row` with value combine(features(P), row),
     so the scan evaluates the features once per block (_scan_lattice). One
-    ascent (_refine) then runs every objective's top points and extra
-    starts, less those whose rows, rounded and sorted, an earlier start of
-    that objective has. Each result, evaluation count included, equals that
+    ascent (_refine) then runs every objective's kept orbit representatives
+    and extra starts, less those whose rows, rounded and sorted, an earlier
+    start of that objective has. Each result, evaluation count included, equals that
     of maximize_joint on its objective alone. extra_starts must hold one
     list per objective, else ValueError."""
     shape = (int(dims[0]), int(dims[1]))
@@ -642,7 +560,7 @@ def maximize_simplex(objective, dim: int, extra_starts=()) -> OptResult:
     The joint search (maximize_joints) on one-row joints: the best of (a)
     an exhaustive lattice scan at default_grid(dim) and (b) pairwise-exchange
     ascent from the 8 best lattice points plus any extra_starts (less
-    duplicates). Deterministic. Raises ValueError on a NaN objective value
+    duplicates); on one row each point is its own orbit. Deterministic. Raises ValueError on a NaN objective value
     and RuntimeError on an ascent that exhausts its budget.
     """
     (res,) = maximize_joints([lambda P: objective(P[..., 0, :])], (1, dim), [extra_starts])
@@ -658,10 +576,12 @@ def maximize_joint(
 
     Lattice scan, then ascent on the flattened simplex. The objective must
     be invariant under relabeling of the first coordinate: the scan values
-    one joint per orbit of its rows' permutations, ascent starts are
-    deduplicated up to a permutation of its rows, and a step moves mass
-    into only the first of a start's empty rows. A scanned joint scoring
-    more than _ORBIT_MARGIN off its orbit raises RuntimeError.
+    one joint per orbit of its rows' permutations, the ascent starts from
+    the representatives of the best orbits, as many as hold the 8 best
+    joints, and from extra_starts, deduplicated up to a permutation of
+    their rows, and a step moves mass into only the first of a start's
+    empty rows. A kept representative whose cyclic shift of rows scores
+    more than _ORBIT_MARGIN off it raises RuntimeError.
     """
     return maximize_joints([objective], dims, [extra_starts])[0]
 

@@ -17,6 +17,12 @@ def random_spec(rng: np.random.Generator, sizes=(3, 4)) -> ChannelSpec:
     return ChannelSpec(n, f1, f2, hi, lo)
 
 
+def orbit_key(point, u, n):
+    """A flat (u, n) joint's rows, sorted: the same for exactly the joints
+    equal up to a permutation of U's rows."""
+    return tuple(sorted(map(tuple, np.asarray(point).reshape(u, n).tolist())))
+
+
 def random_pmf(rng: np.random.Generator, dim: int) -> np.ndarray:
     p = rng.dirichlet(np.ones(dim))
     return p / p.sum()

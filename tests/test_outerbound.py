@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import math
 import tracemalloc
 import types
@@ -28,7 +29,7 @@ from statebc.channel import indicator_matrices
 from statebc.outerbound import _outer_objectives, _outer_results, converse_to_csv, outer_objective, outer_table, structure_seeds
 from statebc.infotheory import entropy, xlogx
 from statebc.simplexopt import maximize_joint
-from conftest import random_spec
+from conftest import orbit_key, random_spec
 
 
 class TestSupportOuter:
@@ -268,12 +269,15 @@ class TestCellProbe:
 
     def test_ascent_path_does_not_depend_on_its_batch(self):
         # With each row's cells summed by a BLAS product over a one-hot
-        # table, two of these eight lattice tops ended 0.033 apart in
+        # table, two of the eight best lattice joints (ties toward the
+        # earlier joint), which lie in four orbits, ended 0.033 apart in
         # max-norm, at the same value, when they ascended alone rather than
         # together.
         spec, u_size, n = ChannelSpec(5, (1, 0, 0, 1, 1), (1, 0, 0, 0, 0), 0.7, 0.35), 6, 5
         f = simplexopt._Counted([outer_objective(spec, 1.4, u_size)], (u_size, n))
-        ((_, tops),) = simplexopt._scan_lattice(f, u_size * n, simplexopt.default_grid(u_size * n), 8)
+        m = simplexopt.default_grid(u_size * n)
+        pts = np.vstack(list(simplexopt.iter_lattice(m, u_size * n))) / m
+        tops = pts[np.argsort(-f(pts), kind="stable")[:8]]
         for tol, iters in ((1e-6, 12), (simplexopt._STEP_TOLERANCE, simplexopt._GOLDEN_ITERS)):
             S, V = simplexopt._ascend(f, np.zeros(len(tops), dtype=int), tops, tol, iters)
             for k in range(len(tops)):
@@ -413,23 +417,17 @@ class TestLatticeBlocks:
         ids=("blackwell", "gf2", "random5"),
     )
     def test_tops_and_results_do_not_depend_on_block_size(self, spec, n_lambda, monkeypatch):
-        # Tied lattice values are common on these channels. Each weight keeps
-        # the first top_k of the whole lattice in (-value, index) order,
-        # wherever the blocks break, and so ascends from the same starts.
-        # The smaller caps also split the ascent's line searches mid-row.
+        # Tied orbit values are common on these channels. Each weight keeps
+        # the same orbit representatives wherever the blocks break, and so
+        # ascends from the same starts. The smaller caps also split the
+        # ascent's line searches mid-row.
         curve = support_curve(spec, case_spanning_lambdas(spec, n_lambda)).samples
-        f, _, want = self.scan_and_search(spec, curve)
-        dim = f.shape[0] * f.shape[1]
-        m = simplexopt.default_grid(dim)
-        pts = np.vstack(list(simplexopt.iter_lattice(m, dim))).astype(float) / m
-        F = f.features(pts)
-        for cap in (simplexopt._BLOCK_BYTES, 48_000, 4_096, 1_920):
+        _, want_tops, want = self.scan_and_search(spec, curve)
+        for cap in (48_000, 4_096, 1_920):
             monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", cap)
             _, tops, got = self.scan_and_search(spec, curve)
-            for row, (vals, top_pts) in zip(f.rows, tops):
-                vals_all = simplexopt.combine(F, row)
-                first = np.argsort(-vals_all, kind="stable")[: simplexopt._STARTS]
-                assert np.array_equal(vals, vals_all[first]) and np.array_equal(top_pts, pts[first])
+            for (gv, gp), (wv, wp) in zip(tops, want_tops):
+                assert gv.tobytes() == wv.tobytes() and gp.tobytes() == wp.tobytes()
             for g, w in zip(got, want):
                 assert np.array_equal(g.argmax, w.argmax)
                 assert (g.value, g.evaluations) == (w.value, w.evaluations)
@@ -470,19 +468,27 @@ class TestOrbitScan:
     """The orbit scan against every point of the lattice valued."""
 
     @staticmethod
-    def full_scan(f, m, top_k):
-        """Reference: each objective's top_k of the whole lattice by
-        (-value, index), every point valued, block by block."""
-        dim = f.shape[0] * f.shape[1]
-        tops = [(np.empty(0), np.empty((0, dim)))] * len(f.rows)
-        for block in simplexopt.iter_lattice(m, dim):
+    def assert_kept_orbits_hold_the_top(f, m, top_k, got):
+        """Each objective's kept orbits against its whole lattice: the best
+        kept value is the lattice maximum, every joint more than 2e-9 above
+        the last kept value lies in a kept orbit, and the kept orbits' sizes
+        reach top_k only with the last one."""
+        u, n = f.shape
+        kept = [[orbit_key(p, u, n) for p in pts] for _, pts in got]
+        sizes, best = collections.Counter(), np.full(len(got), -np.inf)
+        for block in simplexopt.iter_lattice(m, u * n):
             pts = block / m
+            keys = [orbit_key(p, u, n) for p in pts]
+            sizes.update(keys)
             F = f.features(pts)
-            for w, row in enumerate(f.rows):
-                vals = np.concatenate((tops[w][0], simplexopt.combine(F, row)))
-                order = np.argsort(-vals, kind="stable")[:top_k]
-                tops[w] = vals[order], np.vstack((tops[w][1], pts))[order]
-        return tops
+            for w, (row, (vals, _)) in enumerate(zip(f.rows, got)):
+                v = simplexopt.combine(F, row)
+                best[w] = max(best[w], v.max())
+                assert {keys[k] for k in np.flatnonzero(v > vals[-1] + 2e-9)} <= set(kept[w])
+        for w, (vals, _) in enumerate(got):
+            assert abs(vals[0] - best[w]) <= 1e-12 and (np.diff(vals) <= 0.0).all()
+            z = [sizes[key] for key in kept[w]]
+            assert sum(z) >= top_k > sum(z[:-1])
 
     @pytest.mark.parametrize(
         "spec",
@@ -495,14 +501,13 @@ class TestOrbitScan:
         u, n = spec.input_size + 1, spec.input_size
         m = simplexopt.default_grid(u * n)
         objs = _outer_objectives(spec, case_spanning_lambdas(spec, 16), u)
+        orbits = sum(len(reps) for reps, _ in simplexopt._iter_orbits(m, u, n))
         for top_k in (simplexopt._STARTS, 1):
             f = simplexopt._Counted(objs, (u, n))
             got = simplexopt._scan_lattice(f, u * n, m, top_k)
-            for (gv, gp), (wv, wp) in zip(got, self.full_scan(f, m, top_k)):
-                assert gv.tobytes() == wv.tobytes() and gp.tobytes() == wp.tobytes()
-            # Each orbit valued once, and only some of their points.
-            orbits = sum(len(reps) for reps, _ in simplexopt._iter_orbits(m, u, n))
-            assert (orbits < f.evals).all() and (f.evals < simplexopt.lattice_size(m, u * n)).all()
+            # Each orbit valued once, then u - 1 shifts of each kept one.
+            assert f.evals.tolist() == [orbits + (u - 1) * len(vals) for vals, _ in got]
+            self.assert_kept_orbits_hold_the_top(f, m, top_k, got)
 
     def test_plain_objective_tops_equal_the_full_scan(self):
         # A plain callable: H(U, X) - H(X | U) on (3, 3) joints.
@@ -512,9 +517,7 @@ class TestOrbitScan:
 
         for top_k in (simplexopt._STARTS, 1):
             f = simplexopt._Counted([obj], (3, 3))
-            ((gv, gp),) = simplexopt._scan_lattice(f, 9, 12, top_k)
-            ((wv, wp),) = self.full_scan(f, 12, top_k)
-            assert gv.tobytes() == wv.tobytes() and gp.tobytes() == wp.tobytes()
+            self.assert_kept_orbits_hold_the_top(f, 12, top_k, simplexopt._scan_lattice(f, 9, 12, top_k))
 
 
 class TestStructureSeeds:

@@ -23,6 +23,7 @@ from statebc.channel import component_entropies, stacked_indicator
 from statebc.infotheory import entropy
 from statebc.regions import primed_regions
 from statebc.simplexopt import default_grid, iter_lattice, lattice_size, maximize_joint, maximize_simplex
+from conftest import orbit_key
 
 
 def test_entropy_max_dim3_is_uniform():
@@ -213,12 +214,6 @@ def test_large_outer_lattice_first_block_within_cap():
     assert next(iter_lattice(4, 90)).nbytes <= simplexopt._BLOCK_BYTES
 
 
-def orbit_key(point, u, n):
-    """A flat (u, n) joint's rows, sorted: the same for exactly the joints
-    equal up to a permutation of U's rows."""
-    return tuple(sorted(map(tuple, np.asarray(point).reshape(u, n).tolist())))
-
-
 @pytest.mark.parametrize("m, u, n", [(4, 5, 4), (6, 4, 3), (3, 5, 2), (5, 1, 4), (4, 3, 4), (6, 2, 1), (1, 3, 2)])
 def test_orbits_cover_the_lattice_once(m, u, n, monkeypatch):
     # u > m, u = 1 and u < n + 1 among them. Blocks of 16 points pack
@@ -234,16 +229,6 @@ def test_orbits_cover_the_lattice_once(m, u, n, monkeypatch):
     keys = [orbit_key(r, u, n) for r in reps]
     assert len(set(keys)) == len(keys) == len(want) and dict(zip(keys, sizes.tolist())) == want
     assert sizes.sum() == lattice_size(m, u * n) and (reps.sum(axis=1) == m).all()
-    # Every orbit's points, each once: together the whole lattice.
-    copies, orbit = (np.concatenate(x) for x in zip(*simplexopt._orbit_copies(reps, u, n)))
-    assert sorted(map(tuple, copies.tolist())) == list(map(tuple, lattice.tolist()))
-    assert [orbit_key(c, u, n) for c in copies] == [keys[o] for o in orbit]
-
-
-@pytest.mark.parametrize("m, d", [(6, 12), (4, 20), (12, 3), (5, 1), (0, 4)])
-def test_lattice_rank_is_the_lattice_index(m, d):
-    pts = np.vstack(list(iter_lattice(m, d)))
-    assert np.array_equal(simplexopt._lattice_rank(pts, m), np.arange(len(pts)))
 
 
 def test_objective_not_invariant_under_u_relabelling_raises():
@@ -251,6 +236,32 @@ def test_objective_not_invariant_under_u_relabelling_raises():
     # scores 1 at that point and 0 at its copies.
     with pytest.raises(RuntimeError, match="not invariant under permutations of U's rows"):
         maximize_joint(lambda P: P[..., 0, 0], (2, 2))
+
+
+def test_objective_of_a_middle_row_raises():
+    # The mass of (u, x) = (1, 0) alone: reversing U's rows keeps the middle
+    # row in place, a cyclic shift does not.
+    with pytest.raises(RuntimeError, match="not invariant under permutations of U's rows"):
+        maximize_joint(lambda P: P[..., 1, 0], (3, 2))
+
+
+def test_flat_objective_values_each_orbit_once(monkeypatch):
+    # A constant on (4, 3) joints at m = 6: 12,376 joints in 788 orbits, all
+    # tied. After any prefix of the scan's blocks it holds the first two
+    # orbits, 4 + 4 joints, and it values the representatives plus the
+    # three cyclic shifts of each kept one: 788 + 6 in all, not the lattice.
+    u, n, m = 4, 3, 6
+    stream_small(monkeypatch, 16 * u * n * 4)
+    blocks = list(simplexopt._iter_orbits(m, u, n))
+    first = blocks[0][0][:2] / m
+    assert sum(len(reps) for reps, _ in blocks) == 788 and blocks[0][1][:2].tolist() == [4, 4]
+    for stop in range(1, len(blocks) + 1):
+        monkeypatch.setattr(simplexopt, "_iter_orbits", lambda *_: iter(blocks[:stop]))
+        f = simplexopt._Counted([lambda P: np.zeros(P.shape[:-2])], (u, n))
+        ((vals, pts),) = simplexopt._scan_lattice(f, u * n, m, simplexopt._STARTS)
+        assert np.array_equal(pts, first) and vals.tolist() == [0.0, 0.0]
+        assert f.evals[0] == sum(len(reps) for reps, _ in blocks[:stop]) + 2 * (u - 1)
+    assert f.evals[0] == 794
 
 
 def test_primed_regions_independent_of_block_cap(monkeypatch, blackwell_07_03, ff2_07_04):
