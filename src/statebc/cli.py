@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 failed converse certification (verify only),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -38,7 +39,11 @@ def _parse_h(text: str) -> tuple[int, int, int, int]:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it:
+    parsing leaves it unchanged, so one process parses every command line
+    with the same parser."""
     parser = argparse.ArgumentParser(
         prog="statebc",
         description="Capacity regions of broadcast channels with two deterministic "

@@ -117,7 +117,10 @@ def iter_lattice(denominator: int, dim: int):
     denominator + dim - 1 slots (stars and bars): its dim - 1 bars, in the
     compositions' order, or when denominator < dim - 1 its stars, in the
     reverse order, unranked in the combinatorial number system (Knuth,
-    TAOCP 4A, 7.2.1.3) by one searchsorted per subset position."""
+    TAOCP 4A, 7.2.1.3) position-major. A block's ranks are consecutive, so
+    its top position c_k steps only where they cross a C(c, k) and is
+    filled by runs; each lower position takes one searchsorted. A block of
+    bars is its transposed position differences, a Fortran-ordered view."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if denominator < 0:
@@ -135,22 +138,28 @@ def iter_lattice(denominator: int, dim: int):
     for start in range(0, size, cap):
         rank = np.arange(start, min(start + cap, size), dtype=np.int64)
         rank = rank if stars else size - 1 - rank
-        # The subset's positions, ascending, between a -1 and a `slots` column.
-        cuts = np.empty((rank.size, k + 2), dtype=np.int32)
-        cuts[:, 0], cuts[:, -1] = -1, slots
+        # The subset's positions, ascending, between a -1 and a `slots` row.
+        cuts = np.empty((k + 2, rank.size), dtype=np.int32)
+        cuts[0], cuts[-1] = -1, slots
         for i in range(k, 1, -1):
-            c = np.searchsorted(comb[i], rank, side="right") - 1
+            if i == k:
+                first, last = (rank[0], rank[-1]) if stars else (rank[-1], rank[0])
+                lo, hi = comb[k].searchsorted((first, last), side="right") - 1
+                edges = np.concatenate(((first,), comb[k][lo + 1 : hi + 1], (last + 1,)))
+                c = np.arange(lo, hi + 1).repeat(edges[1:] - edges[:-1])[:: 1 if stars else -1]
+            else:
+                c = np.searchsorted(comb[i], rank, side="right") - 1
             rank -= comb[i][c]
-            cuts[:, k + 1 - i] = slots - 1 - c
+            cuts[k + 1 - i] = slots - 1 - c
         if k:
             # C(c, 1) = c, so the rank left is c_1 itself.
-            cuts[:, k] = slots - 1 - rank
+            cuts[k] = slots - 1 - rank
         if stars:
-            # Star j (0-based) lies in part cuts[:, j + 1] - j.
-            part = np.arange(rank.size)[:, None] * dim + cuts[:, 1:-1] - np.arange(k)
+            # Star j (0-based) lies in part cuts[j + 1] - j.
+            part = np.arange(rank.size) * dim + cuts[1:-1] - np.arange(k)[:, None]
             yield np.bincount(part.ravel(), minlength=rank.size * dim).reshape(rank.size, dim).astype(np.int32)
         else:
-            yield cuts[:, 1:] - cuts[:, :-1] - 1
+            yield (cuts[1:] - cuts[:-1] - 1).T
 
 
 def combine(features, coeffs):

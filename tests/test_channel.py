@@ -328,6 +328,17 @@ class TestLatticeEntropies:
         self.assert_matches(spec, unused, m)
         self.assert_matches(spec, unused[len(unused) // 2 :][:1], m)
 
+    @pytest.mark.parametrize("name", SPECS)
+    def test_same_bytes_from_either_block_layout(self, name):
+        # iter_lattice's blocks are Fortran-ordered; C-ordered copies score
+        # the same bytes.
+        spec, m = self.SPECS[name]
+        for block in iter_lattice(m, spec.input_size):
+            copy = np.ascontiguousarray(block)
+            assert copy.flags.c_contiguous and (block.flags.f_contiguous or m < spec.input_size - 1)
+            got, want = _lattice_entropies(spec, block, m), _lattice_entropies(spec, copy, m)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
     @pytest.mark.parametrize("name", ("blackwell", "out16", "n9"))
     def test_matches_on_tiny_blocks(self, monkeypatch, name):
         spec, m = self.SPECS[name]

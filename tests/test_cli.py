@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import statebc
-from statebc.cli import main
+from statebc.cli import build_parser, main
 from statebc.regions import convex_hull
 
 
@@ -214,6 +214,35 @@ class TestFixedCost:
         proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["region", "--n-lambda", "x"],
+            ["region", "--n-lambda", "5", "--bogus"],
+            ["verify", "--lambdas", "5", "--tol", "0.1"],
+            ["nope"],
+        ],
+        ids=["bad-type", "unknown-flag", "missing-required", "unknown-command"],
+    )
+    def test_failed_parse_leaves_the_parser_clean(self, bad, bw_json, tmp_path, capsys):
+        # The shared parser must parse the next command line as a freshly
+        # built one does: no value or default of the failed one carries over.
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert "usage: statebc" in capsys.readouterr().err
+        out = str(tmp_path / "region.csv")
+        good = ["region", "--channel", bw_json, "--p1", "0.7", "--p2", "0.3", "--out", out]
+        assert vars(build_parser().parse_args(good)) == vars(build_parser.__wrapped__().parse_args(good))
+        assert vars(build_parser().parse_args(good))["n_lambda"] == 64
+        assert main([*good, "--n-lambda", "4"]) == 0
+        assert Path(out).read_text().startswith("# p1=0.7 p2=0.3\nr1,r2\n")
 
 
 class TestRegions4Command:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,9 +36,11 @@ from statebc.regions import (
     pareto_front,
     polygon_to_csv,
 )
-from statebc.channel import component_entropies, stacked_indicator
+from statebc.channel import canonicalize, component_entropies, load_channel, stacked_indicator
 from statebc.simplexopt import combine, iter_lattice, maximize_pushforward_entropies
 from conftest import random_spec
+
+DATA = Path(__file__).parent / "data"
 
 def vertices_close(poly, expected, tol):
     """Every expected point has a vertex within tol and every vertex lies
@@ -384,6 +387,109 @@ class TestPrimedRegions:
             assert polygon_support(hull, float(lam), 1.0) == pytest.approx(
                 polygon_support(cap, float(lam), 1.0), abs=1e-3
             )
+
+
+def front_polygon(front, label="R3'"):
+    """primed_regions' hull of an R3'/R4' front: the front, the origin and
+    its feet on the two axes, at the same tolerance."""
+    aug = np.vstack([front, [[0.0, 0.0], [front[:, 0].max(), 0.0], [0.0, front[:, 1].max()]]])
+    return make_polygon(aug, label, tol=1e-13)
+
+
+def inside(poly, pts, tol):
+    """polygon_contains for every point of pts, vectorized over points;
+    poly is counter-clockwise with at least three vertices."""
+    v = np.array(poly.vertices)
+    e = np.roll(v, -1, axis=0) - v
+    norm = np.hypot(e[:, 0], e[:, 1])
+    for chunk in np.array_split(pts, max(1, len(pts) // 500)):
+        dist = (e[:, 0] * (chunk[:, 1:] - v[:, 1]) - e[:, 1] * (chunk[:, :1] - v[:, 0])) / norm
+        if (dist < -tol).any():
+            return False
+    return True
+
+
+def dropped(front, cand):
+    """The points of front (by descending r1) that cand leaves out."""
+    keep = np.isin(front[:, 0], cand[:, 0])
+    assert np.array_equal(front[keep], cand)
+    return front[~keep]
+
+
+class TestArcCandidates:
+    SPECS = {
+        "blackwell": ("blackwell.json", (1750, 300)),
+        "gf2": ("gf2.json", (120, 61)),
+        "random5": ("random5.json", (30, 21)),
+    }
+
+    @pytest.mark.parametrize("name", SPECS)
+    def test_primed_hulls_equal_the_full_front_hulls(self, name, monkeypatch):
+        path, grids = self.SPECS[name]
+        spec = canonicalize(load_channel(str(DATA / path)))[0]
+        candidates = regions._arc_candidates
+        for grid in grids:
+            fronts = []
+            monkeypatch.setattr(regions, "_arc_candidates", lambda f: fronts.append(f) or f)
+            full = primed_regions(spec, px_grid=grid)
+            monkeypatch.setattr(regions, "_arc_candidates", candidates)
+            polys = primed_regions(spec, px_grid=grid)
+            assert [(p.label, p.vertices) for p in polys] == [(p.label, p.vertices) for p in full]
+            assert len(fronts) == 2
+            for front, poly in zip(fronts, polys[2:]):
+                cand = candidates(front)
+                assert len(cand) < len(front)
+                assert front_polygon(cand, poly.label) == poly
+                assert inside(poly, dropped(front, cand), 0.0)
+
+    @staticmethod
+    def check(front):
+        cand = regions._arc_candidates(front)
+        assert cand[0].tolist() == front[0].tolist() and cand[-1].tolist() == front[-1].tolist()
+        poly = front_polygon(front)
+        assert front_polygon(cand) == poly
+        if len(poly.vertices) >= 3:
+            assert inside(poly, dropped(front, cand), 0.0)
+        return cand
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_collinear_runs(self, seed):
+        # Dyadic points on a concave polyline, so its runs are exactly
+        # collinear, and some below it.
+        rng = np.random.default_rng(seed)
+        x = np.sort(rng.choice(np.arange(1, 256), int(rng.integers(3, 120)), replace=False))[::-1] / 256
+        y = np.minimum.reduce([1.0 - x, 0.5 - 0.25 * x + 0.125, 0.75 - 0.75 * x])
+        y = y - np.where(rng.random(x.size) < 0.3, 1 / 512, 0.0)
+        self.check(pareto_front(np.column_stack((x, y))))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_tied_r1(self, seed):
+        # A cloud on a coarse grid: many points share r1, the front keeps
+        # one of each, with collinear and interior runs among them.
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 24, (400, 2)) / 24
+        self.check(pareto_front(pts[pts.sum(axis=1) <= 1.25]))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_points_near_a_chord(self, seed):
+        # A circular arc plus a point on each chord, moved off it by up to
+        # 1e-12 either way or 1e-9 inward: only those far below a chord
+        # go, the rest are left to make_polygon's tolerance.
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(0.0, math.pi / 2, int(rng.integers(3, 60))))
+        arc = np.column_stack((np.cos(t), np.sin(t)))
+        a, b = arc[:-1], arc[1:]
+        normal = np.column_stack((b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]))
+        normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
+        off = rng.choice([-1e-9, -1e-12, -1e-13, -5e-14, 0.0, 5e-14, 1e-13, 1e-12], a.shape[0])
+        mid = a + rng.uniform(0.0, 1.0, (a.shape[0], 1)) * (b - a) + off[:, None] * normal
+        self.check(pareto_front(np.vstack((arc, mid))))
+
+    def test_margin(self):
+        # Below the chord of its neighbours by a cross product of 2e-12 a
+        # point goes; by 5e-13 it stays.
+        front = np.array([[1.0, 0.0], [0.5, 0.5 - 2e-12], [0.25, 0.75 - 5e-13], [0.0, 1.0]])
+        assert self.check(front).tolist() == front[[0, 2, 3]].tolist()
 
 
 class TestGeometry:

@@ -113,6 +113,67 @@ def test_lattice_matches_stars_and_bars():
         np.testing.assert_array_equal(np.vstack(blocks), stars_and_bars(m, d))
 
 
+def searchsorted_unranker(m, d, cap_bytes):
+    """iter_lattice's blocks as first written: the subset positions held
+    row-major, every position found by its own searchsorted."""
+    size = lattice_size(m, d)
+    slots, stars = m + d - 1, m < d - 1
+    k = m if stars else d - 1
+    comb = {i: np.array([math.comb(c, i) for c in range(slots)], dtype=np.int64) for i in range(2, k + 1)}
+    cap = max(1, cap_bytes // (d * 4))
+    for start in range(0, size, cap):
+        rank = np.arange(start, min(start + cap, size), dtype=np.int64)
+        rank = rank if stars else size - 1 - rank
+        cuts = np.empty((rank.size, k + 2), dtype=np.int32)
+        cuts[:, 0], cuts[:, -1] = -1, slots
+        for i in range(k, 1, -1):
+            c = np.searchsorted(comb[i], rank, side="right") - 1
+            rank -= comb[i][c]
+            cuts[:, k + 1 - i] = slots - 1 - c
+        if k:
+            cuts[:, k] = slots - 1 - rank
+        if stars:
+            part = np.arange(rank.size)[:, None] * d + cuts[:, 1:-1] - np.arange(k)
+            yield np.bincount(part.ravel(), minlength=rank.size * d).reshape(rank.size, d).astype(np.int32)
+        else:
+            yield cuts[:, 1:] - cuts[:, :-1] - 1
+
+
+@pytest.mark.parametrize("cap_rows", [None, 1, 2, 7, 64])
+def test_lattice_blocks_equal_the_searchsorted_unranker(cap_rows, monkeypatch):
+    # Dims 1-4 by bars and higher ones by stars (m < d - 1). Caps of 1 to
+    # 64 rows start and end blocks inside a run of the top bar position,
+    # and a one-row block is a run of its own.
+    cases = [(0, 1), (5, 1), (0, 2), (7, 2), (40, 2), (0, 3), (1, 3), (13, 3), (60, 3), (0, 4), (2, 4), (9, 4), (18, 4)]
+    cases += [(1, 6), (3, 7), (2, 9), (4, 12), (3, 20)]
+    if cap_rows is None:
+        cases += [(1750, 3), (1998, 3), (48, 4), (60, 5), (12, 9), (4, 50)]
+    for m, d in cases:
+        cap_bytes = simplexopt._BLOCK_BYTES if cap_rows is None else cap_rows * 4 * d
+        monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", cap_bytes)
+        pairs = itertools.zip_longest(iter_lattice(m, d), searchsorted_unranker(m, d, cap_bytes))
+        for got, want in pairs:
+            assert got is not None and want is not None, (m, d)
+            assert got.dtype == want.dtype == np.int32 and got.shape == want.shape
+            assert np.array_equal(got, want), (m, d)
+            # Bars blocks are the transposed position-major differences.
+            assert got.flags.f_contiguous or m < d - 1
+
+
+@pytest.mark.parametrize("m, u, n", [(4, 5, 4), (6, 4, 3), (12, 2, 3), (3, 4, 5)])
+def test_orbits_do_not_depend_on_the_block_layout(m, u, n, monkeypatch):
+    # _iter_orbits gives the same bytes from Fortran-ordered lattice blocks
+    # as from C-ordered copies of them.
+    def run():
+        blocks = list(simplexopt._iter_orbits(m, u, n))
+        return [(reps.dtype, reps.shape, reps.tobytes(), sizes.tobytes()) for reps, sizes in blocks]
+
+    want = run()
+    lattice = simplexopt.iter_lattice
+    monkeypatch.setattr(simplexopt, "iter_lattice", lambda *a: map(np.ascontiguousarray, lattice(*a)))
+    assert run() == want
+
+
 def compositions(m, d, descending=False):
     """Reference: the compositions of m into d parts, lazily, in ascending
     (or descending) lexicographic order."""
