@@ -33,7 +33,6 @@ from .outerbound import (
     ConverseSample,
     brute_force_support,
     case_spanning_lambdas,
-    support_gap_bound,
     support_outer,
     support_outer_result,
     verify_converse,
@@ -95,7 +94,6 @@ __all__ = [
     "receiver_channel_mi",
     "report",
     "support_curve",
-    "support_gap_bound",
     "support_inner",
     "support_outer",
     "support_outer_result",

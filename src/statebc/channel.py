@@ -61,8 +61,8 @@ class ChannelSpec:
 
     def __post_init__(self):
         n = int(self.input_size)
-        if n < 1:
-            raise ValueError("input_size must be a positive integer")
+        if n != self.input_size or n < 1:
+            raise ValueError(f"input_size must be a positive integer, got {self.input_size!r}")
         object.__setattr__(self, "input_size", n)
         object.__setattr__(self, "f1", _as_component(self.f1, "f1", n))
         object.__setattr__(self, "f2", _as_component(self.f2, "f2", n))

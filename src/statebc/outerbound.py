@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import ChannelSpec, indicator_matrices, require_canonical
-from .infotheory import binary_entropy, entropy, pushforward
+from .infotheory import entropy, pushforward
 from .regions import _check_weight, format_number, support_curve, support_inner, thresholds
 from .simplexopt import (
     OptResult,
@@ -203,14 +203,6 @@ def verify_converse(
     return ConverseReport(tuple(samples), max_gap, tol, max_gap <= tol)
 
 
-def _check_lattice_args(lam: float, u_size: int, grid: int) -> None:
-    _check_weight(lam)
-    if u_size < 1:
-        raise ValueError("u_size must be a positive integer")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
-
-
 def brute_force_support(spec: ChannelSpec, lam: float, u_size: int, grid: int) -> float:
     """Exhaustive lattice maximum of the outer objective; the slow oracle.
 
@@ -218,7 +210,11 @@ def brute_force_support(spec: ChannelSpec, lam: float, u_size: int, grid: int) -
     budget of 1e8 points rather than truncating.
     """
     require_canonical(spec)
-    _check_lattice_args(lam, u_size, grid)
+    _check_weight(lam)
+    if u_size < 1:
+        raise ValueError("u_size must be a positive integer")
+    if grid < 2:
+        raise ValueError("grid must be >= 2")
     dim = u_size * spec.input_size
     total = lattice_size(grid, dim)
     if total > ENUMERATION_BUDGET:
@@ -228,30 +224,6 @@ def brute_force_support(spec: ChannelSpec, lam: float, u_size: int, grid: int) -
     f = _Counted([outer_objective(spec, lam, u_size)], (u_size, spec.input_size))
     ((top_vals, _),) = _scan_lattice(f, dim, grid, 1)
     return float(top_vals[0])
-
-
-def support_gap_bound(spec: ChannelSpec, lam: float, u_size: int, grid: int) -> float:
-    """Rigorous modulus-of-continuity bound (bits) on how far a grid-`grid`
-    lattice maximum of the outer objective can sit below the true maximum.
-
-    Uses the entropy continuity bound |H(p) - H(q)| <= eps*log2(n-1) + h(eps)
-    at the lattice covering radius eps (total variation), applied term by
-    term with the objective's coefficients. Arguments are checked as
-    brute_force_support checks them.
-    """
-    _check_lattice_args(lam, u_size, grid)
-    dim = u_size * spec.input_size
-    eps = min(0.5, (dim - 1) / grid)
-    y = spec.output_size
-
-    def fannes(n_atoms: int) -> float:
-        if n_atoms < 2 or eps <= 0.0:
-            return 0.0
-        return eps * math.log2(max(n_atoms - 1, 1)) + float(binary_entropy(eps))
-
-    table = outer_table(spec, 1.0, lam)
-    cond = fannes(u_size * y) + fannes(u_size)
-    return float(combine((fannes(y), fannes(y), cond, cond), np.abs(table[0] + lam * table[1])))
 
 
 def case_spanning_lambdas(spec: ChannelSpec, n: int = 32) -> list[float]:

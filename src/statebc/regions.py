@@ -38,6 +38,11 @@ CASE_R4 = "R4"
 _HULL_TOL = 1e-9
 # r1 bins of pareto_front's prefilter.
 _PARETO_BINS = 2048
+# halfplane_vertices' slack on each offset; primed_regions' default px grid is
+# the largest denominator up to _PX_GRID_CAP with at most _PX_GRID_BUDGET laws.
+_FEAS_TOL = 1e-9
+_PX_GRID_BUDGET = 2_000_000
+_PX_GRID_CAP = 4096
 
 
 class RatePair(NamedTuple):
@@ -220,7 +225,7 @@ def _segment_distance(v1, v2, p) -> float:
     return math.hypot(px - (ax + t * ex), py - (ay + t * ey))
 
 
-def halfplane_vertices(constraints, feas_tol: float = 1e-9) -> np.ndarray:
+def halfplane_vertices(constraints) -> np.ndarray:
     """Vertices of the polygon {x : a*x1 + b*x2 <= c for all (a, b, c)}.
 
     Exact pairwise line intersection followed by feasibility filtering; the
@@ -241,7 +246,7 @@ def halfplane_vertices(constraints, feas_tol: float = 1e-9) -> np.ndarray:
 
     def meeting(pts, planes):
         """The points pts (ascending indices) inside the half-planes planes."""
-        pa, pb, pc = a[planes], b[planes], c[planes] + feas_tol
+        pa, pb, pc = a[planes], b[planes], c[planes] + _FEAS_TOL
         cap = max(1, _BLOCK_BYTES // (8 * pa.size))
         blocks = (pts[s : s + cap] for s in range(0, pts.size, cap))
         return np.concatenate([pts[:0]] + [k[(x[k, None] * pa + y[k, None] * pb <= pc).all(axis=1)] for k in blocks])
@@ -448,9 +453,9 @@ def _rectangle_hull(a: np.ndarray, b: np.ndarray, label: str) -> RegionPolygon:
     return make_polygon(np.vstack(((0.0, 0.0),) + corners), label)
 
 
-def _auto_px_grid(dim: int, budget: int = 2_000_000, cap: int = 4096) -> int:
+def _auto_px_grid(dim: int) -> int:
     m = 2
-    while m < cap and lattice_size(m + 1, dim) <= budget:
+    while m < _PX_GRID_CAP and lattice_size(m + 1, dim) <= _PX_GRID_BUDGET:
         m += 1
     return m
 

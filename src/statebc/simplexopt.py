@@ -374,7 +374,7 @@ def _move_probe(f: _Counted, own, base, i, j):
     return probe
 
 
-def _golden_polish(probe, hi, iters: int = _GOLDEN_ITERS):
+def _golden_polish(probe, hi, iters: int):
     """Per-row golden-section maximum on [0, hi] of a line's values, where
     probe(t) values a stack of n-point step vectors, one step per row in
     each. The first call values both interior points of every row; each of

@@ -28,7 +28,6 @@ from statebc import (
     primed_regions,
     proposition_regions,
     report,
-    support_gap_bound,
     support_inner,
     support_outer,
     thresholds,
@@ -38,7 +37,7 @@ from statebc import (
 from statebc.channel import induced_joint
 from statebc.regions import make_polygon
 from statebc.simplexopt import default_grid
-from conftest import random_pmf, random_spec
+from conftest import lemma_auxiliary, lemma_floor, random_pmf, random_spec
 
 pytestmark = pytest.mark.slow
 
@@ -159,6 +158,11 @@ def test_criterion_4_converse_certification():
 
 
 def test_criterion_5_oracle_equivalence():
+    # The converse lemma brackets the brute-force oracle exactly: the outer
+    # objective at any joint is at most the clamped inner row at its input
+    # marginal, with equality at a deterministic U (lemma_auxiliary). So the
+    # lattice maximum equals the inner row's maximum over the input lattice
+    # of the same grid wherever u covers that U's values, and never exceeds it.
     failures = []
     rng = np.random.default_rng(77)
     for i in range(10):
@@ -171,14 +175,16 @@ def test_criterion_5_oracle_equivalence():
             lam = float(rng.uniform(1.0, hi if math.isfinite(hi) else 3.0))
         grid = 2 * default_grid(u * spec.input_size)
         brute = brute_force_support(spec, lam, u, grid)
-        bound = support_gap_bound(spec, lam, u, grid)
+        floor = lemma_floor(spec, lam, grid)
         inner, _, _ = support_inner(spec, lam)
         outer = support_outer(spec, lam, u)
-        if abs(inner - brute) > 2.0 * bound:
-            failures.append(f"spec{i}: inner {inner:.4f} vs brute {brute:.4f} (bound {bound:.3f})")
-        if abs(outer - brute) > 2.0 * bound:
-            failures.append(f"spec{i}: outer {outer:.4f} vs brute {brute:.4f} (bound {bound:.3f})")
-    _report(5, "inner and outer supports match the brute-force oracle within 2x lattice bound", failures)
+        if brute > floor + 1e-12 or (u > lemma_auxiliary(spec, lam).max() and brute < floor - 1e-12):
+            failures.append(f"spec{i}: brute {brute:.15f} vs lattice floor {floor:.15f} (u={u})")
+        if brute > inner + 1e-9:
+            failures.append(f"spec{i}: brute {brute:.12f} above inner {inner:.12f}")
+        if abs(outer - inner) > 1e-9:
+            failures.append(f"spec{i}: outer {outer:.12f} vs inner {inner:.12f}")
+    _report(5, "brute-force oracle equals the converse lemma's lattice floor (<=1e-12), outer = inner (<=1e-9)", failures)
 
 
 def test_criterion_6_region_decomposition_consistency():

@@ -232,6 +232,17 @@ class TestChannelFile:
         with pytest.raises(ValueError, match="required"):
             channel_from_dict({"input_size": 2, "f1": [0, 1], "p1": 0.5, "p2": 0.5})
 
+    @pytest.mark.parametrize("size", [2.5, "3", "2"], ids=("fraction", "string", "string-matching-maps"))
+    def test_non_integral_input_size_rejected(self, size):
+        # 2.5 loaded as a 2-input channel and "3" was accepted, while the
+        # maps rejected 2.5 as a value; both use the int(v) != v rule now.
+        with pytest.raises(ValueError, match="input_size must be a positive integer"):
+            channel_from_dict({"input_size": size, "f1": [0, 1], "f2": [0, 0], "p1": 0.5, "p2": 0.5})
+
+    def test_integral_float_input_size_accepted(self):
+        spec = channel_from_dict({"input_size": 2.0, "f1": [0, 1], "f2": [0, 0], "p1": 0.5, "p2": 0.5})
+        assert spec.input_size == 2 and type(spec.input_size) is int
+
     def test_invalid_json_message(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -138,6 +138,16 @@ class TestValidationErrors:
         assert exc.value.code == 2
         assert "unrecognized arguments: --u-size 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["region", "support", "verify", "regions4"])
+    def test_non_integral_input_size_exit_two_before_writing(self, command, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"input_size": 2.5, "f1": [0, 1], "f2": [0, 0]}))
+        out = tmp_path / "out"
+        rc = main([command, "--channel", str(bad), "--p1", "0.7", "--p2", "0.3", "--out", str(out / "o.csv")])
+        assert rc == 2
+        assert "input_size must be a positive integer, got 2.5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
+
     def test_missing_file_exit_two(self, tmp_path, capsys):
         rc = main(["region", "--channel", str(tmp_path / "nope.json"), "--p1", "0.7", "--p2", "0.3", "--out", str(tmp_path / "o.csv")])
         assert rc == 2

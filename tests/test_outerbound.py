@@ -9,6 +9,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from statebc import (
     ChannelSpec,
@@ -18,7 +19,6 @@ from statebc import (
     case_spanning_lambdas,
     simplexopt,
     support_curve,
-    support_gap_bound,
     support_inner,
     support_outer,
     support_outer_result,
@@ -29,7 +29,7 @@ from statebc.channel import indicator_matrices
 from statebc.outerbound import _outer_objectives, _outer_results, converse_to_csv, outer_objective, outer_table, structure_seeds
 from statebc.infotheory import entropy, xlogx
 from statebc.simplexopt import maximize_joint
-from conftest import orbit_key, random_spec
+from conftest import inner_row_value, lemma_auxiliary, lemma_floor, orbit_key, random_spec
 
 
 class TestSupportOuter:
@@ -163,6 +163,54 @@ class TestOuterTable:
         px = P.sum(axis=-2)
         want = w1 * entropy(px @ e1) + w2 * entropy(px @ e2) + c1 * h_f1_u + c2 * h_f2_u
         assert np.array_equal(outer_objective(spec, lam, u_size)(P), want)
+
+
+_LEMMA_PROBS = st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.01, 0.99))
+
+
+@st.composite
+def lemma_cases(draw):
+    """(spec, lam, joint): p in {(1, 0), (1, 1)}, p1 = p2 or random; lam in
+    each of the four cases or exactly at lo, 1 or hi; u from 1 to n + 1;
+    the joint random, with empty U rows, or a point mass."""
+    n = draw(st.integers(1, 4))
+    f1, f2 = (tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))) for _ in range(2))
+    p1, p2 = draw(st.one_of(st.sampled_from(((1.0, 0.0), (1.0, 1.0))), _LEMMA_PROBS.map(lambda p: (p, p)), st.tuples(_LEMMA_PROBS, _LEMMA_PROBS)))
+    spec = ChannelSpec(n, f1, f2, max(p1, p2), min(p1, p2))
+    lo, hi = thresholds(spec)
+    top = hi if math.isfinite(hi) else 4.0
+    lam = draw(st.one_of(st.sampled_from((0.0, lo, 1.0, top)), st.floats(0.0, lo), st.floats(lo, 1.0), st.floats(1.0, top), st.floats(top, 2.0 * top + 1.0)))
+    u = draw(st.integers(1, n + 1))
+    P = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=u * n, max_size=u * n))).reshape(u, n)
+    kind = draw(st.sampled_from(("random", "empty-rows", "point")))
+    if kind == "empty-rows":
+        P[draw(st.integers(0, u - 1)) :] = 0.0
+    if kind == "point" or P.sum() == 0.0:
+        P = np.zeros((u, n))
+        P.flat[draw(st.integers(0, u * n - 1))] = 1.0
+    return spec, lam, P / P.sum()
+
+
+class TestConverseLemma:
+    """outer(P) <= the clamped inner row at P's input marginal, with
+    equality at the lift of that marginal by the lemma's deterministic U
+    whenever u covers its values. Tolerances scale with max(1, lam)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(lemma_cases())
+    def test_outer_objective_is_bracketed_by_the_inner_row(self, case):
+        spec, lam, P = case
+        u, n = P.shape
+        tol = 1e-12 * max(1.0, lam)
+        obj = outer_objective(spec, lam, u)
+        px = P.sum(axis=0)
+        bound = float(inner_row_value(spec, lam, px))
+        assert float(obj(P)) <= bound + tol
+        labels = lemma_auxiliary(spec, lam)
+        if u > labels.max():
+            lift = np.zeros((u, n))
+            lift[labels, np.arange(n)] = px
+            assert float(obj(lift)) == pytest.approx(bound, abs=tol)
 
 
 _PROBE_SPECS = (
@@ -344,7 +392,7 @@ class TestCellProbe:
                 pairs = np.flatnonzero(S0[r, i_idx] > 0.0)
                 rows = np.zeros(pairs.size, dtype=int)
                 probe = simplexopt._cell_probe(ref, own[:1], S0[r : r + 1], V0[r : r + 1], rows, i_idx[pairs], j_idx[pairs])
-                t, v = simplexopt._golden_polish(probe, S0[r, i_idx[pairs]])
+                t, v = simplexopt._golden_polish(probe, S0[r, i_idx[pairs]], simplexopt._GOLDEN_ITERS)
                 best = int(np.argmax(v))
                 step = np.maximum(S0[r] + t[best] * delta[pairs[best]], 0.0)
                 full = obj(step.reshape(u_size, n))
@@ -601,7 +649,21 @@ class TestBruteForce:
         value = brute_force_support(spec, 1.0, 2, 16)
         assert value == pytest.approx(1.0, abs=1e-2)
 
+    @pytest.mark.parametrize(
+        "lam, u_size, grid, match",
+        [(-1.0, 4, 6, "lambda"), (0.8, 0, 6, "u_size"), (0.8, 4, 1, "grid")],
+        ids=("negative-weight", "no-auxiliary", "grid-1"),
+    )
+    def test_rejects_invalid_arguments(self, blackwell_07_03, lam, u_size, grid, match):
+        # NaN and infinite weights: test_rejects_nan_lambda and
+        # test_rejects_infinite_lambda above.
+        with pytest.raises(ValueError, match=match):
+            brute_force_support(blackwell_07_03, lam, u_size, grid)
+
     def test_matches_refined_search_within_bound(self):
+        # The converse lemma's bracket: the lattice maximum is the inner
+        # row's maximum over the input lattice of the same grid (u covers
+        # the lemma's U on all three specs), and the search reaches inner.
         rng = np.random.default_rng(31)
         for _ in range(3):
             spec = random_spec(rng, sizes=(3,))
@@ -610,27 +672,12 @@ class TestBruteForce:
             grid = 8
             brute = brute_force_support(spec, lam, u, grid)
             outer = support_outer(spec, lam, u)
-            bound = support_gap_bound(spec, lam, u, grid)
-            assert abs(outer - brute) <= 2.0 * bound
+            inner, _, _ = support_inner(spec, lam)
+            assert u > lemma_auxiliary(spec, lam).max()
+            assert brute == pytest.approx(lemma_floor(spec, lam, grid), abs=1e-12)
+            assert brute <= inner + 1e-9
+            assert outer == pytest.approx(inner, abs=1e-9)
             assert outer >= brute - 1e-9  # seeded search dominates the bare lattice
-
-
-class TestGapBound:
-    def test_positive_and_shrinking(self, blackwell_07_03):
-        b8 = support_gap_bound(blackwell_07_03, 0.8, 4, 8)
-        b32 = support_gap_bound(blackwell_07_03, 0.8, 4, 32)
-        assert b8 > b32 > 0.0
-
-    @pytest.mark.parametrize(
-        "lam, u_size, grid, match",
-        [(math.nan, 4, 6, "lambda"), (-1.0, 4, 6, "lambda"), (math.inf, 4, 6, "finite"), (0.8, 0, 6, "u_size"), (0.8, 4, 1, "grid")],
-        ids=("nan-weight", "negative-weight", "inf-weight", "no-auxiliary", "grid-1"),
-    )
-    def test_rejects_invalid_arguments(self, blackwell_07_03, lam, u_size, grid, match):
-        # Checked as brute_force_support checks them: a NaN weight gave nan
-        # and a weight of -1 gave 9.39 bits.
-        with pytest.raises(ValueError, match=match):
-            support_gap_bound(blackwell_07_03, lam, u_size, grid)
 
 
 class TestCaseSpanningLambdas:

@@ -537,10 +537,12 @@ def test_golden_polish_stacked_matches_row_by_row(spec):
     base = rng.dirichlet(np.ones(dim), size=9)
     hi = base[np.arange(9), i_idx[pick]]
     f = counted(obj, dim)
-    t, v = simplexopt._golden_polish(line_probe(f, base, delta[pick]), hi)
+    t, v = simplexopt._golden_polish(line_probe(f, base, delta[pick]), hi, simplexopt._GOLDEN_ITERS)
     for r in range(9):
         f_r = counted(obj, dim)
-        t_r, v_r = simplexopt._golden_polish(line_probe(f_r, base[r : r + 1], delta[pick[r : r + 1]]), hi[r : r + 1])
+        t_r, v_r = simplexopt._golden_polish(
+            line_probe(f_r, base[r : r + 1], delta[pick[r : r + 1]]), hi[r : r + 1], simplexopt._GOLDEN_ITERS
+        )
         assert t_r[0] == t[r] and v_r[0] == v[r]
         assert f_r.evals[0] * 9 == f.evals[0]
 
