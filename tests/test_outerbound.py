@@ -651,12 +651,10 @@ class TestBruteForce:
 
     @pytest.mark.parametrize(
         "lam, u_size, grid, match",
-        [(-1.0, 4, 6, "lambda"), (0.8, 0, 6, "u_size"), (0.8, 4, 1, "grid")],
-        ids=("negative-weight", "no-auxiliary", "grid-1"),
+        [(math.nan, 4, 6, "lambda"), (-1.0, 4, 6, "lambda"), (math.inf, 4, 6, "finite"), (0.8, 0, 6, "u_size"), (0.8, 4, 1, "grid")],
+        ids=("nan-weight", "negative-weight", "inf-weight", "no-auxiliary", "grid-1"),
     )
     def test_rejects_invalid_arguments(self, blackwell_07_03, lam, u_size, grid, match):
-        # NaN and infinite weights: test_rejects_nan_lambda and
-        # test_rejects_infinite_lambda above.
         with pytest.raises(ValueError, match=match):
             brute_force_support(blackwell_07_03, lam, u_size, grid)
 
