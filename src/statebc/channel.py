@@ -11,6 +11,7 @@ neither.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -23,21 +24,38 @@ PMF_ATOL = 1e-12
 _CHANNEL_FIELDS = ("input_size", "f1", "f2", "p1", "p2")
 
 
+def _as_int(value, message: str) -> int:
+    """int(value) when value is an integral number, else ValueError(message):
+    null, a list or an infinite value too, not only a fraction."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(message)
+
+
 def _as_prob(value, name: str) -> float:
-    p = float(value)
+    try:
+        p = float(value)
+    except (TypeError, ValueError):
+        p = math.nan
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return p
 
 
 def _as_component(values, name: str, n: int) -> tuple[int, ...]:
+    try:
+        values = list(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a list of integers, got {values!r}") from None
     out = []
     for v in values:
-        if int(v) != v:
-            raise ValueError(f"{name} values must be integers, got {v!r}")
-        if int(v) < 0:
+        k = _as_int(v, f"{name} values must be integers, got {v!r}")
+        if k < 0:
             raise ValueError(f"{name} values must be non-negative, got {v!r}")
-        out.append(int(v))
+        out.append(k)
     if len(out) != n:
         raise ValueError(f"{name} must map every input symbol: expected {n} values, got {len(out)}")
     return tuple(out)
@@ -60,9 +78,9 @@ class ChannelSpec:
     p2: float
 
     def __post_init__(self):
-        n = int(self.input_size)
-        if n != self.input_size or n < 1:
-            raise ValueError(f"input_size must be a positive integer, got {self.input_size!r}")
+        message = f"input_size must be a positive integer, got {self.input_size!r}"
+        if (n := _as_int(self.input_size, message)) < 1:
+            raise ValueError(message)
         object.__setattr__(self, "input_size", n)
         object.__setattr__(self, "f1", _as_component(self.f1, "f1", n))
         object.__setattr__(self, "f2", _as_component(self.f2, "f2", n))
@@ -244,7 +262,7 @@ def channel_from_dict(data, p1: float | None = None, p2: float | None = None) ->
     eff_p2 = p2 if p2 is not None else data.get("p2")
     if eff_p1 is None or eff_p2 is None:
         raise ValueError("p1 and p2 must be given in the channel file or as flags")
-    return ChannelSpec(data["input_size"], tuple(data["f1"]), tuple(data["f2"]), eff_p1, eff_p2)
+    return ChannelSpec(data["input_size"], data["f1"], data["f2"], eff_p1, eff_p2)
 
 
 def load_channel(path, p1: float | None = None, p2: float | None = None) -> ChannelSpec:

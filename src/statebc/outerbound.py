@@ -7,14 +7,16 @@ signed conditional entropies of each component given the auxiliary. The
 converse certificate checks, weight by weight, that this maximization cannot
 beat the inner-bound support function.
 
-The joint search is seeded with the structured choices the theory singles
-out (auxiliary equal to the input, either component, or a constant) lifted
-to the inner argmax law, which guarantees outer >= inner numerically; the
-lattice scan and ascent then hunt for anything better. The objective is a
-weight's row of the outer table applied to four lambda-free entropies, so
-verify_converse searches all its weights together: one lattice scan scores
-those entropies once and serves every weight, and one ascent runs every
-weight's starts, each with the result a one-weight search would give.
+By the converse lemma, the outer objective at any joint is at most the
+clamped inner row at the joint's input marginal, with equality at a
+deterministic auxiliary; for non-negative coefficients that row is at most
+Gallager's dual bound, which the inner solver certifies at its stop. So
+verify_converse searches nothing: at each weight its outer value is the best
+structured joint (the auxiliary equal to the input, either component, or a
+constant) lifted to the inner argmax law, and its upper value is the inner
+solver's bound; the outer value must lie between the inner and upper values.
+support_outer keeps the lattice scan and ascent, seeded with those joints,
+for auxiliary alphabets too small to hold the lemma's auxiliary.
 """
 
 from __future__ import annotations
@@ -28,14 +30,7 @@ import numpy as np
 from .channel import ChannelSpec, indicator_matrices, require_canonical
 from .infotheory import entropy, pushforward
 from .regions import _check_weight, format_number, support_curve, support_inner, thresholds
-from .simplexopt import (
-    OptResult,
-    _Counted,
-    _scan_lattice,
-    combine,
-    lattice_size,
-    maximize_joints,
-)
+from .simplexopt import OptResult, _Counted, _scan_lattice, combine, lattice_size, maximize_joint
 
 ENUMERATION_BUDGET = 100_000_000
 
@@ -44,14 +39,16 @@ class ConverseSample(NamedTuple):
     lam: float
     inner: float
     outer: float
+    upper: float
     gap: float
     case_id: str
 
 
 @dataclass(frozen=True)
 class ConverseReport:
-    """Per-weight inner/outer support values and gaps, with the pass verdict
-    against the tolerance (pass iff max_gap <= tolerance)."""
+    """Per-weight inner, outer and certified upper support values and the
+    gaps outer - inner, with the pass verdict against the tolerance (pass
+    iff max_gap <= tolerance)."""
 
     samples: tuple[ConverseSample, ...]
     max_gap: float
@@ -72,40 +69,26 @@ def outer_table(spec: ChannelSpec, a: float, b: float) -> np.ndarray:
 
 def outer_objective(spec: ChannelSpec, lam: float, u_size: int):
     """Vectorized objective over joint laws p(u, x), trailing axes (u, x):
-    combine(features(P), row), the row (1, lam) outer_table over the
-    lambda-free features (H(f1), H(f2), H(f1|U), H(f2|U)). It carries the
-    same sum as coeffs @ (H(f1), H(f2), H(U,f1), H(U,f2), H(U)), with
-    `cells` (u_size * x_size by 5) each flat coordinate's cell in those
-    pushforwards, numbered across blocks."""
-    return _outer_objectives(spec, [lam], u_size)[0]
-
-
-def _outer_objectives(spec: ChannelSpec, lams, u_size: int) -> list:
-    """outer_objective at each weight, all sharing one `features` callable."""
+    the row (1, lam) outer_table over the lambda-free entropies (H(f1),
+    H(f2), H(f1|U), H(f2|U)). It carries the same sum as coeffs @ (H(f1),
+    H(f2), H(U,f1), H(U,f2), H(U)), with `cells` (u_size * x_size by 5)
+    each flat coordinate's cell in those pushforwards, numbered across
+    blocks."""
     e1, e2, _ = indicator_matrices(spec)
+    table = outer_table(spec, 1.0, lam)
+    row = table[0] + lam * table[1]
 
-    def features(P):
+    def obj(P):
         P = np.asarray(P, dtype=float)
         px, hu = P.sum(axis=-2), entropy(P.sum(axis=-1))
         cond = [entropy((P @ e).reshape(P.shape[:-2] + (-1,))) - hu for e in (e1, e2)]
-        return (entropy(pushforward(px, e1)), entropy(pushforward(px, e2)), *cond)
+        return combine((entropy(pushforward(px, e1)), entropy(pushforward(px, e2)), *cond), row)
 
     u, x = np.divmod(np.arange(u_size * spec.input_size), spec.input_size)
     f1, f2, m = np.array(spec.f1)[x], np.array(spec.f2)[x], spec.output_size
-    cells = np.stack((f1, f2, u * m + f1, u * m + f2, u), axis=1) + np.cumsum([0, m, m, u_size * m, u_size * m])
-
-    def at(lam):
-        table = outer_table(spec, 1.0, lam)
-        row = table[0] + lam * table[1]
-
-        def obj(P):
-            return combine(features(P), row)
-
-        obj.features, obj.row, obj.cells = features, row, cells
-        obj.coeffs = np.append(row, -(row[2] + row[3]))
-        return obj
-
-    return [at(lam) for lam in lams]
+    obj.cells = np.stack((f1, f2, u * m + f1, u * m + f2, u), axis=1) + np.cumsum([0, m, m, u_size * m, u_size * m])
+    obj.coeffs = np.append(row, -(row[2] + row[3]))
+    return obj
 
 
 def _lift(px: np.ndarray, assign: np.ndarray, u_size: int) -> np.ndarray:
@@ -129,59 +112,38 @@ def structure_seeds(spec: ChannelSpec, u_size: int, px: np.ndarray) -> list[np.n
     return seeds
 
 
-def support_outer_result(
-    spec: ChannelSpec,
-    lam: float,
-    u_size: int | None = None,
-    seed_px=None,
-) -> OptResult:
-    """Outer-bound support maximization returning the full optimizer result.
-
-    seed_px is the input law at which the structured auxiliary seeds are
-    lifted; by default the inner-bound argmax at this weight is computed and
-    used, which makes the returned value >= the inner support by
-    construction.
+def support_outer_result(spec: ChannelSpec, lam: float, u_size: int | None = None) -> OptResult:
+    """Outer-bound support maximization returning the full optimizer result:
+    maximize_joint over (u_size, input_size) joints, u_size input_size + 1
+    by default, its extra starts the structured seeds lifted at the
+    inner-bound argmax at this weight. Once u_size holds the converse
+    lemma's auxiliary, a seed attains the inner support, so the value is at
+    least that; below it, the search can beat every seed.
     """
     require_canonical(spec)
     _check_weight(lam)
-    if seed_px is None:
-        _, _, seed_px = support_inner(spec, lam)
-    return _outer_results(spec, [lam], u_size, [seed_px])[0]
-
-
-def _outer_results(spec: ChannelSpec, lams, u_size: int | None, seed_pxs) -> list[OptResult]:
-    """The outer search at each weight, its structured seeds lifted at the
-    matching seed law, in one maximize_joints call: one lattice scan serves
-    every weight, and each result equals that weight's search alone."""
     n = spec.input_size
     u = int(u_size) if u_size is not None else n + 1
     if u < 1:
         raise ValueError("u_size must be a positive integer")
-    seeds = [structure_seeds(spec, u, np.asarray(px, dtype=float)) for px in seed_pxs]
-    return maximize_joints(_outer_objectives(spec, lams, u), (u, n), seeds)
+    _, _, px = support_inner(spec, lam)
+    return maximize_joint(outer_objective(spec, lam, u), (u, n), structure_seeds(spec, u, px))
 
 
-def support_outer(
-    spec: ChannelSpec,
-    lam: float,
-    u_size: int | None = None,
-    seed_px=None,
-) -> float:
+def support_outer(spec: ChannelSpec, lam: float, u_size: int | None = None) -> float:
     """Outer-bound support value max(R1 + lam*R2) in bits."""
-    return support_outer_result(spec, lam, u_size, seed_px=seed_px).value
+    return support_outer_result(spec, lam, u_size).value
 
 
-def verify_converse(
-    spec: ChannelSpec,
-    lambdas,
-    u_size: int | None = None,
-    tol: float = 5e-3,
-) -> ConverseReport:
+def verify_converse(spec: ChannelSpec, lambdas, tol: float = 5e-3) -> ConverseReport:
     """Match inner and outer supports at each weight and report the gaps.
 
-    A failed tolerance yields passed=False, not an exception; the outer value
-    falling below the inner one beyond float noise is an implementation
-    error and raises.
+    At each weight the outer value is the best structured seed
+    (structure_seeds, u = input_size + 1) lifted at the inner argmax and
+    valued by outer_objective, and the upper value is the inner solver's
+    certified dual bound. A failed tolerance yields passed=False, not an
+    exception; an outer value more than 1e-9 below the inner one or above
+    the upper one is an implementation error and raises.
     """
     require_canonical(spec)
     lambdas = [float(l) for l in lambdas]
@@ -189,16 +151,16 @@ def verify_converse(
         raise ValueError("at least one lambda sample is required")
     if not tol >= 0.0:
         raise ValueError("tolerance must be non-negative")
-    curve = support_curve(spec, lambdas).samples
-    outers = _outer_results(spec, [s.lam for s in curve], u_size, [s.argmax_px for s in curve])
+    u = spec.input_size + 1
     samples = []
-    for (lam, inner, case, _), res in zip(curve, outers):
-        gap = res.value - inner
-        if gap < -1e-9:
+    for lam, inner, upper, case, px in support_curve(spec, lambdas).samples:
+        seeds = np.array(structure_seeds(spec, u, np.array(px)))
+        outer = float(outer_objective(spec, lam, u)(seeds).max())
+        if not inner - 1e-9 <= outer <= upper + 1e-9:
             raise RuntimeError(
-                f"outer bound fell below inner bound at lambda={lam}: {res.value} < {inner}"
+                f"outer bound {outer} outside [inner, upper] = [{inner}, {upper}] at lambda={lam}"
             )
-        samples.append(ConverseSample(lam, inner, res.value, gap, case))
+        samples.append(ConverseSample(lam, inner, outer, upper, outer - inner, case))
     max_gap = max(s.gap for s in samples)
     return ConverseReport(tuple(samples), max_gap, tol, max_gap <= tol)
 
@@ -221,8 +183,7 @@ def brute_force_support(spec: ChannelSpec, lam: float, u_size: int, grid: int) -
         raise ValueError(
             f"lattice of {total} points exceeds the enumeration budget of {ENUMERATION_BUDGET}"
         )
-    f = _Counted([outer_objective(spec, lam, u_size)], (u_size, spec.input_size))
-    ((top_vals, _),) = _scan_lattice(f, dim, grid, 1)
+    top_vals, _ = _scan_lattice(_Counted(outer_objective(spec, lam, u_size), (u_size, spec.input_size)), dim, grid, 1)
     return float(top_vals[0])
 
 

@@ -66,14 +66,16 @@ class RegionPolygon:
 class SupportSample(NamedTuple):
     lam: float
     value: float
+    upper: float
     case_id: str
     argmax_px: tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class SupportCurve:
-    """Sampled support function lambda -> max(R1 + lambda*R2) with the case
-    taken and the maximizing input law at each sample."""
+    """Sampled support function lambda -> max(R1 + lambda*R2) with its
+    certified upper bound, the case taken and the maximizing input law at
+    each sample."""
 
     samples: tuple[SupportSample, ...]
 
@@ -328,22 +330,23 @@ def _coefficient_row(spec: ChannelSpec, table: int, a: float, b: float) -> np.nd
     return a * k[0] + b * k[1]
 
 
-def _solve(spec: ChannelSpec, directions) -> list[tuple[float, np.ndarray]]:
-    """Support value and maximizing input law at each direction (a, b);
-    directions that share a coefficient row are solved once, all rows in
-    one certified batch (every row is non-negative)."""
+def _solve(spec: ChannelSpec, directions) -> list[tuple[float, np.ndarray, float]]:
+    """Support value, maximizing input law and certified upper bound (the
+    solver's dual bound, scaled alike) at each direction (a, b); directions
+    that share a coefficient row are solved once, all rows in one certified
+    batch (every row is non-negative)."""
     keys = [_support_row(spec, a, b) for a, b in directions]
     dirs = list(dict.fromkeys(key[:3] for key in keys))
     rows = [_coefficient_row(spec, *d) for d in dirs]
     opt = dict(zip(dirs, maximize_pushforward_entropies(*stacked_indicator(spec), rows)))
-    return [(key[3] * opt[key[:3]].value, opt[key[:3]].argmax) for key in keys]
+    return [(key[3] * opt[key[:3]].value, opt[key[:3]].argmax, key[3] * opt[key[:3]].bound) for key in keys]
 
 
 def support_inner(spec: ChannelSpec, lam: float):
     """Maximum of R1 + lam*R2 over the capacity region, by the exact
     reduction to a maximization over the input law: (value, case, argmax_px)."""
     case = case_of(spec, lam)
-    ((value, px),) = _solve(spec, [(1.0, lam)])
+    ((value, px, _),) = _solve(spec, [(1.0, lam)])
     return value, case, px
 
 
@@ -353,8 +356,8 @@ def support_curve(spec: ChannelSpec, lambdas) -> SupportCurve:
     cases = [case_of(spec, lam) for lam in lams]
     sols = _solve(spec, [(1.0, lam) for lam in lams])
     samples = [
-        SupportSample(lam, value, case, tuple(float(v) for v in px))
-        for lam, case, (value, px) in zip(lams, cases, sols)
+        SupportSample(lam, value, upper, case, tuple(float(v) for v in px))
+        for lam, case, (value, px, upper) in zip(lams, cases, sols)
     ]
     return SupportCurve(tuple(samples))
 
@@ -407,7 +410,7 @@ def capacity_polygon(spec: ChannelSpec, n_lambda: int = 64) -> RegionPolygon:
     directions += [(mu, 1.0) for mu in _weight_grid(mu_switch, n_lambda).tolist()]
     sols = _solve(canon, directions)
     cons = [(-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
-    cons += [(a, b, value) for (a, b), (value, _) in zip(directions, sols)]
+    cons += [(a, b, value) for (a, b), (value, _, _) in zip(directions, sols)]
     verts = halfplane_vertices(cons)
     poly = make_polygon(verts, "capacity")
     return transpose_polygon(poly) if swapped else poly
@@ -434,8 +437,8 @@ def proposition_regions(spec: ChannelSpec, n_lambda: int = 64) -> list[RegionPol
     mus = _unique(_open_segment(mu_switch, 1.0, n_lambda))
     directions = [(1.0, 0.0), (0.0, 1.0)] + [(1.0, lam) for lam in lams.tolist()] + [(mu, 1.0) for mu in mus.tolist()]
     sols = _solve(spec, directions)
-    (c1, _), (c2, _) = sols[:2]
-    argmax = np.array([px for _, px in sols[2:]])
+    (c1, _, _), (c2, _, _) = sols[:2]
+    argmax = np.array([px for _, px, _ in sols[2:]])
     a3, b3, _, _ = corner_values(spec, argmax[: lams.size])
     _, _, a4, b4 = corner_values(spec, argmax[lams.size :])
     return [

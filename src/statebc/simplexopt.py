@@ -15,15 +15,9 @@ then one new point per step, iters + 2 probes in all. A joint's moves into
 its spare empty U rows are not distinct. maximize_simplex is the same search
 on one-row joints.
 
-maximize_joints searches many objectives that share one `features` callable,
-each value being combine(features(P), row) for its own coefficient row: one
-lattice scan computes the features once per block of orbits and keeps
-every row's best orbits, then one ascent runs every objective's starts
-together, each start valued with its own objective's row. A plain objective is the one-feature
-case with row (1.0,), so every search takes the same path.
-
 maximize_pushforward_entropies solves the concave case, many coefficient rows
-at once, each to a certified gap.
+at once, each to a certified gap, and returns the certified upper bound with
+each value.
 
 Everything is deterministic. Every lattice streams in blocks of at most
 _BLOCK_BYTES: iter_lattice unranks its points by stars and bars in
@@ -37,8 +31,8 @@ maximize_simplex) or trailing two axes (for maximize_joint) hold the
 distribution, and return values over the leading axes. A bare 1-D (or 2-D
 joint) input must yield a scalar. One with `cells` is probed by _cell_probe,
 from the two cells per block that a move changes, laid out cell-major.
-A start's path and each objective's result depend on that start or
-objective alone, never on the batch it is searched in.
+A start's path depends on that start alone, never on the batch it is
+searched in.
 """
 
 from __future__ import annotations
@@ -59,7 +53,7 @@ _GOLDEN_ITERS = 24
 # real gap.
 _ORBIT_MARGIN = 1e-9
 
-# maximize_joints: the best lattice points whose orbits seed the ascent, its
+# maximize_joint: the best lattice points whose orbits seed the ascent, its
 # iteration budget, and the gain (bits) below which a start stops moving.
 _STARTS = 8
 _ASCENT_BUDGET = 300
@@ -97,11 +91,14 @@ class OptResult:
     """Best point found, its objective value (bits) and the number of
     objective evaluations spent: the lattice scan's orbit representatives
     and the u - 1 cyclic shifts of U's rows of each one it kept, then the
-    ascent's."""
+    ascent's. bound is an upper bound on the maximum (bits): the dual bound
+    certified by maximize_pushforward_entropies, inf from the joint search,
+    which certifies none."""
 
     argmax: np.ndarray
     value: float
     evaluations: int
+    bound: float = math.inf
 
 
 def lattice_size(denominator: int, dim: int) -> int:
@@ -174,33 +171,22 @@ def combine(features, coeffs):
 
 
 class _Counted:
-    """Objectives over points of `shape` that share their features, called
-    on flat stacks of those points, with the points each one evaluates
-    counted in evals. Objective w values P as combine(features(P), rows[w]):
-    its own `features` and `row` when it has them, else the objective itself
-    as one feature with row (1.0,), and 1.0 * v is v exactly. A call raises
-    unless it gets one value per point, none of them NaN."""
+    """An objective over points of `shape`, called on flat stacks of those
+    points, with the points it evaluates counted in evals; cells and coeffs
+    are the objective's own, None when it has none. A call raises unless it
+    gets one value per point, none of them NaN."""
 
-    def __init__(self, objectives: list, shape: tuple):
-        first = objectives[0]
-        self.shape, self.evals = shape, np.zeros(len(objectives), dtype=np.int64)
-        self.rows = np.array([getattr(o, "row", np.ones(1)) for o in objectives])
-        self.cells = getattr(first, "cells", None)
-        self.coeffs = None if self.cells is None else np.array([o.coeffs for o in objectives])
-        self._features = getattr(first, "features", lambda P: (np.asarray(first(P), dtype=float),))
+    def __init__(self, objective, shape: tuple):
+        self.objective, self.shape, self.evals = objective, shape, 0
+        self.cells, self.coeffs = getattr(objective, "cells", None), getattr(objective, "coeffs", None)
 
-    def features(self, P: np.ndarray):
-        return self._features(P.reshape(P.shape[:-1] + self.shape))
-
-    def __call__(self, P: np.ndarray, own=0, features=None) -> np.ndarray:
-        """Values of the points P, point k by objective own[k] (or all by
-        own), from their features when these are given."""
-        vals = np.asarray(combine(self.features(P) if features is None else features, self.rows[own]), dtype=float)
+    def __call__(self, P: np.ndarray) -> np.ndarray:
+        vals = np.asarray(self.objective(P.reshape(P.shape[:-1] + self.shape)), dtype=float)
         if vals.shape != P.shape[:1]:
             raise ValueError("objective must return one value per input point")
         if (nan := np.isnan(vals)).any():
             raise ValueError(f"objective returned NaN at point {P[nan.argmax()].tolist()}")
-        self.evals += np.bincount(np.broadcast_to(own, vals.shape), minlength=self.evals.size)
+        self.evals += vals.size
         return vals
 
 
@@ -272,40 +258,34 @@ def _iter_orbits(m: int, u: int, n: int):
 
 
 def _scan_lattice(f: _Counted, dim: int, m: int, top_k: int):
-    """Each objective of f's best orbit representatives, as (values,
-    points), ranked by value with ties toward the earlier orbit of
-    _iter_orbits, up to the first at which their orbits' sizes reach
-    top_k: the orbits that hold its top_k lattice points. The objectives
-    must be invariant under permutations of U's rows, so each orbit is
-    valued once, at its rep, the features computed once per block, and
-    what is kept does not depend on where the blocks break. Each kept rep
-    is then valued under every cyclic shift of U's rows; one more than
-    _ORBIT_MARGIN off its rep's value raises RuntimeError."""
+    """f's best orbit representatives, as (values, points), ranked by value
+    with ties toward the earlier orbit of _iter_orbits, up to the first at
+    which their orbits' sizes reach top_k: the orbits that hold its top_k
+    lattice points. The objective must be invariant under permutations of
+    U's rows, so each orbit is valued once, at its rep, and what is kept
+    does not depend on where the blocks break. Each kept rep is then valued
+    under every cyclic shift of U's rows; one more than _ORBIT_MARGIN off
+    its rep's value raises RuntimeError."""
     u, n = f.shape
-    held = [(np.empty(0), np.empty((0, dim), dtype=np.int32), np.empty(0, dtype=np.int64))] * f.evals.size
+    held = np.empty(0), np.empty((0, dim), dtype=np.int32), np.empty(0, dtype=np.int64)
     for reps, sizes in _iter_orbits(m, u, n):
-        pts = reps / m
-        F = f.features(pts)
-        for w in range(f.evals.size):
-            vals, r, z = (np.concatenate(x) for x in zip(held[w], (f(pts, w, F), reps, sizes)))
-            order = np.argsort(-vals, kind="stable")
-            order = order[: np.searchsorted(np.cumsum(z[order]), top_k) + 1]
-            held[w] = vals[order], r[order], z[order]
-    tops = [(v, r / m) for v, r, _ in held]
+        vals, r, z = (np.concatenate(x) for x in zip(held, (f(reps / m), reps, sizes)))
+        order = np.argsort(-vals, kind="stable")
+        order = order[: np.searchsorted(np.cumsum(z[order]), top_k) + 1]
+        held = vals[order], r[order], z[order]
+    vals, pts = held[0], held[1] / m
     if u > 1:
-        vals, pts = (np.concatenate(x) for x in zip(*tops))
-        owner = np.repeat(np.arange(len(tops)), [len(v) for v, _ in tops])
         # Copy k - 1 of a rep moves its row i to row i + k (mod u).
         shifts = (np.arange(u) - np.arange(1, u)[:, None]) % u
         copies = pts.reshape(-1, u, n)[:, shifts].reshape(-1, dim)
-        got = f(copies, np.repeat(owner, u - 1))
+        got = f(copies)
         if (off := np.abs(got - np.repeat(vals, u - 1))).max() > _ORBIT_MARGIN:
             k = off.argmax()
             raise RuntimeError(
                 f"point {copies[k].tolist()} scores {got[k]}, {off[k]} off its orbit's value:"
                 " the objective is not invariant under permutations of U's rows"
             )
-    return tops
+    return vals, pts
 
 
 def _move(S, t, i, j):
@@ -318,9 +298,9 @@ def _move(S, t, i, j):
     return np.maximum(out, 0.0)
 
 
-def _cell_probe(f: _Counted, own, S, V, r, i, j):
-    """Values of moving mass t from coordinate i to j of row r of S (value V,
-    objective own[r]) for objectives sum_k coeffs[k] H(q_k) with `cells`:
+def _cell_probe(f: _Counted, S, V, r, i, j):
+    """Values of moving mass t from coordinate i to j of row r of S (value V)
+    for objectives sum_k coeffs[k] H(q_k) with `cells`:
     only cells[i, k] and cells[j, k] of each q_k change. probe(t) takes any
     whole number of n-entry step vectors, as _golden_polish stacks them, and
     counts one evaluation per step. The two cells' masses, weights and old
@@ -336,14 +316,13 @@ def _cell_probe(f: _Counted, own, S, V, r, i, j):
     bins = np.arange(len(S))[:, None, None] * n_cells + cells
     q = np.bincount(bins.ravel(), np.repeat(S, cells.shape[1], axis=1).ravel(), len(S) * n_cells).reshape(len(S), n_cells)
     ci, cj = cells[i].T, cells[j].T
-    qa, qb, w = q[r, ci], q[r, cj], np.where(ci != cj, f.coeffs[own[r]].T, 0.0)
+    qa, qb, w = q[r, ci], q[r, cj], np.where(ci != cj, f.coeffs[:, None], 0.0)
     v, before = V[r], xlogx(qa) + xlogx(qb)
-    counts = np.bincount(own[r], minlength=f.evals.size)
     p, term, other = np.empty_like(qa), np.empty_like(qa), np.empty_like(qa)
 
     def probe(t):
         t = t.reshape(-1, len(r))
-        f.evals += len(t) * counts
+        f.evals += t.size
         out = np.empty(t.shape)
         for step, sums in zip(t, out):
             np.subtract(qa, step, out=p)
@@ -362,14 +341,14 @@ def _cell_probe(f: _Counted, own, S, V, r, i, j):
     return probe
 
 
-def _move_probe(f: _Counted, own, base, i, j):
+def _move_probe(f: _Counted, base, i, j):
     """Full values of moving mass t from coordinate i to j of each row of
-    base, row k valued by objective own[k], for any whole number of n-entry
-    step vectors t, n the rows of base."""
+    base, for any whole number of n-entry step vectors t, n the rows of
+    base."""
 
     def probe(t):
         k = t.size // len(base)
-        return f(_move(np.tile(base, (k, 1)), t, np.tile(i, k), np.tile(j, k)), np.tile(own, k))
+        return f(_move(np.tile(base, (k, 1)), t, np.tile(i, k), np.tile(j, k)))
 
     return probe
 
@@ -417,9 +396,9 @@ def _golden_polish(probe, hi, iters: int):
     return best_t, best_v
 
 
-def _full_pair_polish(f: _Counted, own, S, V, rows, i_idx, j_idx, step_tolerance, iters):
-    """One ascent step for the given state rows, row r valued by objective
-    own[r]: a golden-section line search over every distinct pair p, moving
+def _full_pair_polish(f: _Counted, S, V, rows, i_idx, j_idx, step_tolerance, iters):
+    """One ascent step for the given state rows: a golden-section line
+    search over every distinct pair p, moving
     mass from i_idx[p] (which has some) to j_idx[p], and each row takes its
     first best pair, as a search of that row alone would. Moves into an
     empty U row after its first empty one are not distinct: the objective
@@ -451,9 +430,9 @@ def _full_pair_polish(f: _Counted, own, S, V, rows, i_idx, j_idx, step_tolerance
         hi = S[rows[r], i_idx[pair]]
         if cells:
             span = rows[r[0] : r[-1] + 1]
-            probe = _cell_probe(f, own[span], S[span], V[span], r - r[0], i_idx[pair], j_idx[pair])
+            probe = _cell_probe(f, S[span], V[span], r - r[0], i_idx[pair], j_idx[pair])
         else:
-            probe = _move_probe(f, own[rows[r]], S[rows[r]], i_idx[pair], j_idx[pair])
+            probe = _move_probe(f, S[rows[r]], i_idx[pair], j_idx[pair])
         t_g, v_g = _golden_polish(probe, hi, iters)
         # Each row's first best entry in this chunk.
         first = np.lexsort((-v_g, r))[np.flatnonzero(np.diff(r, prepend=-1))]
@@ -463,7 +442,7 @@ def _full_pair_polish(f: _Counted, own, S, V, rows, i_idx, j_idx, step_tolerance
     s, p = rows[moved], best_p[moved]
     step, v_s = _move(S[s], best_t[moved], i_idx[p], j_idx[p]), best_v[moved]
     if cells and s.size:
-        full = f(step, own[s])
+        full = f(step)
         if (off := np.abs(full - v_s)).max() > 1e-9:
             raise RuntimeError(f"move to {step[off.argmax()].tolist()} scores {full[off.argmax()]}, probe {v_s[off.argmax()]}")
         moved[moved] = keep = full > V[s] + step_tolerance
@@ -472,127 +451,92 @@ def _full_pair_polish(f: _Counted, own, S, V, rows, i_idx, j_idx, step_tolerance
     return moved
 
 
-def _refine(f: _Counted, own, starts: np.ndarray):
-    """Two-phase refinement of the starts of every objective at once, start
-    r valued by objective own[r]: ascend every start at a coarse tolerance
-    with short line searches, then only each objective's leaders (within
-    1e-4 bits of its best, at most three) at _STEP_TOLERANCE. Laggard starts
-    cannot win, so the tail cost is spent where it matters."""
-    S, V = _ascend(f, own, starts, 1e-6, 12)
-    lead = []
-    for w in np.flatnonzero(np.bincount(own)):
-        # Best first, ties in start order.
-        mine = np.flatnonzero(own == w)
-        top = mine[np.argsort(-V[mine], kind="stable")[:3]]
-        lead += list(top[V[top] >= V[top[0]] - 1e-4])
-    S[lead], V[lead] = _ascend(f, own[lead], S[lead], _STEP_TOLERANCE, _GOLDEN_ITERS)
+def _refine(f: _Counted, starts: np.ndarray):
+    """Two-phase refinement: ascend every start at a coarse tolerance with
+    short line searches, then only the leaders (within 1e-4 bits of the
+    best, at most three) at _STEP_TOLERANCE. Laggard starts cannot win, so
+    the tail cost is spent where it matters."""
+    S, V = _ascend(f, starts, 1e-6, 12)
+    # Best first, ties in start order.
+    lead = np.argsort(-V, kind="stable")[:3]
+    lead = lead[V[lead] >= V[lead[0]] - 1e-4]
+    S[lead], V[lead] = _ascend(f, S[lead], _STEP_TOLERANCE, _GOLDEN_ITERS)
     # Renormalize accumulated float drift exactly onto the simplex, then
     # re-evaluate so returned values match returned points.
     S = S / S.sum(axis=1, keepdims=True)
-    return S, f(S, own)
+    return S, f(S)
 
 
-def _ascend(f: _Counted, own, starts: np.ndarray, step_tolerance: float, golden_iters: int):
-    """Pairwise-exchange ascent, batched over start points, start r valued
-    by objective own[r]: each iteration moves every active start along its
-    best pair (_full_pair_polish), and a start stops once no pair gains more
-    than step_tolerance. A start's path depends on its own state and
-    objective alone. A start still moving after _ASCENT_BUDGET iterations
-    raises RuntimeError."""
+def _ascend(f: _Counted, starts: np.ndarray, step_tolerance: float, golden_iters: int):
+    """Pairwise-exchange ascent, batched over start points: each iteration
+    moves every active start along its best pair (_full_pair_polish), and a
+    start stops once no pair gains more than step_tolerance. A start's path
+    depends on its own state alone. A start still moving after
+    _ASCENT_BUDGET iterations raises RuntimeError."""
     S = np.array(starts, dtype=float)
-    V = f(S, own)
+    V = f(S)
     i_idx, j_idx = np.nonzero(~np.eye(S.shape[1], dtype=bool))
     active = np.arange(S.shape[0])
     for _ in range(_ASCENT_BUDGET):
-        active = active[_full_pair_polish(f, own, S, V, active, i_idx, j_idx, step_tolerance, golden_iters)]
+        active = active[_full_pair_polish(f, S, V, active, i_idx, j_idx, step_tolerance, golden_iters)]
         if active.size == 0:
             return S, V
     start = starts[active[0]].tolist()
     raise RuntimeError(f"ascent from {start} still moving after {_ASCENT_BUDGET} iterations")
 
 
-def maximize_joints(objectives, dims: tuple[int, int], extra_starts) -> list[OptResult]:
-    """maximize_joint for each objective, with extra_starts[w] the extra
-    starts of objectives[w], sharing one lattice scan. The objectives share
-    one `features` callable (a tuple of value arrays over a stack of joints)
-    and each has a coefficient `row` with value combine(features(P), row),
-    so the scan evaluates the features once per block (_scan_lattice). One
-    ascent (_refine) then runs every objective's kept orbit representatives
-    and extra starts, less those whose rows, rounded and sorted, an earlier
-    start of that objective has. Each result, evaluation count included, equals that
-    of maximize_joint on its objective alone. extra_starts must hold one
-    list per objective, else ValueError."""
-    shape = (int(dims[0]), int(dims[1]))
-    if min(shape) < 1:
-        raise ValueError(f"dimensions must be positive integers, got {shape}")
-    if len(extra_starts) != len(objectives):
-        raise ValueError(f"got {len(extra_starts)} extra start lists for {len(objectives)} objectives")
-    dim = math.prod(shape)
-    if dim == 1:
-        return [OptResult(np.ones(shape), float(o(np.ones(shape))), 1) for o in objectives]
-    features = [getattr(o, "features", o) for o in objectives]
-    if any(g != features[0] for g in features[1:]):
-        raise ValueError("objectives searched together must share one features callable")
-    extras = [[np.asarray(s, dtype=float).reshape(-1) for s in starts] for starts in extra_starts]
-    for arr in (a for starts in extras for a in starts):
-        if arr.shape[0] != dim:
-            raise ValueError(f"extra start has dimension {arr.shape[0]}, expected {dim}")
-    f = _Counted(objectives, shape)
-    tops = _scan_lattice(f, dim, default_grid(dim), _STARTS)
-    starts, owner = [], []
-    for w, ((_, top_pts), more) in enumerate(zip(tops, extras)):
-        mine = {}
-        for r in list(top_pts) + more:
-            # The same start up to relabelling U: its rows, rounded, sorted.
-            rows = np.round(r.reshape(shape), 12).tolist()
-            mine.setdefault(tuple(sorted(map(tuple, rows))), r)
-        starts += mine.values()
-        owner += [w] * len(mine)
-    owner = np.array(owner)
-    S, V = _refine(f, owner, np.array(starts))
-    results = []
-    for w, (top_vals, top_pts) in enumerate(tops):
-        cand_vals = np.concatenate([top_vals[:1], V[owner == w]])
-        best = int(np.argmax(cand_vals))
-        point = top_pts[0] if best == 0 else S[owner == w][best - 1]
-        value = float(cand_vals[best])
-        check = float(f(point[None], w)[0])
-        if abs(check - value) > 1e-12:
-            raise AssertionError(f"optimizer value {value} failed re-evaluation ({check})")
-        results.append(OptResult(point.reshape(shape), value, int(f.evals[w])))
-    return results
-
-
 def maximize_simplex(objective, dim: int, extra_starts=()) -> OptResult:
     """Global maximum of a vectorized objective over the dim-simplex.
 
-    The joint search (maximize_joints) on one-row joints: the best of (a)
+    The joint search (maximize_joint) on one-row joints: the best of (a)
     an exhaustive lattice scan at default_grid(dim) and (b) pairwise-exchange
     ascent from the 8 best lattice points plus any extra_starts (less
     duplicates); on one row each point is its own orbit. Deterministic. Raises ValueError on a NaN objective value
     and RuntimeError on an ascent that exhausts its budget.
     """
-    (res,) = maximize_joints([lambda P: objective(P[..., 0, :])], (1, dim), [extra_starts])
+    res = maximize_joint(lambda P: objective(P[..., 0, :]), (1, dim), extra_starts)
     return OptResult(res.argmax.reshape(dim), res.value, res.evaluations)
 
 
-def maximize_joint(
-    objective,
-    dims: tuple[int, int],
-    extra_starts=(),
-) -> OptResult:
+def maximize_joint(objective, dims: tuple[int, int], extra_starts=()) -> OptResult:
     """Global maximum over joint mass functions on a u_size x x_size grid.
 
-    Lattice scan, then ascent on the flattened simplex. The objective must
-    be invariant under relabeling of the first coordinate: the scan values
-    one joint per orbit of its rows' permutations, the ascent starts from
-    the representatives of the best orbits, as many as hold the 8 best
-    joints, and from extra_starts, deduplicated up to a permutation of
-    their rows, and a step moves mass into only the first of a start's
-    empty rows. A kept representative whose cyclic shift of rows scores
-    more than _ORBIT_MARGIN off it raises RuntimeError.
+    Lattice scan (_scan_lattice), then ascent (_refine) on the flattened
+    simplex. The objective must be invariant under relabeling of the first
+    coordinate: the scan values one joint per orbit of its rows'
+    permutations, the ascent starts from the representatives of the best
+    orbits, as many as hold the 8 best joints, and from extra_starts, less
+    those whose rows, rounded and sorted, an earlier start has, and a step
+    moves mass into only the first of a start's empty rows. A kept
+    representative whose cyclic shift of rows scores more than
+    _ORBIT_MARGIN off it raises RuntimeError.
     """
-    return maximize_joints([objective], dims, [extra_starts])[0]
+    shape = (int(dims[0]), int(dims[1]))
+    if min(shape) < 1:
+        raise ValueError(f"dimensions must be positive integers, got {shape}")
+    dim = math.prod(shape)
+    if dim == 1:
+        return OptResult(np.ones(shape), float(objective(np.ones(shape))), 1)
+    extras = [np.asarray(s, dtype=float).reshape(-1) for s in extra_starts]
+    for arr in extras:
+        if arr.shape[0] != dim:
+            raise ValueError(f"extra start has dimension {arr.shape[0]}, expected {dim}")
+    f = _Counted(objective, shape)
+    top_vals, top_pts = _scan_lattice(f, dim, default_grid(dim), _STARTS)
+    starts = {}
+    for r in list(top_pts) + extras:
+        # The same start up to relabelling U: its rows, rounded, sorted.
+        rows = np.round(r.reshape(shape), 12).tolist()
+        starts.setdefault(tuple(sorted(map(tuple, rows))), r)
+    S, V = _refine(f, np.array(list(starts.values())))
+    cand_vals = np.concatenate([top_vals[:1], V])
+    best = int(np.argmax(cand_vals))
+    point = top_pts[0] if best == 0 else S[best - 1]
+    value = float(cand_vals[best])
+    check = float(f(point[None])[0])
+    if abs(check - value) > 1e-12:
+        raise AssertionError(f"optimizer value {value} failed re-evaluation ({check})")
+    return OptResult(point.reshape(shape), value, f.evals)
 
 
 def _line_slope(q, dq, C, blocks):
@@ -647,7 +591,8 @@ def maximize_pushforward_entropies(indicator, blocks, coeffs) -> list[OptResult]
     the objective is concave and bounded, for any full-support q_k, by
     max_x sum_k c_k (-log2 q_k[f_k(x)]) (Gallager's dual bound). A row stops
     once the least such bound, q its pushforwards mixed with a share of
-    uniform in _MIXES, exceeds its value by at most GAP_TOLERANCE. From the
+    uniform in _MIXES, exceeds its value by at most GAP_TOLERANCE, and
+    returns that bound as its result's bound. From the
     uniform law it takes Newton steps, or pairwise Frank-Wolfe steps (from
     the lowest-scoring input with mass to the highest-scoring one) when
     either is off the Newton face or Newton does not ascend, each with an
@@ -665,7 +610,8 @@ def maximize_pushforward_entropies(indicator, blocks, coeffs) -> list[OptResult]
     share = _MIXES[:, None, None, None]
     uniform = share / np.array([b - a for a, b in blocks])
     P = np.full((len(C), len(indicator)), 1.0 / len(indicator))
-    value, evals, live = np.zeros(len(C)), np.zeros(len(C), dtype=np.int64), np.arange(len(C))
+    value, bound = np.zeros(len(C)), np.zeros(len(C))
+    evals, live = np.zeros(len(C), dtype=np.int64), np.arange(len(C))
     for it in range(_BUDGET + 1):
         p, c = P[live], C[live]
         q = pushforward(p, indicator)
@@ -676,7 +622,8 @@ def maximize_pushforward_entropies(indicator, blocks, coeffs) -> list[OptResult]
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(c[:, None] > 0.0, c[:, None] * -np.log2((1.0 - share) * q[:, idx] + uniform), 0.0)
         scores = sum(terms[..., k] for k in range(len(blocks)))
-        open_ = ~(scores.max(axis=2).min(axis=0) - v <= GAP_TOLERANCE)
+        bound[live] = scores.max(axis=2).min(axis=0)
+        open_ = ~(bound[live] - v <= GAP_TOLERANCE)
         live, p, c, q, s, s0 = live[open_], p[open_], c[open_], q[open_], scores[0, open_], scores[1, open_]
         if live.size == 0:
             break
@@ -701,4 +648,4 @@ def maximize_pushforward_entropies(indicator, blocks, coeffs) -> list[OptResult]
         # A root within resolution of t_max is t_max: no cell keeps a sliver.
         step = np.maximum(p + np.where(hi == t_max, t_max, lo)[:, None] * d, 0.0)
         P[live] = step / step.sum(axis=1, keepdims=True)
-    return [OptResult(P[w], float(value[w]), int(evals[w])) for w in range(len(C))]
+    return [OptResult(P[w], float(value[w]), int(evals[w]), float(bound[w])) for w in range(len(C))]

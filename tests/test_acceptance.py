@@ -151,10 +151,17 @@ def test_criterion_4_converse_certification():
             failures.append(f"{name}: max gap {rep.max_gap:.2e} > 5e-3")
         if any(s.outer < s.inner - 1e-9 for s in rep.samples):
             failures.append(f"{name}: outer fell below inner")
+        # The certificate: outer lies in [inner, upper], upper the inner
+        # solver's dual bound, and the bracket is at most 1e-9 wide.
+        if any(not s.outer <= s.upper + 1e-9 for s in rep.samples):
+            failures.append(f"{name}: outer above the certified upper bound")
+        if any(not s.upper - s.inner <= 1e-9 for s in rep.samples):
+            width = max(s.upper - s.inner for s in rep.samples)
+            failures.append(f"{name}: certified bracket {width:.2e} wider than 1e-9")
     elapsed = time.perf_counter() - t0
     if elapsed > 300.0:
         failures.append(f"runtime {elapsed:.0f}s > 300s")
-    _report(4, f"converse certified on 22 channels x 32 weights in {elapsed:.0f}s (<=5e-3)", failures)
+    _report(4, f"converse certified on 22 channels x 32 weights in {elapsed:.0f}s (<=5e-3, brackets <=1e-9)", failures)
 
 
 def test_criterion_5_oracle_equivalence():

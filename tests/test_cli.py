@@ -91,10 +91,10 @@ class TestVerifyCommand:
         assert lines[-1].endswith(",pass")
 
     def test_zero_tolerance_exit_one(self, capsys):
-        # RANDOM5's largest gap at 8 weights is a few ulps positive, so a
-        # zero tolerance fails the certification
-        random5 = str(Path(__file__).parent / "data" / "random5.json")
-        rc = main(["verify", "--channel", random5, "--lambdas", "8", "--tol", "0"])
+        # GF(2)'s largest gap at 8 weights is one ulp positive (2.2e-16), so
+        # a zero tolerance fails the certification
+        gf2 = str(Path(__file__).parent / "data" / "gf2.json")
+        rc = main(["verify", "--channel", gf2, "--lambdas", "8", "--tol", "0"])
         out = capsys.readouterr().out
         assert float(out.split("max_gap=")[1].split()[0]) > 0.0
         assert rc == 1
@@ -116,7 +116,7 @@ class TestValidationErrors:
 
     def test_grid_is_a_verify_option_only(self, bw_json, tmp_path, capsys):
         # No command takes a lattice setting: the inner solver has no lattice
-        # and the joint search's is fixed by its dimension.
+        # and verify runs no lattice search.
         with pytest.raises(SystemExit) as exc:
             main(["region", "--channel", bw_json, "--p1", "0.7", "--p2", "0.3", "--grid", "12", "--out", str(tmp_path / "o.csv")])
         assert exc.value.code == 2
@@ -132,7 +132,7 @@ class TestValidationErrors:
         assert "tolerance must be non-negative" in capsys.readouterr().err
 
     def test_u_size_is_not_an_option(self, bw_json, capsys):
-        # verify searches the default auxiliary alphabet, |X| + 1.
+        # verify values its seeds on the default auxiliary alphabet, |X| + 1.
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--channel", bw_json, "--p1", "0.7", "--p2", "0.3", "--u-size", "4"])
         assert exc.value.code == 2
@@ -146,6 +146,25 @@ class TestValidationErrors:
         rc = main([command, "--channel", str(bad), "--p1", "0.7", "--p2", "0.3", "--out", str(out / "o.csv")])
         assert rc == 2
         assert "input_size must be a positive integer, got 2.5" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [bad]
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"input_size": None, "f1": [0, 1], "f2": [0, 0]}, "input_size must be a positive integer, got None"),
+            ({"input_size": 2, "f1": [0, None], "f2": [0, 0]}, "f1 values must be integers, got None"),
+            ({"input_size": 2, "f1": 5, "f2": [0, 0]}, "f1 must be a list of integers, got 5"),
+        ],
+        ids=("null-input-size", "null-map-entry", "numeric-map"),
+    )
+    def test_malformed_channel_file_exit_two_before_writing(self, data, message, tmp_path, capsys):
+        # Each used to escape as a TypeError traceback.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc = main(["region", "--channel", str(bad), "--p1", "0.7", "--p2", "0.3", "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert message in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [bad]
 
     def test_missing_file_exit_two(self, tmp_path, capsys):

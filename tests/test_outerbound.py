@@ -17,6 +17,7 @@ from statebc import (
     blackwell_channel,
     brute_force_support,
     case_spanning_lambdas,
+    outerbound,
     simplexopt,
     support_curve,
     support_inner,
@@ -26,7 +27,7 @@ from statebc import (
     verify_converse,
 )
 from statebc.channel import indicator_matrices
-from statebc.outerbound import _outer_objectives, _outer_results, converse_to_csv, outer_objective, outer_table, structure_seeds
+from statebc.outerbound import converse_to_csv, outer_objective, outer_table, structure_seeds
 from statebc.infotheory import entropy, xlogx
 from statebc.simplexopt import maximize_joint
 from conftest import inner_row_value, lemma_auxiliary, lemma_floor, orbit_key, random_spec
@@ -56,14 +57,14 @@ class TestSupportOuter:
         with pytest.raises(ValueError):
             support_outer(ff2_07_04, 1.0, u_size=0)
         with pytest.raises(ValueError, match="lambda"):
-            support_outer_result(ff2_07_04, math.nan, seed_px=np.full(4, 0.25))
+            support_outer_result(ff2_07_04, math.nan)
         with pytest.raises(ValueError, match="canonical"):
             support_outer(ChannelSpec(2, (0, 1), (1, 0), 0.2, 0.8), 1.0)
 
     def test_rejects_infinite_lambda(self, ff2_07_04):
         # Both failed with "objective returned NaN at point ...".
         for call in (lambda: support_outer(ff2_07_04, math.inf, 2),
-                     lambda: support_outer_result(ff2_07_04, math.inf, seed_px=np.full(4, 0.25))):
+                     lambda: support_outer_result(ff2_07_04, math.inf)):
             with pytest.raises(ValueError, match="finite"):
                 call()
 
@@ -248,12 +249,12 @@ class TestCellProbe:
                 r, pair = np.nonzero(S[:, i_idx] > 0.0)
                 i, j, hi = i_idx[pair], j_idx[pair], S[r, i_idx[pair]]
                 t = np.concatenate((rng.uniform(0.0, 1.0, r.size) * hi, hi))
-                f = simplexopt._Counted([obj], (u_size, n))
-                got = simplexopt._cell_probe(f, np.zeros(len(S), dtype=int), S, V, r, i, j)(t)
+                f = simplexopt._Counted(obj, (u_size, n))
+                got = simplexopt._cell_probe(f, S, V, r, i, j)(t)
                 pts = np.maximum(np.tile(S[r], (2, 1)) + t[:, None] * np.tile(delta[pair], (2, 1)), 0.0)
                 want = obj(pts.reshape(-1, u_size, n))
                 assert np.abs(got - want).max() <= 1e-12
-                assert f.evals[0] == t.size
+                assert f.evals == t.size
             kinds["same-u"] += int((i // n == j // n).sum())
             kinds["across-u"] += int((i // n != j // n).sum())
             kinds["shared-cell"] += int((obj.cells[i] == obj.cells[j]).any(axis=1).sum())
@@ -267,41 +268,41 @@ class TestCellProbe:
     def test_cell_major_kernel_matches_the_entry_major_sum(self, spec):
         # Byte for byte against the probe laid out entry-major, each entry's
         # five block terms summed by numpy: random joints, joints on faces,
-        # slivers below MASS_EPS and a point mass, rows of three weights,
-        # stacks of one and two step vectors. Rows of a fourth, all-zero
-        # row at value -0.0 check the sign of a zero sum.
+        # slivers below MASS_EPS and a point mass, under three weights'
+        # objectives, stacks of one and two step vectors. A fourth, all-zero
+        # objective at value -0.0 checks the sign of a zero sum.
         rng = np.random.default_rng(79)
         n = spec.input_size
         u_size = n + 1
         dim = u_size * n
-        objs = _outer_objectives(spec, [0.6, 1.0, 2.5], u_size)
-        objs.append(types.SimpleNamespace(row=np.zeros(4), coeffs=np.zeros(5)))
+        objs = [outer_objective(spec, lam, u_size) for lam in (0.6, 1.0, 2.5)]
+        cells = objs[0].cells
+        objs.append(types.SimpleNamespace(cells=cells, coeffs=np.zeros(5)))
         S = rng.dirichlet(np.ones(dim), size=7)
         S[2:4][rng.random((2, dim)) < 0.5] = 0.0  # on faces
         S[4, rng.permutation(dim)[:3]] = 3e-16  # slivers
         S[5] = 0.0
         S[5, rng.integers(dim)] = 1.0  # a point mass
         S /= S.sum(axis=1, keepdims=True)
-        own = np.arange(len(S)) % len(objs)
-        V = np.array([objs[w](s.reshape(u_size, n)) if w < 3 else -0.0 for w, s in zip(own, S)])
         i_idx, j_idx = np.nonzero(~np.eye(dim, dtype=bool))
         r, pair = np.nonzero(S[:, i_idx] > 0.0)
         i, j, hi = i_idx[pair], j_idx[pair], S[r, i_idx[pair]]
         # Each row's pushforwards, its coordinates added into their cells in order.
-        cells = objs[0].cells
         q = np.zeros((len(S), cells.max() + 1))
         np.add.at(q, (np.arange(len(S))[:, None, None], cells), np.broadcast_to(S[:, :, None], (len(S),) + cells.shape))
         qa, qb = q[r[:, None], cells[i]], q[r[:, None], cells[j]]
-        w = np.where(cells[i] != cells[j], np.array([o.coeffs for o in objs])[own[r]], 0.0)
         before = xlogx(qa) + xlogx(qb)
-        for k in (1, 2):
-            t = rng.uniform(0.0, 1.0, (k, r.size)) * hi
-            t[-1, ::3] = hi[::3]  # all of the mass at i
-            want = (V[r] - (w * (xlogx(qa - t[..., None]) + xlogx(qb + t[..., None]) - before)).sum(axis=-1)).ravel()
-            f = simplexopt._Counted(objs, (u_size, n))
-            got = simplexopt._cell_probe(f, own, S, V, r, i, j)(t.ravel())
-            assert got.tobytes() == want.tobytes()
-            assert f.evals.sum() == t.size and np.array_equal(f.evals, k * np.bincount(own[r], minlength=len(objs)))
+        for obj in objs:
+            V = obj(S.reshape(-1, u_size, n)) if callable(obj) else np.full(len(S), -0.0)
+            w = np.where(cells[i] != cells[j], obj.coeffs, 0.0)
+            for k in (1, 2):
+                t = rng.uniform(0.0, 1.0, (k, r.size)) * hi
+                t[-1, ::3] = hi[::3]  # all of the mass at i
+                want = (V[r] - (w * (xlogx(qa - t[..., None]) + xlogx(qb + t[..., None]) - before)).sum(axis=-1)).ravel()
+                f = simplexopt._Counted(obj, (u_size, n))
+                got = simplexopt._cell_probe(f, S, V, r, i, j)(t.ravel())
+                assert got.tobytes() == want.tobytes()
+                assert f.evals == t.size
         assert ((qa - t[..., None] <= 1e-15) | (qb + t[..., None] <= 1e-15)).any()
 
     def test_cells_and_coefficients_restate_the_objective(self, ff2_07_04):
@@ -322,14 +323,14 @@ class TestCellProbe:
         # max-norm, at the same value, when they ascended alone rather than
         # together.
         spec, u_size, n = ChannelSpec(5, (1, 0, 0, 1, 1), (1, 0, 0, 0, 0), 0.7, 0.35), 6, 5
-        f = simplexopt._Counted([outer_objective(spec, 1.4, u_size)], (u_size, n))
+        f = simplexopt._Counted(outer_objective(spec, 1.4, u_size), (u_size, n))
         m = simplexopt.default_grid(u_size * n)
         pts = np.vstack(list(simplexopt.iter_lattice(m, u_size * n))) / m
         tops = pts[np.argsort(-f(pts), kind="stable")[:8]]
         for tol, iters in ((1e-6, 12), (simplexopt._STEP_TOLERANCE, simplexopt._GOLDEN_ITERS)):
-            S, V = simplexopt._ascend(f, np.zeros(len(tops), dtype=int), tops, tol, iters)
+            S, V = simplexopt._ascend(f, tops, tol, iters)
             for k in range(len(tops)):
-                s, v = simplexopt._ascend(f, np.zeros(1, dtype=int), tops[k : k + 1], tol, iters)
+                s, v = simplexopt._ascend(f, tops[k : k + 1], tol, iters)
                 assert np.array_equal(s[0], S[k]) and v[0] == V[k]
 
     @staticmethod
@@ -352,10 +353,9 @@ class TestCellProbe:
         n = spec.input_size
         u_size = n + 1
         S = self.states_with_spare_rows(spec, u_size, rng)
-        own = np.zeros(len(S), dtype=int)
         for lam in (0.0, 0.6, 1.0, 2.5):
             obj = outer_objective(spec, lam, u_size)
-            f = simplexopt._Counted([obj], (u_size, n))
+            f = simplexopt._Counted(obj, (u_size, n))
             V = obj(S.reshape(-1, u_size, n))
             for r in range(len(S)):
                 empty = np.flatnonzero(S[r].reshape(u_size, n).sum(axis=1) == 0.0)
@@ -363,7 +363,7 @@ class TestCellProbe:
                 for i in np.flatnonzero(S[r] > 0.0):
                     # Moves of t off coordinate i into every x of U row u.
                     t = np.concatenate((rng.uniform(0.0, 1.0, n) * S[r, i], np.full(n, S[r, i])))
-                    into = lambda u: simplexopt._cell_probe(f, own, S, V, np.full(n, r), np.full(n, i), u * n + np.arange(n))(t)
+                    into = lambda u: simplexopt._cell_probe(f, S, V, np.full(n, r), np.full(n, i), u * n + np.arange(n))(t)
                     want = into(empty[0])
                     assert all(np.array_equal(into(u), want) for u in empty[1:])
 
@@ -378,20 +378,19 @@ class TestCellProbe:
         S0 = self.states_with_spare_rows(spec, u_size, rng)
         i_idx, j_idx = np.nonzero(~np.eye(dim, dtype=bool))
         delta = np.eye(dim)[j_idx] - np.eye(dim)[i_idx]
-        own = np.zeros(len(S0), dtype=int)
         for lam in (0.0, 0.6, 1.0, 2.5):
             obj = outer_objective(spec, lam, u_size)
             V0 = obj(S0.reshape(-1, u_size, n))
-            f = simplexopt._Counted([obj], (u_size, n))
+            f = simplexopt._Counted(obj, (u_size, n))
             S, V = S0.copy(), V0.copy()
             moved = simplexopt._full_pair_polish(
-                f, own, S, V, np.arange(len(S)), i_idx, j_idx, simplexopt._STEP_TOLERANCE, simplexopt._GOLDEN_ITERS
+                f, S, V, np.arange(len(S)), i_idx, j_idx, simplexopt._STEP_TOLERANCE, simplexopt._GOLDEN_ITERS
             )
-            ref = simplexopt._Counted([obj], (u_size, n))
+            ref = simplexopt._Counted(obj, (u_size, n))
             for r in range(len(S0)):
                 pairs = np.flatnonzero(S0[r, i_idx] > 0.0)
                 rows = np.zeros(pairs.size, dtype=int)
-                probe = simplexopt._cell_probe(ref, own[:1], S0[r : r + 1], V0[r : r + 1], rows, i_idx[pairs], j_idx[pairs])
+                probe = simplexopt._cell_probe(ref, S0[r : r + 1], V0[r : r + 1], rows, i_idx[pairs], j_idx[pairs])
                 t, v = simplexopt._golden_polish(probe, S0[r, i_idx[pairs]], simplexopt._GOLDEN_ITERS)
                 best = int(np.argmax(v))
                 step = np.maximum(S0[r] + t[best] * delta[pairs[best]], 0.0)
@@ -400,7 +399,7 @@ class TestCellProbe:
                 assert moved[r] == gains
                 assert np.array_equal(S[r], step if gains else S0[r])
                 assert V[r] == (full if gains else V0[r])
-            assert moved.any() and f.evals[0] < ref.evals[0]
+            assert moved.any() and f.evals < ref.evals
 
     def test_probe_mismatch_raises(self, blackwell_07_03):
         # Coefficients that no longer restate the objective make a chosen
@@ -414,50 +413,15 @@ class TestCellProbe:
 _RANDOM5 = ChannelSpec(5, (1, 2, 1, 1, 0), (2, 1, 1, 0, 2), 0.75, 0.4)
 
 
-class TestBatchedOuterSearch:
-    """verify_converse's one search over all weights against one search per
-    weight, bit for bit."""
-
-    @staticmethod
-    def assert_batch_matches_one_weight_searches(spec, n_lambda):
-        curve = support_curve(spec, case_spanning_lambdas(spec, n_lambda)).samples
-        batched = _outer_results(spec, [s.lam for s in curve], None, [s.argmax_px for s in curve])
-        for s, got in zip(curve, batched):
-            want = support_outer_result(spec, s.lam, seed_px=s.argmax_px)
-            assert np.array_equal(got.argmax, want.argmax)
-            assert (got.value, got.evaluations) == (want.value, want.evaluations)
-
-    @pytest.mark.parametrize(
-        "spec, n_lambda",
-        [(blackwell_channel(0.7, 0.3), 16), (ChannelSpec(4, (0, 1, 1, 0), (0, 0, 1, 1), 0.7, 0.4), 16), (_RANDOM5, 8)],
-        ids=("blackwell", "gf2", "random5"),
-    )
-    def test_each_weight_equals_its_one_weight_search(self, spec, n_lambda):
-        self.assert_batch_matches_one_weight_searches(spec, n_lambda)
-
-    def test_streamed_lattice(self, ff2_07_04, monkeypatch):
-        # GF(2)'s 8,855-point joint lattice (u = 5, grid 4) in several
-        # blocks, so the kept tops merge across blocks.
-        monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", 20 * 4 * 1500)
-        assert [len(b) for b in simplexopt.iter_lattice(4, 20)] == [1500] * 5 + [1355]
-        self.assert_batch_matches_one_weight_searches(ff2_07_04, 16)
-
-    def test_objectives_must_share_features(self, blackwell_07_03):
-        objs = [outer_objective(blackwell_07_03, lam, 4) for lam in (0.5, 1.5)]
-        with pytest.raises(ValueError, match="share"):
-            simplexopt.maximize_joints(objs, (4, 3), [(), ()])
-
-
 class TestLatticeBlocks:
     """The outer scan against the block size of its lattice."""
 
     @staticmethod
     def scan_and_search(spec, curve):
         u, n = spec.input_size + 1, spec.input_size
-        lams = [s.lam for s in curve]
-        f = simplexopt._Counted(_outer_objectives(spec, lams, u), (u, n))
-        tops = simplexopt._scan_lattice(f, u * n, simplexopt.default_grid(u * n), simplexopt._STARTS)
-        return f, tops, _outer_results(spec, lams, None, [s.argmax_px for s in curve])
+        m = simplexopt.default_grid(u * n)
+        tops = [simplexopt._scan_lattice(simplexopt._Counted(outer_objective(spec, s.lam, u), (u, n)), u * n, m, simplexopt._STARTS) for s in curve]
+        return tops, [support_outer_result(spec, s.lam) for s in curve]
 
     @pytest.mark.parametrize(
         "spec, n_lambda",
@@ -470,10 +434,10 @@ class TestLatticeBlocks:
         # ascends from the same starts. The smaller caps also split the
         # ascent's line searches mid-row.
         curve = support_curve(spec, case_spanning_lambdas(spec, n_lambda)).samples
-        _, want_tops, want = self.scan_and_search(spec, curve)
+        want_tops, want = self.scan_and_search(spec, curve)
         for cap in (48_000, 4_096, 1_920):
             monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", cap)
-            _, tops, got = self.scan_and_search(spec, curve)
+            tops, got = self.scan_and_search(spec, curve)
             for (gv, gp), (wv, wp) in zip(tops, want_tops):
                 assert gv.tobytes() == wv.tobytes() and gp.tobytes() == wp.tobytes()
             for g, w in zip(got, want):
@@ -484,11 +448,11 @@ class TestLatticeBlocks:
         # RANDOM5's joint lattice, 40,920 points of 30 coordinates, is
         # 9.8 MB as floats alone; streamed, the scan holds one block.
         u, n = 6, 5
-        objs = _outer_objectives(_RANDOM5, case_spanning_lambdas(_RANDOM5, 8), u)
-        f = simplexopt._Counted(objs, (u, n))
         tracemalloc.start()
         try:
-            simplexopt._scan_lattice(f, u * n, simplexopt.default_grid(u * n), simplexopt._STARTS)
+            for lam in case_spanning_lambdas(_RANDOM5, 8):
+                f = simplexopt._Counted(outer_objective(_RANDOM5, lam, u), (u, n))
+                simplexopt._scan_lattice(f, u * n, simplexopt.default_grid(u * n), simplexopt._STARTS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -500,12 +464,12 @@ class TestLatticeBlocks:
         ids=("random5", "n6"),
     )
     def test_search_memory_is_bounded_per_chunk(self, spec):
-        # Every weight's starts ascend together, their line searches in
-        # chunks of (row, pair) entries: no array spans all rows and pairs.
-        curve = support_curve(spec, case_spanning_lambdas(spec, 8)).samples
+        # A weight's starts ascend together, their line searches in chunks
+        # of (row, pair) entries: no array spans all rows and pairs.
         tracemalloc.start()
         try:
-            _outer_results(spec, [s.lam for s in curve], None, [s.argmax_px for s in curve])
+            for lam in case_spanning_lambdas(spec, 8):
+                support_outer_result(spec, lam)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -516,27 +480,36 @@ class TestOrbitScan:
     """The orbit scan against every point of the lattice valued."""
 
     @staticmethod
-    def assert_kept_orbits_hold_the_top(f, m, top_k, got):
-        """Each objective's kept orbits against its whole lattice: the best
-        kept value is the lattice maximum, every joint more than 2e-9 above
-        the last kept value lies in a kept orbit, and the kept orbits' sizes
-        reach top_k only with the last one."""
-        u, n = f.shape
-        kept = [[orbit_key(p, u, n) for p in pts] for _, pts in got]
-        sizes, best = collections.Counter(), np.full(len(got), -np.inf)
-        for block in simplexopt.iter_lattice(m, u * n):
-            pts = block / m
-            keys = [orbit_key(p, u, n) for p in pts]
-            sizes.update(keys)
-            F = f.features(pts)
-            for w, (row, (vals, _)) in enumerate(zip(f.rows, got)):
-                v = simplexopt.combine(F, row)
-                best[w] = max(best[w], v.max())
-                assert {keys[k] for k in np.flatnonzero(v > vals[-1] + 2e-9)} <= set(kept[w])
-        for w, (vals, _) in enumerate(got):
-            assert abs(vals[0] - best[w]) <= 1e-12 and (np.diff(vals) <= 0.0).all()
-            z = [sizes[key] for key in kept[w]]
-            assert sum(z) >= top_k > sum(z[:-1])
+    def lattice_orbits(u, n, m):
+        """Each lattice joint's orbit key, in lattice order, and each orbit's size."""
+        keys = [orbit_key(p, u, n) for block in simplexopt.iter_lattice(m, u * n) for p in block / m]
+        return keys, collections.Counter(keys)
+
+    @staticmethod
+    def assert_kept_orbits_hold_the_top(shape, top_k, got, values, orbits):
+        """The kept orbits against the whole lattice, its joints' values in
+        lattice order: the best kept value is the lattice maximum, every
+        joint more than 2e-9 above the last kept value lies in a kept orbit,
+        and the kept orbits' sizes reach top_k only with the last one."""
+        (u, n), (vals, pts), (keys, sizes) = shape, got, orbits
+        kept = [orbit_key(p, u, n) for p in pts]
+        assert {keys[k] for k in np.flatnonzero(values > vals[-1] + 2e-9)} <= set(kept)
+        assert abs(vals[0] - values.max()) <= 1e-12 and (np.diff(vals) <= 0.0).all()
+        z = [sizes[key] for key in kept]
+        assert sum(z) >= top_k > sum(z[:-1])
+
+    @staticmethod
+    def scan_every_top(obj, shape, m, orbits):
+        """Each top_k's scan against the whole lattice, valued once."""
+        (u, n), dim = shape, math.prod(shape)
+        values = np.concatenate([obj((block / m).reshape(-1, u, n)) for block in simplexopt.iter_lattice(m, dim)])
+        n_orbits = sum(len(reps) for reps, _ in simplexopt._iter_orbits(m, u, n))
+        for top_k in (simplexopt._STARTS, 1):
+            f = simplexopt._Counted(obj, shape)
+            got = simplexopt._scan_lattice(f, dim, m, top_k)
+            # Each orbit valued once, then u - 1 shifts of each kept one.
+            assert f.evals == n_orbits + (u - 1) * len(got[0])
+            TestOrbitScan.assert_kept_orbits_hold_the_top(shape, top_k, got, values, orbits)
 
     @pytest.mark.parametrize(
         "spec",
@@ -548,14 +521,9 @@ class TestOrbitScan:
         # image pair, so whole orbits tie.
         u, n = spec.input_size + 1, spec.input_size
         m = simplexopt.default_grid(u * n)
-        objs = _outer_objectives(spec, case_spanning_lambdas(spec, 16), u)
-        orbits = sum(len(reps) for reps, _ in simplexopt._iter_orbits(m, u, n))
-        for top_k in (simplexopt._STARTS, 1):
-            f = simplexopt._Counted(objs, (u, n))
-            got = simplexopt._scan_lattice(f, u * n, m, top_k)
-            # Each orbit valued once, then u - 1 shifts of each kept one.
-            assert f.evals.tolist() == [orbits + (u - 1) * len(vals) for vals, _ in got]
-            self.assert_kept_orbits_hold_the_top(f, m, top_k, got)
+        orbits = self.lattice_orbits(u, n, m)
+        for lam in case_spanning_lambdas(spec, 16):
+            self.scan_every_top(outer_objective(spec, lam, u), (u, n), m, orbits)
 
     def test_plain_objective_tops_equal_the_full_scan(self):
         # A plain callable: H(U, X) - H(X | U) on (3, 3) joints.
@@ -563,9 +531,7 @@ class TestOrbitScan:
             hu, hx = entropy(P.sum(axis=-1)), entropy(P.sum(axis=-2))
             return 2.0 * hx - entropy(P.reshape(P.shape[:-2] + (-1,))) + hu
 
-        for top_k in (simplexopt._STARTS, 1):
-            f = simplexopt._Counted([obj], (3, 3))
-            self.assert_kept_orbits_hold_the_top(f, 12, top_k, simplexopt._scan_lattice(f, 9, 12, top_k))
+        self.scan_every_top(obj, (3, 3), 12, self.lattice_orbits(3, 3, 12))
 
 
 class TestStructureSeeds:
@@ -620,6 +586,32 @@ class TestVerifyConverse:
     def test_case_labels_recorded(self, ff2_07_04):
         report = verify_converse(ff2_07_04, [0.2, 0.8, 1.3, 3.0], tol=5e-3)
         assert [s.case_id for s in report.samples] == ["R1", "R3", "R4", "R2"]
+
+    @pytest.mark.parametrize("spec", _PROBE_SPECS[:2], ids=("blackwell", "gf2"))
+    def test_passes_without_the_joint_search(self, spec, monkeypatch):
+        # Outer is the best structured seed and upper the inner solver's
+        # certified bound: no lattice scan and no ascent run.
+        def search(*args, **kwargs):
+            raise AssertionError("verify_converse ran the joint search")
+
+        for module in (simplexopt, outerbound):
+            for name in ("maximize_joint", "_scan_lattice"):
+                monkeypatch.setattr(module, name, search)
+        report = verify_converse(spec, case_spanning_lambdas(spec, 16), tol=5e-3)
+        assert report.passed
+        assert all(s.inner - 1e-9 <= s.outer <= s.upper + 1e-9 for s in report.samples)
+
+    @pytest.mark.parametrize("field", ["value", "upper"], ids=("outer-below-inner", "outer-above-upper"))
+    def test_outer_outside_the_bracket_raises(self, blackwell_07_03, field, monkeypatch):
+        # An inner value 1e-6 too high, or an upper bound 1e-6 too low.
+        def moved(spec, lams):
+            samples = support_curve(spec, lams).samples
+            shift = 1e-6 if field == "value" else -1e-6
+            return types.SimpleNamespace(samples=[s._replace(**{field: s.value + shift}) for s in samples])
+
+        monkeypatch.setattr(outerbound, "support_curve", moved)
+        with pytest.raises(RuntimeError, match=r"outside \[inner, upper\]"):
+            verify_converse(blackwell_07_03, [0.3, 1.5])
 
 
 class TestBruteForce:
