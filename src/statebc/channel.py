@@ -26,9 +26,9 @@ _CHANNEL_FIELDS = ("input_size", "f1", "f2", "p1", "p2")
 
 def _as_int(value, message: str) -> int:
     """int(value) when value is an integral number, else ValueError(message):
-    null, a list or an infinite value too, not only a fraction."""
+    null, a boolean, a list or an infinite value too, not only a fraction."""
     try:
-        if int(value) == value:
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -37,11 +37,11 @@ def _as_int(value, message: str) -> int:
 
 def _as_prob(value, name: str) -> float:
     try:
-        p = float(value)
+        p = math.nan if isinstance(value, (bool, np.bool_)) else float(value)
     except (TypeError, ValueError):
         p = math.nan
     if not 0.0 <= p <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
     return p
 
 
@@ -213,7 +213,7 @@ def _lattice_entropies(spec: ChannelSpec, counts, m: int):
     stacked, blocks = stacked_indicator(spec)
     mass = np.arange(m + 1) / m
     table = xlogx(mass)
-    cols = counts.T
+    cols = counts.T.astype(np.intp)
     rows, terms = {}, []
     for cell in stacked.T:
         xs = tuple(np.flatnonzero(cell).tolist())

@@ -22,6 +22,7 @@ import numpy as np
 
 from .channel import (
     ChannelSpec,
+    _as_int,
     _lattice_entropies,
     canonicalize,
     component_entropies,
@@ -144,6 +145,17 @@ def make_polygon(points, label: str, tol: float = _HULL_TOL) -> RegionPolygon:
     return RegionPolygon(vertices=verts, label=label)
 
 
+def _bin_filter(table, x, y, lo, scale):
+    """Raise table (_PARETO_BINS + 2 r2 maxima, the last kept at -inf) by the
+    points (x, y) in r1 bins (x - lo) * scale, floored and clipped at
+    _PARETO_BINS; return the indices of those not below any r2 of a higher
+    bin. Bins never fall as r1 rises: the rest are strictly dominated."""
+    bins = np.minimum((x - lo) * scale, _PARETO_BINS).astype(np.intp)
+    np.maximum.at(table, bins, y)
+    above = np.maximum.accumulate(table[::-1])[::-1]
+    return np.flatnonzero(y >= above[bins + 1])
+
+
 def pareto_front(points) -> np.ndarray:
     """Points not dominated coordinatewise by any other point, one copy of
     each, by descending r1; -0.0 is read as 0.0. Raises ValueError on a
@@ -153,9 +165,8 @@ def pareto_front(points) -> np.ndarray:
     hull arc is exact: every hull vertex with an outward normal in the first
     quadrant is Pareto optimal. Vectorized, so huge clouds reduce cheaply
     before the sequential hull pass. Before the sort, an exact prefilter
-    cuts [min r1, max r1] into _PARETO_BINS bins and drops every point below
-    the largest r2 of the higher bins: the bin rises with r1, so such a
-    point is strictly dominated, and the front is that of the sort alone.
+    (_bin_filter) cuts [min r1, max r1] into _PARETO_BINS bins, so the front
+    is that of the sort alone.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     x, y = pts[:, 0] + 0.0, pts[:, 1] + 0.0
@@ -167,13 +178,7 @@ def pareto_front(points) -> np.ndarray:
     lo, hi = float(x.min()), float(x.max())
     scale = _PARETO_BINS / (hi - lo) if hi > lo else 0.0
     if 0.0 < scale < math.inf:
-        # hi lands in bin _PARETO_BINS, as rounding never carries it past;
-        # the bin after it stays empty, so above[b + 1] tops the bins past b.
-        bins = ((x - lo) * scale).astype(np.intp)
-        bin_max = np.full(_PARETO_BINS + 2, -np.inf)
-        np.maximum.at(bin_max, bins, y)
-        above = np.maximum.accumulate(bin_max[::-1])[::-1]
-        kept = np.flatnonzero(y >= above[bins + 1])
+        kept = _bin_filter(np.full(_PARETO_BINS + 2, -np.inf), x, y, lo, scale)
         x, y = x[kept], y[kept]
     order = np.argsort(-x)
     x, y = x[order], y[order]
@@ -481,36 +486,46 @@ def _arc_candidates(front: np.ndarray) -> np.ndarray:
 
 def primed_regions(spec: ChannelSpec, px_grid: int | None = None) -> list[RegionPolygon]:
     """Hulls of the per-input-law rate rectangles swept over a full simplex
-    lattice of denominator px_grid (every input law, not just argmaxes).
+    lattice of denominator px_grid (every input law, not just argmaxes);
+    0 or None picks the grid (_auto_px_grid), a non-integer raises.
 
     Labels R1'..R4'. Used as the containment cross-check for
     proposition_regions. Each lattice block is scored from its counts by
     the cell-major sweep kernel (channel._lattice_entropies), bit for bit
-    component_entropies on counts / m (m the lattice denominator), and its
-    corners are reduced by pareto_front, whose exact prefilter keeps the
-    fronts of the sort alone. Each R3'/R4' hull is taken over its front's
-    arc candidates (_arc_candidates), ~1.2k of the ~18k points at
-    px_grid 1750, with the same vertices as over the whole front.
+    component_entropies on counts / m (m the lattice denominator). Its
+    corners meet one running bin table each (_bin_filter) over an r1 range
+    bounding every law, a3 <= H(f1) <= log2 |f1(X)| and a4 <= p1 H(f1) (a
+    range of 0 passes all), and only the survivors (~1.3k of 21,845 at
+    px_grid 1750) reach pareto_front: the fronts are those of the sort
+    alone. Each R3'/R4' hull is taken over its front's arc candidates
+    (_arc_candidates), ~1.2k of ~18k points, with the same vertices.
     """
     require_canonical(spec)
-    n = spec.input_size
-    m = int(px_grid) if px_grid else _auto_px_grid(n)
-    if m < 2:
-        raise ValueError("px_grid must be >= 2")
+    message = f"px_grid must be an integer >= 2, got {px_grid!r}"
+    if (m := _as_int(px_grid, message) if px_grid else _auto_px_grid(spec.input_size)) < 2:
+        raise ValueError(message)
     # The corner rows, then the single-user objectives C1 and C2: the
     # clamped rows at (1, 0) and (0, 1).
     rows = list(np.vstack(corner_tables(spec)))
     rows += [_coefficient_row(spec, *_support_row(spec, a, b)[:3]) for a, b in ((1.0, 0.0), (0.0, 1.0))]
+    top = math.log2(len(set(spec.f1)))
+    scales = [_PARETO_BINS / u if u > 0.0 else 0.0 for u in (top, spec.p1 * top)]
+    tables = [np.full(_PARETO_BINS + 2, -np.inf) for _ in scales]
     c1p, c2p = 0.0, 0.0
     # The front of a union is the front of its parts' fronts: each block's
-    # wait in `pending` until they outnumber the running front.
+    # survivors wait in `pending` until they outnumber the running front.
     fronts, pending = [np.zeros((1, 2)), np.zeros((1, 2))], [[], []]
-    for block in iter_lattice(m, n):
+    for block in iter_lattice(m, spec.input_size):
         features = _lattice_entropies(spec, block, m)
-        a3, b3, a4, b4, c1, c2 = (combine(features, row) for row in rows)
-        c1p, c2p = max(c1p, float(c1.max())), max(c2p, float(c2.max()))
-        for k, corner in enumerate(((a3, b3), (a4, b4))):
-            pending[k].append(pareto_front(np.maximum(np.column_stack(corner), 0.0)))
+        values = [combine(features, row) for row in rows]
+        a3, b3, a4, b4 = (np.maximum(v, 0.0, out=v) for v in values[:4])
+        peaks = [float(v.max()) for v in values]
+        if not all(map(math.isfinite, peaks)):
+            raise ValueError("primed_regions needs finite rates")
+        c1p, c2p = max(c1p, peaks[4]), max(c2p, peaks[5])
+        for k, (x, y) in enumerate(((a3, b3), (a4, b4))):
+            kept = _bin_filter(tables[k], x, y, 0.0, scales[k]) if scales[k] else slice(None)
+            pending[k].append(np.column_stack((x[kept], y[kept])))
             if sum(map(len, pending[k])) > len(fronts[k]):
                 fronts[k], pending[k] = pareto_front(np.vstack([fronts[k], *pending[k]])), []
     fronts = [pareto_front(np.vstack([f, *p])) for f, p in zip(fronts, pending)]

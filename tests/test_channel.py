@@ -48,6 +48,14 @@ class TestChannelSpec:
         with pytest.raises(ValueError, match="p1"):
             ChannelSpec(2, (0, 1), (0, 0), 1.5, 0.5)
 
+    @pytest.mark.parametrize("flag", [True, np.bool_(True)], ids=("bool", "numpy-bool"))
+    def test_rejects_booleans(self, flag):
+        # int(True) == True and float(True) == 1.0 made each read as 1.
+        for args, field in [((flag, (0,), (0,), 0.5, 0.5), "input_size"), ((2, (0, flag), (0, 0), 0.5, 0.5), "f1"),
+                            ((2, (0, 1), (0, 0), 0.5, flag), "p2")]:
+            with pytest.raises(ValueError, match=field):
+                ChannelSpec(*args)
+
     def test_degenerate_probabilities_allowed(self):
         spec = ChannelSpec(2, (0, 1), (1, 0), 1.0, 0.0)
         assert spec.p1 == 1.0 and spec.p2 == 0.0

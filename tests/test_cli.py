@@ -154,14 +154,18 @@ class TestValidationErrors:
             ({"input_size": None, "f1": [0, 1], "f2": [0, 0]}, "input_size must be a positive integer, got None"),
             ({"input_size": 2, "f1": [0, None], "f2": [0, 0]}, "f1 values must be integers, got None"),
             ({"input_size": 2, "f1": 5, "f2": [0, 0]}, "f1 must be a list of integers, got 5"),
+            ({"input_size": True, "f1": [0], "f2": [0]}, "input_size must be a positive integer, got True"),
+            ({"input_size": 2, "f1": [False, True], "f2": [0, 0]}, "f1 values must be integers, got False"),
+            ({"input_size": 2, "f1": [0, 1], "f2": [0, 0], "p1": True}, "p1 must be a number in [0, 1], got True"),
         ],
-        ids=("null-input-size", "null-map-entry", "numeric-map"),
+        ids=("null-input-size", "null-map-entry", "numeric-map", "boolean-input-size", "boolean-map-entry", "boolean-p1"),
     )
     def test_malformed_channel_file_exit_two_before_writing(self, data, message, tmp_path, capsys):
-        # Each used to escape as a TypeError traceback.
+        # The first three used to escape as a TypeError traceback; the
+        # booleans ran as the integers and probabilities 0 and 1.
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(data))
-        rc = main(["region", "--channel", str(bad), "--p1", "0.7", "--p2", "0.3", "--out", str(tmp_path / "o.csv")])
+        bad.write_text(json.dumps({"p1": 0.7, "p2": 0.3} | data))
+        rc = main(["region", "--channel", str(bad), "--out", str(tmp_path / "o.csv")])
         err = capsys.readouterr().err
         assert rc == 2
         assert message in err and "Traceback" not in err

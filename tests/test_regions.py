@@ -23,6 +23,7 @@ from statebc import (
     proposition_regions,
     support_curve,
     regions,
+    simplexopt,
     support_inner,
     thresholds,
     transpose_polygon,
@@ -387,6 +388,45 @@ class TestPrimedRegions:
             assert polygon_support(hull, float(lam), 1.0) == pytest.approx(
                 polygon_support(cap, float(lam), 1.0), abs=1e-3
             )
+
+    @pytest.mark.parametrize(
+        "spec, grid",
+        [
+            ("blackwell.json", 60),
+            ("gf2.json", 20),
+            ("random5.json", 8),
+            (blackwell_channel(1.0, 0.0), 40),
+            (blackwell_channel(1.0, 1.0), 40),
+            (blackwell_channel(0.0, 0.0), 40),
+            (blackwell_channel(0.6, 0.6), 40),
+            (ChannelSpec(3, (0, 0, 0), (0, 1, 1), 0.7, 0.3), 40),
+        ],
+        ids=("blackwell", "gf2", "random5", "p-1-0", "p-1-1", "p-0-0", "p1-eq-p2", "constant-f1"),
+    )
+    def test_fronts_equal_the_sort_only_front_of_the_lattice(self, spec, grid, monkeypatch):
+        # The running bin table drops only strictly dominated corners, so
+        # each R3'/R4' front is that of every lattice law's corner, whatever
+        # the blocks; the constant f1 leaves the r1 range [0, 0].
+        if isinstance(spec, str):
+            spec = canonicalize(load_channel(str(DATA / spec)))[0]
+        corners = corner_values(spec, np.vstack(list(iter_lattice(grid, spec.input_size))) / grid)
+        want = [TestGeometry.sort_only_front(np.column_stack(c)) for c in (corners[:2], corners[2:])]
+        for cap in (simplexopt._BLOCK_BYTES, 8 * spec.input_size):
+            fronts = []
+            monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", cap)
+            monkeypatch.setattr(regions, "_arc_candidates", lambda f: fronts.append(f) or f)
+            primed_regions(spec, px_grid=grid)
+            assert [f.tobytes() for f in fronts] == [w.tobytes() for w in want]
+
+    @pytest.mark.parametrize("grid", [2.7, "40", True, 1, -3])
+    def test_rejects_a_grid_that_is_not_an_integer_above_one(self, grid, blackwell_07_03):
+        # 2.7 used to sweep grid 2.
+        with pytest.raises(ValueError, match="px_grid must be an integer >= 2"):
+            primed_regions(blackwell_07_03, px_grid=grid)
+
+    def test_integral_grid_of_any_type(self, blackwell_07_03):
+        polys = primed_regions(blackwell_07_03, px_grid=40)
+        assert primed_regions(blackwell_07_03, px_grid=40.0) == primed_regions(blackwell_07_03, px_grid=np.int64(40)) == polys
 
 
 def front_polygon(front, label="R3'"):
