@@ -487,27 +487,32 @@ def _arc_candidates(front: np.ndarray) -> np.ndarray:
 def primed_regions(spec: ChannelSpec, px_grid: int | None = None) -> list[RegionPolygon]:
     """Hulls of the per-input-law rate rectangles swept over a full simplex
     lattice of denominator px_grid (every input law, not just argmaxes);
-    0 or None picks the grid (_auto_px_grid), a non-integer raises.
+    None or an integer 0 picks the grid (_auto_px_grid), anything else must
+    be an integer >= 2.
 
     Labels R1'..R4'. Used as the containment cross-check for
     proposition_regions. Each lattice block is scored from its counts by
-    the cell-major sweep kernel (channel._lattice_entropies), bit for bit
-    component_entropies on counts / m (m the lattice denominator). Its
-    corners meet one running bin table each (_bin_filter) over an r1 range
-    bounding every law, a3 <= H(f1) <= log2 |f1(X)| and a4 <= p1 H(f1) (a
-    range of 0 passes all), and only the survivors (~1.3k of 21,845 at
-    px_grid 1750) reach pareto_front: the fronts are those of the sort
-    alone. Each R3'/R4' hull is taken over its front's arc candidates
-    (_arc_candidates), ~1.2k of ~18k points, with the same vertices.
+    the count-exact sweep kernel (channel._lattice_entropies), checked
+    finite, and its six rows (a3, b3, a4, b4, C1, C2) are formed in one
+    preallocated buffer. The corners meet one running bin table each
+    (_bin_filter) over an r1 range bounding every law, a3 <= H(f1) <=
+    log2 |f1(X)| and a4 <= p1 H(f1) (a range of 0 passes all), and only the
+    survivors (~1.3k of 21,845 at px_grid 1750) reach pareto_front: the
+    fronts are those of the sort alone. Each R3'/R4' hull is taken over its
+    front's arc candidates (_arc_candidates), ~1.2k of ~18k points, with
+    the same vertices.
     """
     require_canonical(spec)
     message = f"px_grid must be an integer >= 2, got {px_grid!r}"
-    if (m := _as_int(px_grid, message) if px_grid else _auto_px_grid(spec.input_size)) < 2:
+    auto = px_grid is None or (type(px_grid) is not bool and isinstance(px_grid, (int, np.integer)) and px_grid == 0)
+    if (m := _auto_px_grid(spec.input_size) if auto else _as_int(px_grid, message)) < 2:
         raise ValueError(message)
-    # The corner rows, then the single-user objectives C1 and C2: the
-    # clamped rows at (1, 0) and (0, 1).
+    # The corner rows, then the single-user objectives C1 and C2: the clamped
+    # rows at (1, 0) and (0, 1). Each is formed in combine's k order without
+    # the later products of coefficient 0.0: adding one flips at most a zero's sign.
     rows = list(np.vstack(corner_tables(spec)))
     rows += [_coefficient_row(spec, *_support_row(spec, a, b)[:3]) for a, b in ((1.0, 0.0), (0.0, 1.0))]
+    rest = [[(k, c) for k, c in enumerate(row.tolist()) if k and c != 0.0] for row in rows]
     top = math.log2(len(set(spec.f1)))
     scales = [_PARETO_BINS / u if u > 0.0 else 0.0 for u in (top, spec.p1 * top)]
     tables = [np.full(_PARETO_BINS + 2, -np.inf) for _ in scales]
@@ -515,14 +520,20 @@ def primed_regions(spec: ChannelSpec, px_grid: int | None = None) -> list[Region
     # The front of a union is the front of its parts' fronts: each block's
     # survivors wait in `pending` until they outnumber the running front.
     fronts, pending = [np.zeros((1, 2)), np.zeros((1, 2))], [[], []]
+    entropies, buf, spare = _lattice_entropies(spec, m), np.empty((len(rows), 0)), np.empty(0)
     for block in iter_lattice(m, spec.input_size):
-        features = _lattice_entropies(spec, block, m)
-        values = [combine(features, row) for row in rows]
-        a3, b3, a4, b4 = (np.maximum(v, 0.0, out=v) for v in values[:4])
-        peaks = [float(v.max()) for v in values]
-        if not all(map(math.isfinite, peaks)):
+        features = entropies(block)
+        if not all(np.isfinite(f).all() for f in features):
             raise ValueError("primed_regions needs finite rates")
-        c1p, c2p = max(c1p, peaks[4]), max(c2p, peaks[5])
+        if len(block) > buf.shape[1]:
+            buf, spare = np.empty((len(rows), len(block))), np.empty(len(block))
+        values, tmp = buf[:, : len(block)], spare[: len(block)]
+        for v, row, terms in zip(values, rows, rest):
+            np.multiply(features[0], row[0], out=v)
+            for k, c in terms:
+                v += np.multiply(features[k], c, out=tmp)
+        a3, b3, a4, b4 = np.maximum(values[:4], 0.0, out=values[:4])
+        c1p, c2p = max(c1p, float(values[4].max())), max(c2p, float(values[5].max()))
         for k, (x, y) in enumerate(((a3, b3), (a4, b4))):
             kept = _bin_filter(tables[k], x, y, 0.0, scales[k]) if scales[k] else slice(None)
             pending[k].append(np.column_stack((x[kept], y[kept])))

@@ -22,7 +22,7 @@ from statebc import (
 )
 from statebc.channel import _lattice_entropies, component_entropies, indicator_matrices, stacked_indicator
 from statebc.examples import blackwell_channel
-from statebc.infotheory import entropy
+from statebc.infotheory import block_entropies, entropy
 from statebc.simplexopt import iter_lattice
 from conftest import random_pmf, random_spec
 
@@ -55,6 +55,14 @@ class TestChannelSpec:
                             ((2, (0, 1), (0, 0), 0.5, flag), "p2")]:
             with pytest.raises(ValueError, match=field):
                 ChannelSpec(*args)
+
+    @pytest.mark.parametrize(
+        "text", ["0.5", b"0.5", bytearray(b"0.5"), np.str_("0.5")], ids=("str", "bytes", "bytearray", "numpy-str")
+    )
+    def test_rejects_numeric_text_as_probability(self, text):
+        # float("0.5") parses, so each read as 0.5.
+        with pytest.raises(ValueError, match="p1 must be a number in"):
+            ChannelSpec(2, (0, 1), (0, 0), text, 0.5)
 
     def test_degenerate_probabilities_allowed(self):
         spec = ChannelSpec(2, (0, 1), (1, 0), 1.0, 0.0)
@@ -312,9 +320,12 @@ def _three_input_channel(rng, n):
 
 
 class TestLatticeEntropies:
-    """The sweep kernel equals component_entropies(spec, counts / m) byte
-    for byte: its gathers, its in-order pushforward sums and its pruned
-    pairwise block sums (below 8 cells, 8 to 128, and halves above 128)."""
+    """The sweep kernel equals block_entropies(counts @ stacked / m, blocks),
+    the entropies of each lattice law's exact pushforward (one rounding per
+    cell mass), byte for byte: its count sums and gathers and its pruned
+    pairwise block sums (below 8 cells, 8 to 128, and halves above 128). It
+    stays within 1e-15 bits of component_entropies(spec, counts / m), which
+    adds rounded masses."""
 
     # Output sizes 16 and 14: joint blocks of 256 and 196 cells, the second
     # halved at 96, not 98, with cell 97 in use.
@@ -329,8 +340,9 @@ class TestLatticeEntropies:
 
     @staticmethod
     def assert_matches(spec, counts, m):
-        want = component_entropies(spec, counts.astype(float) / m)
-        got = _lattice_entropies(spec, counts, m)
+        stacked, blocks = stacked_indicator(spec)
+        want = block_entropies(counts @ stacked / m, blocks)
+        got = _lattice_entropies(spec, m)(counts)
         assert len(got) == 3
         for g, w in zip(got, want):
             assert g.shape == w.shape == counts.shape[:1]
@@ -338,6 +350,8 @@ class TestLatticeEntropies:
 
     @pytest.mark.parametrize("name", SPECS)
     def test_matches_component_entropies_on_the_lattice(self, name):
+        # The reference is component_entropies' block_entropies on the
+        # exact pushforward.
         spec, m = self.SPECS[name]
         for block in iter_lattice(m, spec.input_size):
             self.assert_matches(spec, block, m)
@@ -348,6 +362,16 @@ class TestLatticeEntropies:
         self.assert_matches(spec, unused[len(unused) // 2 :][:1], m)
 
     @pytest.mark.parametrize("name", SPECS)
+    def test_within_1e_15_bits_of_rounded_mass_entropies(self, name):
+        # component_entropies adds the rounded masses counts / m; the
+        # measured largest difference over SPECS is 4.4e-16 bits.
+        spec, m = self.SPECS[name]
+        counts = np.vstack(list(iter_lattice(m, spec.input_size)))
+        got = _lattice_entropies(spec, m)(counts)
+        for g, w in zip(got, component_entropies(spec, counts / m)):
+            assert np.abs(g - w).max() <= 1e-15
+
+    @pytest.mark.parametrize("name", SPECS)
     def test_same_bytes_from_either_block_layout(self, name):
         # iter_lattice's blocks are Fortran-ordered; C-ordered copies score
         # the same bytes.
@@ -355,7 +379,8 @@ class TestLatticeEntropies:
         for block in iter_lattice(m, spec.input_size):
             copy = np.ascontiguousarray(block)
             assert copy.flags.c_contiguous and (block.flags.f_contiguous or m < spec.input_size - 1)
-            got, want = _lattice_entropies(spec, block, m), _lattice_entropies(spec, copy, m)
+            kernel = _lattice_entropies(spec, m)
+            got, want = kernel(block), kernel(copy)
             assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
     @pytest.mark.parametrize("name", ("blackwell", "out16", "n9"))

@@ -157,12 +157,15 @@ class TestValidationErrors:
             ({"input_size": True, "f1": [0], "f2": [0]}, "input_size must be a positive integer, got True"),
             ({"input_size": 2, "f1": [False, True], "f2": [0, 0]}, "f1 values must be integers, got False"),
             ({"input_size": 2, "f1": [0, 1], "f2": [0, 0], "p1": True}, "p1 must be a number in [0, 1], got True"),
+            ({"input_size": 2, "f1": [0, 1], "f2": [0, 0], "p1": "0.5"}, "p1 must be a number in [0, 1], got '0.5'"),
         ],
-        ids=("null-input-size", "null-map-entry", "numeric-map", "boolean-input-size", "boolean-map-entry", "boolean-p1"),
+        ids=("null-input-size", "null-map-entry", "numeric-map", "boolean-input-size", "boolean-map-entry", "boolean-p1",
+             "string-p1"),
     )
     def test_malformed_channel_file_exit_two_before_writing(self, data, message, tmp_path, capsys):
         # The first three used to escape as a TypeError traceback; the
-        # booleans ran as the integers and probabilities 0 and 1.
+        # booleans ran as the integers and probabilities 0 and 1, and the
+        # string as 0.5.
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"p1": 0.7, "p2": 0.3} | data))
         rc = main(["region", "--channel", str(bad), "--out", str(tmp_path / "o.csv")])

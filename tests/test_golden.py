@@ -5,7 +5,15 @@ objectives or the optimizer that moves a result shows up here: region
 polygons must keep their support function within 1e-7 bits over 256
 directions, and the support and verify tables must print the same values,
 case ids and verdicts. A regions4 run's name is its --out prefix, to which
-it writes one polygon file per label.
+it writes one polygon file per label; its 16 records must also be
+reproduced byte for byte.
+
+Three records are older bytes that the current code meets only by
+tolerance: region-blackwell.csv (vertices up to 9.7e-7 apart, within the
+support check) and the gap columns of verify-blackwell.csv and
+verify-random5.csv (within GAP_TOL). A change that should keep every output
+fixed compares those three commands against its parent commit's output, not
+against these files.
 
 To re-record after an intended move, rerun the commands into tests/data:
 
@@ -89,7 +97,9 @@ def test_regions4_support_functions_unchanged(prefix, tmp_path):
     run(REGIONS4_RUNS[prefix], tmp_path / prefix)
     for label in REGIONS4_LABELS:
         name = f"{prefix}{label}.csv"
-        assert_same_polygon((tmp_path / name).read_text(encoding="utf-8"), recorded(name))
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        assert_same_polygon(text, recorded(name))
+        assert text == recorded(name)
 
 
 @pytest.mark.parametrize("name", list(TABLE_RUNS))

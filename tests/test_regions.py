@@ -30,6 +30,7 @@ from statebc import (
 )
 from statebc.regions import (
     case_of,
+    corner_tables,
     corner_values,
     format_number,
     halfplane_vertices,
@@ -38,6 +39,7 @@ from statebc.regions import (
     polygon_to_csv,
 )
 from statebc.channel import canonicalize, component_entropies, load_channel, stacked_indicator
+from statebc.infotheory import block_entropies
 from statebc.simplexopt import combine, iter_lattice, maximize_pushforward_entropies
 from conftest import random_spec
 
@@ -406,10 +408,15 @@ class TestPrimedRegions:
     def test_fronts_equal_the_sort_only_front_of_the_lattice(self, spec, grid, monkeypatch):
         # The running bin table drops only strictly dominated corners, so
         # each R3'/R4' front is that of every lattice law's corner, whatever
-        # the blocks; the constant f1 leaves the r1 range [0, 0].
+        # the blocks; the constant f1 leaves the r1 range [0, 0]. The corners
+        # are corner_values' clamped rows of the sweep kernel's reference
+        # features, the entropies of the exact pushforwards counts @ e / m.
         if isinstance(spec, str):
             spec = canonicalize(load_channel(str(DATA / spec)))[0]
-        corners = corner_values(spec, np.vstack(list(iter_lattice(grid, spec.input_size))) / grid)
+        stacked, blocks = stacked_indicator(spec)
+        counts = np.vstack(list(iter_lattice(grid, spec.input_size)))
+        features = block_entropies(counts @ stacked / grid, blocks)
+        corners = [np.maximum(combine(features, row), 0.0) for k in corner_tables(spec) for row in k]
         want = [TestGeometry.sort_only_front(np.column_stack(c)) for c in (corners[:2], corners[2:])]
         for cap in (simplexopt._BLOCK_BYTES, 8 * spec.input_size):
             fronts = []
@@ -418,11 +425,28 @@ class TestPrimedRegions:
             primed_regions(spec, px_grid=grid)
             assert [f.tobytes() for f in fronts] == [w.tobytes() for w in want]
 
-    @pytest.mark.parametrize("grid", [2.7, "40", True, 1, -3])
+    @pytest.mark.parametrize("grid", [2.7, "40", True, 1, -3, "", False, [], 0.0, np.bool_(False)])
     def test_rejects_a_grid_that_is_not_an_integer_above_one(self, grid, blackwell_07_03):
-        # 2.7 used to sweep grid 2.
+        # 2.7 used to sweep grid 2; "", False, [] and 0.0 the automatic grid.
         with pytest.raises(ValueError, match="px_grid must be an integer >= 2"):
             primed_regions(blackwell_07_03, px_grid=grid)
+
+    @pytest.mark.parametrize("k, bad", [(0, math.nan), (1, math.inf), (2, -math.inf)])
+    def test_rejects_a_feature_that_is_not_finite(self, k, bad, blackwell_07_03, monkeypatch):
+        kernel = regions._lattice_entropies
+
+        def broken(spec, m):
+            entropies = kernel(spec, m)
+            return lambda counts: tuple(np.where(i == k, bad, f) for i, f in enumerate(entropies(counts)))
+
+        monkeypatch.setattr(regions, "_lattice_entropies", broken)
+        with pytest.raises(ValueError, match="primed_regions needs finite rates"):
+            primed_regions(blackwell_07_03, px_grid=40)
+
+    @pytest.mark.parametrize("grid", [None, 0, np.int64(0)], ids=("none", "zero", "numpy-zero"))
+    def test_none_or_integer_zero_picks_the_grid(self, grid, blackwell_07_03, monkeypatch):
+        monkeypatch.setattr(regions, "_auto_px_grid", lambda dim: 40)
+        assert primed_regions(blackwell_07_03, px_grid=grid) == primed_regions(blackwell_07_03, px_grid=40)
 
     def test_integral_grid_of_any_type(self, blackwell_07_03):
         polys = primed_regions(blackwell_07_03, px_grid=40)
