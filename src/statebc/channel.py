@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -178,27 +178,27 @@ def component_entropies(spec: ChannelSpec, px_batch):
     return tuple(float(h) if np.ndim(h) == 0 else h for h in hs)
 
 
-def _add(a, b):
-    """a + b, where None stands for a row of +0.0."""
-    return b if a is None else a if b is None else a + b
+def _add(a, b, out=None):
+    """a + b, into out when given (out may be a, never b); None is a row of +0.0."""
+    return b if a is None else a if b is None else np.add(a, b, out=out)
 
 
-def _pairwise_sum(terms):
+def _pairwise_sum(terms, out=None):
     """The rows of terms (None for a row of +0.0) added in the order of
     numpy's pairwise .sum(axis=-1) over len(terms) cells: in turn below 8,
     in eight interleaved partial sums up to 128, else in two halves, the
-    first a multiple of 8. No term is -0.0, so no partial sum is, and
-    leaving out a +0.0 row changes none of them."""
+    first a multiple of 8, into out but for the partial sums and a second
+    half. No term is -0.0, so no partial sum is, and no +0.0 row matters."""
     n = len(terms)
     if n < 8:
-        return reduce(_add, terms)
+        return reduce(partial(_add, out=out), terms)
     if n <= 128:
         tail = n - n % 8
         s = [reduce(_add, terms[j:tail:8]) for j in range(8)]
-        head = _add(_add(_add(s[0], s[1]), _add(s[2], s[3])), _add(_add(s[4], s[5]), _add(s[6], s[7])))
-        return reduce(_add, terms[tail:], head)
+        head = _add(_add(_add(s[0], s[1]), _add(s[2], s[3])), _add(_add(s[4], s[5]), _add(s[6], s[7])), out)
+        return reduce(partial(_add, out=out), terms[tail:], head)
     half = n // 2 - n // 2 % 8
-    return _add(_pairwise_sum(terms[:half]), _pairwise_sum(terms[half:]))
+    return _add(_pairwise_sum(terms[:half], out), _pairwise_sum(terms[half:]), out)
 
 
 def _lattice_entropies(spec: ChannelSpec, m: int):
@@ -221,7 +221,8 @@ def _lattice_entropies(spec: ChannelSpec, m: int):
         cols = counts.T.astype(np.intp)
         rows = {xs: table[reduce(np.add, [cols[x] for x in xs])] for xs in inputs}
         terms = [rows.get(xs) for xs in cells]
-        return tuple(-_pairwise_sum(terms[a:b]) for a, b in blocks)
+        out = [np.empty(len(counts)) for _ in blocks]
+        return tuple(np.negative(_pairwise_sum(terms[a:b], o), out=o) for (a, b), o in zip(blocks, out))
 
     return entropies
 

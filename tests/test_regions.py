@@ -40,7 +40,7 @@ from statebc.regions import (
 )
 from statebc.channel import canonicalize, component_entropies, load_channel, stacked_indicator
 from statebc.infotheory import block_entropies
-from statebc.simplexopt import combine, iter_lattice, maximize_pushforward_entropies
+from statebc.simplexopt import combine, iter_lattice, lattice_size, maximize_pushforward_entropies
 from conftest import random_spec
 
 DATA = Path(__file__).parent / "data"
@@ -361,6 +361,16 @@ class TestPropositionRegions:
         assert c1 == pytest.approx(best, abs=1e-3)
 
 
+def raise_then_test(table, x, y, lo, scale):
+    """The reference bin filter: raise table (r2 maxima by r1 bin, the last
+    at -inf) by every point, then return the indices of the points not below
+    the suffix maximum of a higher bin."""
+    bins = np.minimum((x - lo) * scale, regions._PARETO_BINS).astype(np.intp)
+    np.maximum.at(table, bins, y)
+    above = np.maximum.accumulate(table[::-1])[::-1]
+    return np.flatnonzero(y >= above[bins + 1])
+
+
 class TestPrimedRegions:
     def test_containment(self, ff2_07_04):
         regs = proposition_regions(ff2_07_04, n_lambda=16)
@@ -425,6 +435,80 @@ class TestPrimedRegions:
             primed_regions(spec, px_grid=grid)
             assert [f.tobytes() for f in fronts] == [w.tobytes() for w in want]
 
+    # (spec, grid); every grid but the last case's has a seed lattice
+    # (d >= 2), 61 is prime, so its seeds keep a deficit.
+    SEEDED = {
+        "blackwell": ("blackwell.json", 61),
+        "gf2": ("gf2.json", 16),
+        "random5": ("random5.json", 10),
+        **{
+            f"random-n{n}": (random_spec(np.random.default_rng(100 + n), (n,)), grid)
+            for n, grid in ((2, 200), (3, 40), (4, 16), (5, 10))
+        },
+        "p-1-0": (blackwell_channel(1.0, 0.0), 40),
+        "p-1-1": (blackwell_channel(1.0, 1.0), 40),
+        "p-0-0": (blackwell_channel(0.0, 0.0), 40),
+        "p1-eq-p2": (blackwell_channel(0.6, 0.6), 40),
+        "constant-f1": (ChannelSpec(3, (0, 0, 0), (0, 1, 1), 0.7, 0.3), 40),
+        "no-seeds": (blackwell_channel(0.7, 0.3), 10),
+    }
+
+    @pytest.mark.parametrize("two_rows", [False, True], ids=("default-blocks", "two-row-blocks"))
+    @pytest.mark.parametrize("name", SEEDED)
+    def test_polygons_equal_the_unseeded_raise_then_test_sweep(self, name, two_rows, monkeypatch):
+        # Seeds are lattice points scored to the bytes they get again, and
+        # the test-first filter keeps what raising first keeps: every polygon
+        # is that of the plain lattice under raise_then_test, byte for byte.
+        spec, grid = self.SEEDED[name]
+        if isinstance(spec, str):
+            spec = canonicalize(load_channel(str(DATA / spec)))[0]
+        seeds = sum(map(len, regions._seeded_lattice(grid, spec.input_size))) - lattice_size(grid, spec.input_size)
+        assert (seeds == 0) == (name == "no-seeds")
+        if two_rows:
+            monkeypatch.setattr(simplexopt, "_BLOCK_BYTES", 2 * 4 * spec.input_size)
+        got = primed_regions(spec, px_grid=grid)
+        monkeypatch.setattr(regions, "_seeded_lattice", iter_lattice)
+        monkeypatch.setattr(regions, "_bin_filter", raise_then_test)
+        want = primed_regions(spec, px_grid=grid)
+        assert [p.label for p in got] == [p.label for p in want]
+        assert [np.array(p.vertices).tobytes() for p in got] == [np.array(p.vertices).tobytes() for p in want]
+
+    @pytest.mark.parametrize(
+        "n, grids", [(1, (2, 500)), (2, (2, 191, 192, 1750)), (3, (25, 26, 61, 1750)), (5, (9, 10, 23)), (9, (3, 7))]
+    )
+    def test_seeds_are_lattice_points_of_a_coarse_sub_lattice(self, n, grids):
+        # Blocks of floor(c m / d), the deficit on the last input, then the
+        # lattice; d is the largest denominator below m with at most 1/64 of
+        # its laws, and none when d < 2.
+        for m in grids:
+            size = lattice_size(m, n)
+            rows = np.vstack(list(regions._seeded_lattice(m, n)))
+            seeds, rest = rows[: len(rows) - size], rows[len(rows) - size :]
+            assert np.array_equal(rest, np.vstack(list(iter_lattice(m, n))))
+            assert (seeds >= 0).all() and (seeds.sum(axis=1) == m).all()
+            assert len(seeds) <= size / 64
+            d = max([d for d in range(2, m) if 64 * lattice_size(d, n) <= size], default=0)
+            if d == 0:
+                assert len(seeds) == 0
+                continue
+            c = np.vstack(list(iter_lattice(d, n))).astype(np.int64)
+            floor = c * m // d
+            assert np.array_equal(seeds[:, :-1], floor[:, :-1])
+            assert (0 <= seeds[:, -1] - floor[:, -1]).all() and (seeds[:, -1] - floor[:, -1] < n).all()
+
+    def test_a_lattice_past_int64_ranks_raises_before_any_block(self, monkeypatch):
+        # lattice_size(1000, 9) > 2**63 - 1, while 1/64 of it would fit: no
+        # seed block is swept before iter_lattice raises.
+        spec = ChannelSpec(9, (0, 1, 2, 0, 1, 2, 0, 1, 2), (0, 0, 1, 1, 2, 2, 0, 1, 2), 0.7, 0.3)
+        assert lattice_size(1000, 9) >> 6 < 2**63 <= lattice_size(1000, 9)
+
+        def unscored(spec, m):
+            raise AssertionError("no block may be scored")
+
+        monkeypatch.setattr(regions, "_lattice_entropies", lambda spec, m: unscored)
+        with pytest.raises(ValueError, match="does not fit int64"):
+            primed_regions(spec, px_grid=1000)
+
     @pytest.mark.parametrize("grid", [2.7, "40", True, 1, -3, "", False, [], 0.0, np.bool_(False)])
     def test_rejects_a_grid_that_is_not_an_integer_above_one(self, grid, blackwell_07_03):
         # 2.7 used to sweep grid 2; "", False, [] and 0.0 the automatic grid.
@@ -447,6 +531,16 @@ class TestPrimedRegions:
     def test_none_or_integer_zero_picks_the_grid(self, grid, blackwell_07_03, monkeypatch):
         monkeypatch.setattr(regions, "_auto_px_grid", lambda dim: 40)
         assert primed_regions(blackwell_07_03, px_grid=grid) == primed_regions(blackwell_07_03, px_grid=40)
+
+    def test_auto_grid_is_the_largest_within_the_budget(self):
+        # The reference walk: from 2 up while the next grid stays within the
+        # law budget, to at most the cap.
+        for dim in range(1, 13):
+            m = 2
+            while m < regions._PX_GRID_CAP and lattice_size(m + 1, dim) <= regions._PX_GRID_BUDGET:
+                m += 1
+            assert regions._auto_px_grid(dim) == m
+        assert [regions._auto_px_grid(d) for d in (2, 3, 9)] == [4096, 1998, 18]
 
     def test_integral_grid_of_any_type(self, blackwell_07_03):
         polys = primed_regions(blackwell_07_03, px_grid=40)
@@ -701,6 +795,34 @@ class TestGeometry:
         front = pareto_front(pts)
         assert front.shape[1] == 2
         assert front.tobytes() == self.sort_only_front(pts).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.sampled_from([0, 1, 2, 9, 300, 3 * regions._PARETO_BINS]),
+        filled=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+        levels=st.sampled_from([1, 3, 40]),
+        lo=st.sampled_from([0.0, -0.5]),
+    )
+    def test_bin_filter_keeps_and_leaves_what_raising_first_does(self, seed, size, filled, levels, lo):
+        # above is the suffix maxima of a table whose `filled` share of bins
+        # holds r2 on `levels` values with signed zeros (0.0: all -inf, as
+        # pareto_front passes it); r1 runs past the top of the range, so the
+        # clipped top bin is used, and r2 ties the table and other points.
+        rng = np.random.default_rng(seed)
+        bins = regions._PARETO_BINS
+        values = np.array([-0.0, 0.0] + [(k + 1) / levels for k in range(levels)])
+        table = np.where(rng.random(bins + 2) < filled, rng.choice(values, bins + 2), -np.inf)
+        table[-1] = -np.inf
+        above = np.maximum.accumulate(table[::-1])[::-1]
+        x = lo + rng.integers(0, 5 * bins // 4, size) / bins
+        y = rng.choice(values, size)
+        ref = above.copy()
+        want = raise_then_test(ref, x, y, lo, float(bins))
+        got = regions._bin_filter(above, x, y, lo, float(bins))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(above, np.maximum.accumulate(ref[::-1])[::-1])
+        assert np.isneginf(above[-1])
 
     @staticmethod
     def reference_hull(points, tol=regions._HULL_TOL):
