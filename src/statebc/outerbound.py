@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelSpec, indicator_matrices, require_canonical
+from .channel import ChannelSpec, _as_int, indicator_matrices, require_canonical
 from .infotheory import entropy, pushforward
 from .regions import _check_weight, format_number, support_curve, support_inner, thresholds
 from .simplexopt import OptResult, _Counted, _scan_lattice, combine, lattice_size, maximize_joint
@@ -67,6 +67,20 @@ def outer_table(spec: ChannelSpec, a: float, b: float) -> np.ndarray:
     return np.array([[0.0, 0.0, p1, q1], [p2, q2, -p2, -q2]])
 
 
+def _outer_row(spec: ChannelSpec, lam: float) -> np.ndarray:
+    """The row (1, lam) outer_table, as outer_objective applies it."""
+    table = outer_table(spec, 1.0, lam)
+    return table[0] + lam * table[1]
+
+
+def _outer_entropies(P: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> tuple:
+    """(H(f1), H(f2), H(f1|U), H(f2|U)) over the leading axes of joints P,
+    trailing axes (u, x), e1 and e2 the components' indicator matrices."""
+    px, hu = P.sum(axis=-2), entropy(P.sum(axis=-1))
+    cond = [entropy((P @ e).reshape(P.shape[:-2] + (-1,))) - hu for e in (e1, e2)]
+    return entropy(pushforward(px, e1)), entropy(pushforward(px, e2)), *cond
+
+
 def outer_objective(spec: ChannelSpec, lam: float, u_size: int):
     """Vectorized objective over joint laws p(u, x), trailing axes (u, x):
     the row (1, lam) outer_table over the lambda-free entropies (H(f1),
@@ -75,14 +89,10 @@ def outer_objective(spec: ChannelSpec, lam: float, u_size: int):
     each flat coordinate's cell in those pushforwards, numbered across
     blocks."""
     e1, e2, _ = indicator_matrices(spec)
-    table = outer_table(spec, 1.0, lam)
-    row = table[0] + lam * table[1]
+    row = _outer_row(spec, lam)
 
     def obj(P):
-        P = np.asarray(P, dtype=float)
-        px, hu = P.sum(axis=-2), entropy(P.sum(axis=-1))
-        cond = [entropy((P @ e).reshape(P.shape[:-2] + (-1,))) - hu for e in (e1, e2)]
-        return combine((entropy(pushforward(px, e1)), entropy(pushforward(px, e2)), *cond), row)
+        return combine(_outer_entropies(np.asarray(P, dtype=float), e1, e2), row)
 
     u, x = np.divmod(np.arange(u_size * spec.input_size), spec.input_size)
     f1, f2, m = np.array(spec.f1)[x], np.array(spec.f2)[x], spec.output_size
@@ -140,10 +150,11 @@ def verify_converse(spec: ChannelSpec, lambdas, tol: float = 5e-3) -> ConverseRe
 
     At each weight the outer value is the best structured seed
     (structure_seeds, u = input_size + 1) lifted at the inner argmax and
-    valued by outer_objective, and the upper value is the inner solver's
-    certified dual bound. A failed tolerance yields passed=False, not an
-    exception; an outer value more than 1e-9 below the inner one or above
-    the upper one is an implementation error and raises.
+    valued by outer_objective's row, all weights' seeds in one batch, and
+    the upper value is the inner solver's certified dual bound. A failed
+    tolerance yields passed=False, not an exception; an outer value more
+    than 1e-9 below the inner one or above the upper one is an
+    implementation error and raises.
     """
     require_canonical(spec)
     lambdas = [float(l) for l in lambdas]
@@ -151,11 +162,12 @@ def verify_converse(spec: ChannelSpec, lambdas, tol: float = 5e-3) -> ConverseRe
         raise ValueError("at least one lambda sample is required")
     if not tol >= 0.0:
         raise ValueError("tolerance must be non-negative")
-    u = spec.input_size + 1
+    u, curve = spec.input_size + 1, support_curve(spec, lambdas).samples
+    seeds = np.array([seed for s in curve for seed in structure_seeds(spec, u, np.array(s.argmax_px))])
+    features = [h.reshape(len(curve), -1) for h in _outer_entropies(seeds, *indicator_matrices(spec)[:2])]
+    rows = np.array([_outer_row(spec, s.lam) for s in curve])
     samples = []
-    for lam, inner, upper, case, px in support_curve(spec, lambdas).samples:
-        seeds = np.array(structure_seeds(spec, u, np.array(px)))
-        outer = float(outer_objective(spec, lam, u)(seeds).max())
+    for (lam, inner, upper, case, _), outer in zip(curve, combine(features, rows[:, None]).max(axis=1).tolist()):
         if not inner - 1e-9 <= outer <= upper + 1e-9:
             raise RuntimeError(
                 f"outer bound {outer} outside [inner, upper] = [{inner}, {upper}] at lambda={lam}"
@@ -191,7 +203,7 @@ def case_spanning_lambdas(spec: ChannelSpec, n: int = 32) -> list[float]:
     """n weights covering all support-function cases: [0, lo], (lo, 1],
     (1, hi] and a tail beyond hi (finite stand-ins when hi is infinite)."""
     require_canonical(spec)
-    if n < 4:
+    if (n := _as_int(n, f"the lambda sample count must be an integer, got {n!r}")) < 4:
         raise ValueError("need at least 4 lambda samples to span the cases")
     lo, hi = thresholds(spec)
     hi_cap = hi if math.isfinite(hi) else 4.0

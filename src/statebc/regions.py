@@ -142,7 +142,7 @@ def convex_hull(points, tol: float = _HULL_TOL) -> np.ndarray:
 
 def make_polygon(points, label: str, tol: float = _HULL_TOL) -> RegionPolygon:
     hull = convex_hull(points, tol=tol)
-    verts = tuple(RatePair(float(x), float(y)) for x, y in hull)
+    verts = tuple(RatePair(x, y) for x, y in hull.tolist())
     return RegionPolygon(vertices=verts, label=label)
 
 
@@ -411,7 +411,7 @@ def capacity_polygon(spec: ChannelSpec, n_lambda: int = 64) -> RegionPolygon:
     Accepts any valid spec: the computation canonicalizes internally and
     swaps the rate axes back when the receivers were relabeled.
     """
-    if n_lambda < 3:
+    if (n_lambda := _as_int(n_lambda, f"n_lambda must be an integer, got {n_lambda!r}")) < 3:
         raise ValueError("n_lambda must be >= 3")
     canon, swapped = canonicalize(spec)
     lam_switch, mu_switch = _case_switches(canon)
@@ -439,7 +439,7 @@ def proposition_regions(spec: ChannelSpec, n_lambda: int = 64) -> list[RegionPol
     and (mu, 1) for R4.
     """
     require_canonical(spec)
-    if n_lambda < 1:
+    if (n_lambda := _as_int(n_lambda, f"n_lambda must be an integer, got {n_lambda!r}")) < 1:
         raise ValueError("n_lambda must be >= 1")
     lam_switch, mu_switch = _case_switches(spec)
     lams = _unique(_open_segment(lam_switch, 1.0, n_lambda))

@@ -541,26 +541,40 @@ def maximize_joint(objective, dims: tuple[int, int], extra_starts=()) -> OptResu
 
 def _line_slope(q, dq, C, blocks):
     """slope(t): d/dt of sum_k c_k H(q_k + t dq_k) in bits at each row's t,
-    dq summing to 0 per block, its masks, -dq and work buffer made once per
-    solver iteration. An emptied cell's log2(0) and its products are masked
-    out, so callers silence their divide and invalid warnings. Each term
-    log2(y) * -dq is -log2(y) * dq bit for bit: negation is exact."""
+    dq summing to 0 per block, its masks (None if empty), -dq and work buffer
+    made once per solver iteration. An emptied cell's log2(0) and its products
+    are masked out, so callers silence their divide and invalid warnings. Each
+    term log2(y) * -dq is -log2(y) * dq bit for bit: negation is exact."""
     flat, neg, work = dq == 0.0, -dq, np.empty_like(dq)
-    parts = [(a, b, C[:, k], ~(C[:, k] > 0.0)) for k, (a, b) in enumerate(blocks)]
+    flat = flat if flat.any() else None
+    parts = [(a, b, C[:, k], off if (off := ~(C[:, k] > 0.0)).any() else None) for k, (a, b) in enumerate(blocks)]
 
     def slope(t):
         np.multiply(t[:, None], dq, out=work)
         np.maximum(np.add(q, work, out=work), 0.0, out=work)
         np.multiply(np.log2(work, out=work), neg, out=work)
-        np.copyto(work, 0.0, where=flat)
+        if flat is not None:
+            np.copyto(work, 0.0, where=flat)
         total = np.zeros(len(t))
         for a, b, c, off in parts:
-            term = np.multiply(c, work[:, a:b].sum(axis=1))
-            np.copyto(term, 0.0, where=off)
+            term = np.multiply(c, np.add.reduce(work[:, a:b], axis=1))
+            if off is not None:
+                np.copyto(term, 0.0, where=off)
             total += term
         return total
 
     return slope
+
+
+def _bisect(slope, t_max):
+    """(lo, hi) after _BISECT halvings of [0, t_max] on slope's sign, in place; t_max stays."""
+    lo, hi, mid = np.zeros(t_max.size), t_max.copy(), np.empty(t_max.size)
+    for _ in range(_BISECT):
+        np.multiply(np.add(lo, hi, out=mid), 0.5, out=mid)
+        up = slope(mid) > 0.0
+        np.copyto(lo, mid, where=up)
+        np.copyto(hi, mid, where=~up)
+    return lo, hi
 
 
 def _newton_directions(p, g, cells, C, same):
@@ -587,7 +601,7 @@ def maximize_pushforward_entropies(indicator, blocks, coeffs) -> list[OptResult]
     coeffs (W x K), one OptResult per row; A_k is the column block
     blocks[k] = (start, stop) of the 0/1 indicator, one 1 per row in each.
 
-    Coefficients must be non-negative (above -1e-12, which counts as 0), so
+    Coefficients must be finite and above -1e-12 (which counts as 0), so
     the objective is concave and bounded, for any full-support q_k, by
     max_x sum_k c_k (-log2 q_k[f_k(x)]) (Gallager's dual bound). A row stops
     once the least such bound, q its pushforwards mixed with a share of
@@ -596,14 +610,14 @@ def maximize_pushforward_entropies(indicator, blocks, coeffs) -> list[OptResult]
     uniform law it takes Newton steps, or pairwise Frank-Wolfe steps (from
     the lowest-scoring input with mass to the highest-scoring one) when
     either is off the Newton face or Newton does not ascend, each with an
-    exact line search: _BISECT bisections of a slope made once per iteration
-    (_line_slope). Each result, evaluation count included, is that of a
-    one-row call; a row not certified in _BUDGET iterations raises
-    RuntimeError.
+    exact line search: _BISECT bisections (_bisect) of a slope made once per
+    iteration (_line_slope). Each result, evaluation count included, is that
+    of a one-row call; a row not certified in _BUDGET iterations raises
+    RuntimeError, and one with a NaN, infinite or negative entry ValueError.
     """
     C = np.asarray(coeffs, dtype=float).reshape(-1, len(blocks))
-    if (C < -1e-12).any():
-        raise ValueError(f"coefficients must be non-negative, min entry {C.min()}")
+    if (bad := ~((C >= -1e-12) & (C < math.inf)).all(axis=1)).any():
+        raise ValueError(f"coefficients must be finite and non-negative, row {C[bad.argmax()].tolist()}")
     C = np.maximum(C, 0.0)
     idx = np.stack([a + np.argmax(indicator[:, a:b], axis=1) for a, b in blocks], axis=1)
     same = [idx[:, k, None] == idx[:, k] for k in range(len(blocks))]
@@ -635,15 +649,10 @@ def maximize_pushforward_entropies(indicator, blocks, coeffs) -> list[OptResult]
         ends = np.take_along_axis(p, np.stack((best, worst), axis=1), axis=1)
         fw = (ends <= _FACE).any(axis=1) | ((g * d).sum(axis=1) <= 0.0)
         d[fw] = np.eye(len(indicator))[best[fw]] - np.eye(len(indicator))[worst[fw]]
+        dq = pushforward(d, indicator)
         with np.errstate(divide="ignore", invalid="ignore"):
             t_max = np.where(d < 0.0, p / -d, np.inf).min(axis=1)
-        dq = pushforward(d, indicator)
-        lo, hi, slope = np.zeros(live.size), t_max, _line_slope(q, dq, c, blocks)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for _ in range(_BISECT):
-                mid = 0.5 * (lo + hi)
-                up = slope(mid) > 0.0
-                lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+            lo, hi = _bisect(_line_slope(q, dq, c, blocks), t_max)
         evals[live] += _BISECT
         # A root within resolution of t_max is t_max: no cell keeps a sliver.
         step = np.maximum(p + np.where(hi == t_max, t_max, lo)[:, None] * d, 0.0)

@@ -614,6 +614,47 @@ class TestVerifyConverse:
             verify_converse(blackwell_07_03, [0.3, 1.5])
 
 
+    @pytest.mark.parametrize("probs", [(1.0, 0.0), (1.0, 1.0), (0.0, 0.0), (0.5, 0.5)], ids=("1-0", "1-1", "0-0", "equal"))
+    @pytest.mark.parametrize("spec", _PROBE_SPECS[:3], ids=("blackwell", "gf2", "random5"))
+    def test_degenerate_probabilities_pass_with_a_tight_bracket(self, spec, probs):
+        # Where an empty pushforward cell makes the dual bound's uniform mix
+        # matter: every weight brackets outer, and upper meets inner.
+        spec = ChannelSpec(spec.input_size, spec.f1, spec.f2, *probs)
+        report = verify_converse(spec, case_spanning_lambdas(spec, 32))
+        assert report.passed and len(report.samples) == 32
+        for s in report.samples:
+            assert s.inner - 1e-9 <= s.outer <= s.upper + 1e-9
+            assert s.upper - s.inner <= 1e-9
+
+
+def per_weight_outer(spec, sample):
+    """A weight's outer value valued alone: its own objective on its own seeds."""
+    u = spec.input_size + 1
+    seeds = np.array(structure_seeds(spec, u, np.array(sample.argmax_px)))
+    return float(outer_objective(spec, sample.lam, u)(seeds).max())
+
+
+def _outer_column_specs():
+    rng = np.random.default_rng(25)
+    specs = list(_PROBE_SPECS)
+    for probs in ((1.0, 0.0), (1.0, 1.0), (0.0, 0.0), (0.3, 0.3), None, None):
+        spec = random_spec(rng, sizes=(6, 7, 8, 9))
+        specs.append(spec if probs is None else ChannelSpec(spec.input_size, spec.f1, spec.f2, *probs))
+    return specs
+
+
+@pytest.mark.parametrize("spec", _outer_column_specs(), ids=lambda s: f"n{s.input_size}-{s.p1:.2f}-{s.p2:.2f}")
+def test_outer_column_equals_each_weight_valued_alone(spec):
+    # verify_converse values every weight's seeds in one batch; each outer
+    # value is, bit for bit, that weight's objective maximized over its own
+    # seeds, as a per-weight loop values it.
+    lams = case_spanning_lambdas(spec, 16)
+    report = verify_converse(spec, lams)
+    want = [per_weight_outer(spec, s) for s in support_curve(spec, lams).samples]
+    assert [s.outer.hex() for s in report.samples] == [w.hex() for w in want]
+    assert [s.gap.hex() for s in report.samples] == [(w - s.inner).hex() for s, w in zip(report.samples, want)]
+
+
 class TestBruteForce:
     def test_budget_error(self, blackwell_07_03):
         with pytest.raises(ValueError, match="budget"):
@@ -688,6 +729,16 @@ class TestCaseSpanningLambdas:
     def test_rejects_tiny_count(self, ff2_07_04):
         with pytest.raises(ValueError):
             case_spanning_lambdas(ff2_07_04, 3)
+
+    @pytest.mark.parametrize("n", [16.5, "16", None, True, [16], math.inf, math.nan])
+    def test_rejects_a_count_that_is_not_an_integer(self, ff2_07_04, n):
+        with pytest.raises(ValueError, match="integer"):
+            case_spanning_lambdas(ff2_07_04, n)
+
+    @pytest.mark.parametrize("n", [32.0, np.int64(32), np.float64(32.0)], ids=("float", "numpy-int", "numpy-float"))
+    def test_integral_count_is_that_integer(self, ff2_07_04, n):
+        lams = case_spanning_lambdas(ff2_07_04, n)
+        assert lams == case_spanning_lambdas(ff2_07_04, 32) and len(lams) == 32
 
 
 class TestConverseCsv:

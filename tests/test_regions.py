@@ -174,6 +174,24 @@ class TestCapacityPolygon:
             capacity_polygon(blackwell_07_03, n_lambda=2)
 
 
+# Weight counts that are not integers: each used to raise TypeError, and
+# proposition_regions(spec, True) ran with one weight.
+_NOT_COUNTS = [16.5, "16", None, True, [16], math.inf, math.nan]
+_COUNTS = [16.0, np.int64(16), np.float64(16.0)]
+
+
+@pytest.mark.parametrize("build", [capacity_polygon, proposition_regions], ids=("capacity", "proposition"))
+class TestWeightCounts:
+    @pytest.mark.parametrize("n_lambda", _NOT_COUNTS)
+    def test_rejects_a_count_that_is_not_an_integer(self, blackwell_07_03, build, n_lambda):
+        with pytest.raises(ValueError, match="n_lambda must be an integer"):
+            build(blackwell_07_03, n_lambda)
+
+    @pytest.mark.parametrize("n_lambda", _COUNTS, ids=("float", "numpy-int", "numpy-float"))
+    def test_integral_count_is_that_integer(self, blackwell_07_03, build, n_lambda):
+        assert build(blackwell_07_03, n_lambda) == build(blackwell_07_03, 16)
+
+
 _BATCH_SPECS = {
     "blackwell": blackwell_channel(0.7, 0.3),
     "gf2": finite_field_channel(FiniteFieldSpec(2, ((1, 1), (1, 0))), 0.7, 0.4),
@@ -894,6 +912,15 @@ class TestGeometry:
             for ang in np.linspace(0, 2 * math.pi, 8, endpoint=False):
                 d = (math.cos(ang), math.sin(ang))
                 assert (pts @ d).max() <= max(h @ np.array(d) for h in hull) + 1e-9
+
+
+def test_polygon_vertices_are_the_hull_rows_as_python_floats():
+    rng = np.random.default_rng(5)
+    pts = np.vstack((rng.random((200, 2)), [(0.0, -0.0), (-0.0, 1.0)]))
+    poly = make_polygon(pts, "cloud")
+    hull = convex_hull(pts)
+    assert all(type(c) is float for v in poly.vertices for c in v)
+    assert [(v.r1.hex(), v.r2.hex()) for v in poly.vertices] == [(float(x).hex(), float(y).hex()) for x, y in hull]
 
 
 class TestCsv:

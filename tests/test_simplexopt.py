@@ -6,6 +6,7 @@ import collections
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -655,6 +656,56 @@ def test_line_slope_matches_the_one_expression_slope(name):
             got, want = slope(t), reference_slope(q, dq, C, blocks, t)
             assert got.tobytes() == want.tobytes()
     assert (dq == 0.0).any() and (C == 0.0).any()
+
+
+def reference_bisect(slope, t_max):
+    """The line search's bisection with a new lo and hi at each step."""
+    lo, hi = np.zeros(t_max.size), t_max
+    for _ in range(simplexopt._BISECT):
+        mid = 0.5 * (lo + hi)
+        up = slope(mid) > 0.0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return lo, hi
+
+
+@pytest.mark.parametrize("name", ["blackwell", "gf2", "random5"])
+def test_bisection_in_place_equals_the_two_where_loop(name):
+    # Solver-like lines (Frank-Wolfe and general directions from laws on
+    # faces), zero dq entries, zero coefficients and some roots at t_max:
+    # lo and hi bit for bit those of the loop above, t_max untouched.
+    spec = _BATCH_SPECS[name]
+    indicator, blocks = stacked_indicator(spec)
+    rng = np.random.default_rng(7 + len(name))
+    n, rows = spec.input_size, 60
+    p = rng.dirichlet(np.ones(n), size=rows) * (rng.random((rows, n)) < 0.7)
+    p[:, 0] += 1e-3
+    p /= p.sum(axis=1, keepdims=True)
+    d = rng.normal(size=(rows, n)) * (rng.random((rows, n)) < 0.6)
+    d[::3] = np.eye(n)[rng.integers(0, n, rows)][::3] - np.eye(n)[p.argmax(axis=1)][::3]
+    d[np.arange(rows), p.argmax(axis=1)] -= d.sum(axis=1)
+    C = np.abs(rng.normal(size=(rows, len(blocks))))
+    C[rng.random(C.shape) < 0.3] = 0.0
+    q, dq = p @ indicator, d @ indicator
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_max = np.where(d < 0.0, p / -d, np.inf).min(axis=1)
+        t_max[~np.isfinite(t_max)] = 1.0
+        kept = t_max.copy()
+        got = simplexopt._bisect(simplexopt._line_slope(q, dq, C, blocks), t_max)
+        want = reference_bisect(simplexopt._line_slope(q, dq, C, blocks), kept.copy())
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+    assert t_max.tobytes() == kept.tobytes()
+    assert (dq == 0.0).any() and (C == 0.0).any()
+    assert 0 < (got[1] == t_max).sum() < rows
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pushforward_solver_rejects_non_finite_coefficients(bad):
+    # Both used to end in LinAlgError after RuntimeWarnings; now the named
+    # row fails before any arithmetic.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"finite and non-negative, row \[1\.0, {bad}, 0\.0\]"):
+            solve(_BATCH_SPECS["blackwell"], [[0.7, 0.3, 0.05], [1.0, bad, 0.0]])
 
 
 @pytest.mark.parametrize("dim", [2, 5, 12])
