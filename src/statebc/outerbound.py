@@ -67,15 +67,8 @@ def outer_table(spec: ChannelSpec, a: float, b: float) -> np.ndarray:
     return np.array([[0.0, 0.0, p1, q1], [p2, q2, -p2, -q2]])
 
 
-def _outer_row(spec: ChannelSpec, lam: float) -> np.ndarray:
-    """The row (1, lam) outer_table, as outer_objective applies it."""
-    table = outer_table(spec, 1.0, lam)
-    return table[0] + lam * table[1]
-
-
 def _outer_entropies(P: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> tuple:
-    """(H(f1), H(f2), H(f1|U), H(f2|U)) over the leading axes of joints P,
-    trailing axes (u, x), e1 and e2 the components' indicator matrices."""
+    """(H(f1), H(f2), H(f1|U), H(f2|U)) of joints P, axes (..., u, x), by indicators e1, e2."""
     px, hu = P.sum(axis=-2), entropy(P.sum(axis=-1))
     cond = [entropy((P @ e).reshape(P.shape[:-2] + (-1,))) - hu for e in (e1, e2)]
     return entropy(pushforward(px, e1)), entropy(pushforward(px, e2)), *cond
@@ -89,7 +82,8 @@ def outer_objective(spec: ChannelSpec, lam: float, u_size: int):
     each flat coordinate's cell in those pushforwards, numbered across
     blocks."""
     e1, e2, _ = indicator_matrices(spec)
-    row = _outer_row(spec, lam)
+    table = outer_table(spec, 1.0, lam)
+    row = table[0] + lam * table[1]
 
     def obj(P):
         return combine(_outer_entropies(np.asarray(P, dtype=float), e1, e2), row)
@@ -149,12 +143,11 @@ def verify_converse(spec: ChannelSpec, lambdas, tol: float = 5e-3) -> ConverseRe
     """Match inner and outer supports at each weight and report the gaps.
 
     At each weight the outer value is the best structured seed
-    (structure_seeds, u = input_size + 1) lifted at the inner argmax and
-    valued by outer_objective's row, all weights' seeds in one batch, and
-    the upper value is the inner solver's certified dual bound. A failed
-    tolerance yields passed=False, not an exception; an outer value more
-    than 1e-9 below the inner one or above the upper one is an
-    implementation error and raises.
+    (structure_seeds, u = input_size + 1) lifted at the inner argmax, valued
+    in one batch by outer_objective's row, and the upper value is the inner
+    solver's certified dual bound. A failed tolerance yields passed=False,
+    not an exception; an outer value more than 1e-9 below the inner one or
+    above the upper one is an implementation error and raises.
     """
     require_canonical(spec)
     lambdas = [float(l) for l in lambdas]
@@ -165,7 +158,8 @@ def verify_converse(spec: ChannelSpec, lambdas, tol: float = 5e-3) -> ConverseRe
     u, curve = spec.input_size + 1, support_curve(spec, lambdas).samples
     seeds = np.array([seed for s in curve for seed in structure_seeds(spec, u, np.array(s.argmax_px))])
     features = [h.reshape(len(curve), -1) for h in _outer_entropies(seeds, *indicator_matrices(spec)[:2])]
-    rows = np.array([_outer_row(spec, s.lam) for s in curve])
+    tables = np.array([outer_table(spec, 1.0, lam) for lam in lambdas])
+    rows = tables[:, 0] + np.array(lambdas)[:, None] * tables[:, 1]
     samples = []
     for (lam, inner, upper, case, _), outer in zip(curve, combine(features, rows[:, None]).max(axis=1).tolist()):
         if not inner - 1e-9 <= outer <= upper + 1e-9:

@@ -540,27 +540,22 @@ def maximize_joint(objective, dims: tuple[int, int], extra_starts=()) -> OptResu
 
 
 def _line_slope(q, dq, C, blocks):
-    """slope(t): d/dt of sum_k c_k H(q_k + t dq_k) in bits at each row's t,
-    dq summing to 0 per block, its masks (None if empty), -dq and work buffer
-    made once per solver iteration. An emptied cell's log2(0) and its products
-    are masked out, so callers silence their divide and invalid warnings. Each
-    term log2(y) * -dq is -log2(y) * dq bit for bit: negation is exact."""
+    """slope(t): d/dt of sum_k c_k H(q_k + t dq_k) in bits at each row's t, dq
+    summing to 0 per block, its masks, -dq and work buffer made once per solver
+    iteration. An emptied cell's log2(0) and its products are masked out, so
+    callers silence divide and invalid warnings; a masked-out term is an added 0,
+    as the total is never -0. log2(y) * -dq is -log2(y) * dq: negation is exact."""
     flat, neg, work = dq == 0.0, -dq, np.empty_like(dq)
-    flat = flat if flat.any() else None
-    parts = [(a, b, C[:, k], off if (off := ~(C[:, k] > 0.0)).any() else None) for k, (a, b) in enumerate(blocks)]
+    parts = [(a, b, C[:, k], C[:, k] > 0.0) for k, (a, b) in enumerate(blocks)]
 
     def slope(t):
         np.multiply(t[:, None], dq, out=work)
         np.maximum(np.add(q, work, out=work), 0.0, out=work)
         np.multiply(np.log2(work, out=work), neg, out=work)
-        if flat is not None:
-            np.copyto(work, 0.0, where=flat)
+        np.copyto(work, 0.0, where=flat)
         total = np.zeros(len(t))
-        for a, b, c, off in parts:
-            term = np.multiply(c, np.add.reduce(work[:, a:b], axis=1))
-            if off is not None:
-                np.copyto(term, 0.0, where=off)
-            total += term
+        for a, b, c, on in parts:
+            np.add(total, np.multiply(c, np.add.reduce(work[:, a:b], axis=1)), out=total, where=on)
         return total
 
     return slope
